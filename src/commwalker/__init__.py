@@ -7,7 +7,14 @@ modularity is reported as the community structure.
 """
 
 from . import errors
-from .analysis import CandidateRecord, best_partition, edge_removal_order, sweep
+from .analysis import (
+    CandidateRecord,
+    Split,
+    best_partition,
+    best_split,
+    edge_removal_order,
+    sweep,
+)
 from .bench import BenchReport, TrialOutcome, run_bench
 from .exploration import (
     ExplorationConfig,
@@ -53,10 +60,12 @@ __all__ = [
     "ExplorationResult",
     "Graph",
     "Partition",
+    "Split",
     "TrialOutcome",
     "WeightMatrix",
     "apply_memory_update",
     "best_partition",
+    "best_split",
     "brute_force_best_partition",
     "confusion_matrix",
     "connected_components",

@@ -23,6 +23,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_graph(path: str, fmt: str | None) -> tuple[Graph, Partition | None]:
@@ -62,10 +64,21 @@ def _load_result_communities(path: str) -> dict[str, int]:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
-        return {name: int(label) for name, label in parse_label_lines(text).items()}
-    if not isinstance(payload, dict) or "communities" not in payload:
-        raise InputError(f"{path}: JSON result has no 'communities' map")
-    return payload["communities"]
+        communities = {}
+        for name, label in parse_label_lines(text).items():
+            try:
+                communities[name] = int(label)
+            except ValueError:
+                raise InputError(
+                    f"{path}: community of node '{name}' is not an integer: {label!r}"
+                ) from None
+        return communities
+    communities = payload.get("communities") if isinstance(payload, dict) else None
+    if not isinstance(communities, dict) or not all(
+        isinstance(label, int) for label in communities.values()
+    ):
+        raise InputError(f"{path}: JSON result has no 'communities' map of node to integer label")
+    return communities
 
 
 def cmd_eval(args) -> int:

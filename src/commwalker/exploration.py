@@ -219,7 +219,8 @@ def run_walk(g: Graph, w: WeightMatrix, start: int, memory_size: int, rng) -> Ag
     Every node already in this walk's memory is tabu; the tabu is dropped
     for a step when it would block every neighbor. Sampling matches
     move_probabilities exactly, spending one uniform draw per step with more
-    than one candidate. rng needs only a .random() method.
+    than one candidate. rng needs only a .random() method returning floats
+    in [0, 1).
 
     This is the scalar reference for the lockstep kernel in explore(): with
     rng = _WalkStream(seed, generation, k) and the generation's weight
@@ -251,7 +252,6 @@ def run_walk(g: Graph, w: WeightMatrix, start: int, memory_size: int, rng) -> Ag
                 weights.append(wt)
                 total += wt
             r = uniform() * total
-            nxt = candidates[-1]
             acc = 0
             for i, wt in enumerate(weights):
                 acc += wt
@@ -368,10 +368,11 @@ def _lockstep_walks(
         sampled = allowed.sum(axis=1) > 1
         r = uniforms[agent_ids, drawn] * mass[:, -1]
         drawn += sampled
+        # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
+        # below T, so some slot's running mass always exceeds r.
         below = r[:, None] < mass
-        # rounding can leave r >= total; run_walk then takes the last candidate
-        last = last_slot - allowed[:, ::-1].argmax(axis=1)
-        pick = np.where(sampled & below[:, -1], below.argmax(axis=1), last)
+        last = last_slot - allowed[:, ::-1].argmax(axis=1)  # a forced step's only candidate
+        pick = np.where(sampled, below.argmax(axis=1), last)
         memory[:, step] = candidates[agent_ids, pick]
     return memory
 

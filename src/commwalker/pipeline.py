@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .analysis import best_partition, sweep
+from .analysis import best_split, sweep
 from .errors import NoEdgesError
 from .exploration import ExplorationConfig, explore
 from .graph import Graph, Partition, connected_components, induced_subgraph
@@ -91,18 +91,18 @@ def detect(
 
     if components.community_count == 1:
         result = explore(g, cfg)
-        best = best_partition(sweep(g, result.weights))
-        partition = best.partition
+        split = best_split(g, result.weights, sweep(g, result.weights))
+        partition = split.partition
         diagnostics = Diagnostics(
             generations_run=result.generations_run,
             total_hops=result.total_hops,
-            removed_edges_at_best=best.removed_edge_count,
+            removed_edges_at_best=split.removed_edge_count,
             cap_hit=result.cap_hit,
             seed=cfg.seed,
             agent_count=cfg.agent_count,
             memory_size=cfg.memory_size,
         )
-        q = best.q
+        q = split.q
     else:
         labels: list[int] = [-1] * g.node_count
         offset = 0
@@ -117,13 +117,13 @@ def detect(
                 continue
             sub, orig_ids = induced_subgraph(g, comp)
             result = explore(sub, cfg)
-            best = best_partition(sweep(sub, result.weights))
+            split = best_split(sub, result.weights, sweep(sub, result.weights))
             for sub_id, orig_id in enumerate(orig_ids):
-                labels[orig_id] = offset + best.partition.community_of[sub_id]
-            offset += best.partition.community_count
+                labels[orig_id] = offset + split.partition.community_of[sub_id]
+            offset += split.partition.community_count
             generations += result.generations_run
             hops += result.total_hops
-            removed += best.removed_edge_count
+            removed += split.removed_edge_count
             cap_hit = cap_hit or result.cap_hit
             details.append(
                 ComponentDetail(
@@ -131,9 +131,9 @@ def detect(
                     edge_count=sub.edge_count,
                     generations_run=result.generations_run,
                     total_hops=result.total_hops,
-                    removed_edges_at_best=best.removed_edge_count,
+                    removed_edges_at_best=split.removed_edge_count,
                     cap_hit=result.cap_hit,
-                    community_count=best.partition.community_count,
+                    community_count=split.partition.community_count,
                 )
             )
         partition = Partition(community_of=labels, community_count=offset)

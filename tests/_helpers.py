@@ -5,8 +5,21 @@ from __future__ import annotations
 import random
 from importlib.resources import files
 from itertools import combinations
+from typing import NamedTuple
 
-from commwalker import Graph, Partition, is_connected, load_edge_list, load_labels
+from commwalker import (
+    EdgeMask,
+    Graph,
+    Partition,
+    WeightMatrix,
+    connected_components,
+    edge_removal_order,
+    is_connected,
+    load_edge_list,
+    load_labels,
+    modularity,
+)
+from commwalker.errors import NotConnectedError
 from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -97,3 +110,40 @@ def connected_planted(blocks: int, size: int, p_in: float, p_out: float, seed: i
         if is_connected(g):
             return g, truth
     raise RuntimeError("no connected planted sample found")
+
+
+class FloodFillRecord(NamedTuple):
+    removed_edge_count: int
+    partition: Partition
+    q: float
+
+
+def flood_fill_sweep(g: Graph, w: WeightMatrix) -> list[FloodFillRecord]:
+    """Reference for sweep(): remove edges one at a time in removal order,
+    flood-fill after every cut, and record the partition and its float
+    modularity whenever the component count grows. O(m·(n+m))."""
+    if not is_connected(g):
+        raise NotConnectedError("sweep needs a connected graph")
+    mask = EdgeMask.for_graph(g)
+    baseline = connected_components(g, mask)
+    records = [FloodFillRecord(0, baseline, modularity(g, baseline))]
+    component_count = baseline.community_count
+    for removed, eid in enumerate(edge_removal_order(g, w), start=1):
+        mask.removed[eid] = True
+        parts = connected_components(g, mask)
+        if parts.community_count > component_count:
+            records.append(FloodFillRecord(removed, parts, modularity(g, parts)))
+            component_count = parts.community_count
+    return records
+
+
+def scaled_modularity(g: Graph, p: Partition) -> int:
+    """Exact integer Q·4m² of p on g: 4m·(intra-community edges) minus the
+    sum over communities of the squared degree sum."""
+    labels = p.community_of
+    intra = sum(labels[u] == labels[v] for u, v in g.edges)
+    degsum = [0] * p.community_count
+    for u, v in g.edges:
+        degsum[labels[u]] += 1
+        degsum[labels[v]] += 1
+    return 4 * g.edge_count * intra - sum(d * d for d in degsum)

@@ -7,6 +7,7 @@ from commwalker import (
     Partition,
     WeightMatrix,
     best_partition,
+    best_split,
     brute_force_best_partition,
     edge_removal_order,
     modularity,
@@ -15,7 +16,13 @@ from commwalker import (
 from commwalker.errors import NotConnectedError
 from commwalker.graph import Graph
 
-from _helpers import barbell6, pairs_graph, random_connected_graph
+from _helpers import (
+    barbell6,
+    flood_fill_sweep,
+    pairs_graph,
+    random_connected_graph,
+    scaled_modularity,
+)
 
 
 def ideal_weights(g, partition):
@@ -46,18 +53,23 @@ def test_removal_order_ascending_weights():
 def test_sweep_single_edge_graph():
     g = pairs_graph(2, [(0, 1)])
     records = sweep(g, WeightMatrix())
-    assert [r.partition.community_count for r in records] == [1, 2]
-    assert records[0].q == 0.0
-    assert records[1].q == pytest.approx(-0.5, abs=1e-12)
+    assert [r.community_count for r in records] == [1, 2]
+    assert records[0].q_scaled == 0
+    assert records[1].q_scaled == -2  # Q = -0.5 with 4m² = 4
 
 
 def test_sweep_barbell_with_ideal_weights():
     g = barbell6()
     truth = Partition(community_of=[0, 0, 0, 1, 1, 1], community_count=2)
-    records = sweep(g, ideal_weights(g, truth))
-    assert records[1].partition.community_of == truth.community_of
-    assert records[1].q == pytest.approx(5 / 14, abs=1e-12)
+    w = ideal_weights(g, truth)
+    records = sweep(g, w)
+    assert flood_fill_sweep(g, w)[1].partition.community_of == truth.community_of
+    assert records[1].q_scaled == 70  # Q = 5/14 with 4m² = 196
     assert records[1].removed_edge_count == 1
+    assert best_partition(records) == records[1]
+    split = best_split(g, w, records)
+    assert split.partition.community_of == truth.community_of
+    assert split.q == pytest.approx(5 / 14, abs=1e-12)
 
 
 def test_sweep_ends_with_singletons_and_counts_increase():
@@ -68,9 +80,10 @@ def test_sweep_ends_with_singletons_and_counts_increase():
         for eid, (u, v) in enumerate(g.edges):
             w.counts[(u, v)] = rng.randrange(5)
         records = sweep(g, w)
-        assert records[0].partition.community_count == 1
-        assert records[-1].partition.community_count == g.node_count
-        counts = [r.partition.community_count for r in records]
+        assert records[0].community_count == 1
+        assert records[-1].community_count == g.node_count
+        assert records[-1].removed_edge_count == g.edge_count
+        counts = [r.community_count for r in records]
         assert counts == sorted(counts)
         assert len(set(counts)) == len(counts)
         assert len(records) <= g.node_count + 1
@@ -78,12 +91,21 @@ def test_sweep_ends_with_singletons_and_counts_increase():
 
 def test_sweep_q_matches_modularity_bitwise():
     g = barbell6()
-    w = WeightMatrix()
     rng = random.Random(4)
-    for (u, v) in g.edges:
-        w.counts[(u, v)] = rng.randrange(10)
-    for record in sweep(g, w):
-        assert record.q == modularity(g, record.partition)
+    for _ in range(5):
+        w = WeightMatrix()
+        for (u, v) in g.edges:
+            w.counts[(u, v)] = rng.randrange(10)
+        records = sweep(g, w)
+        oracle = flood_fill_sweep(g, w)
+        assert len(records) == len(oracle)
+        for record, reference in zip(records, oracle):
+            assert record.q_scaled == scaled_modularity(g, reference.partition)
+        split = best_split(g, w, records)
+        assert split.q == modularity(g, split.partition)
+        at_best = next(r for r in oracle if r.removed_edge_count == split.removed_edge_count)
+        assert split.partition == at_best.partition
+        assert split.q == at_best.q
 
 
 def test_sweep_requires_connected_graph():
@@ -93,32 +115,52 @@ def test_sweep_requires_connected_graph():
 
 
 def test_best_partition_argmax():
-    def record(q, removed, k, n=6):
-        labels = [min(i, k - 1) for i in range(n)]
-        return CandidateRecord(removed, Partition.from_labels(labels), q)
-
-    candidates = [record(0.0, 0, 1), record(0.357, 2, 2), record(0.1, 4, 3), record(-0.5, 7, 6)]
-    assert best_partition(candidates).q == 0.357
+    candidates = [
+        CandidateRecord(0, 1, 0),
+        CandidateRecord(2, 2, 70),
+        CandidateRecord(4, 3, 20),
+        CandidateRecord(7, 6, -98),
+    ]
+    assert best_partition(candidates).q_scaled == 70
 
 
 def test_best_partition_baseline_wins_when_all_else_negative():
     g = pairs_graph(2, [(0, 1)])
-    best = best_partition(sweep(g, WeightMatrix()))
-    assert best.partition.community_count == 1
-    assert best.q == 0.0
+    records = sweep(g, WeightMatrix())
+    best = best_partition(records)
+    assert best.community_count == 1
+    assert best.q_scaled == 0
+    split = best_split(g, WeightMatrix(), records)
+    assert split.partition.community_count == 1
+    assert split.q == 0.0
 
 
 def test_best_partition_tie_breaks():
-    p2 = Partition.from_labels([0, 0, 0, 1, 1, 1])
-    p4 = Partition.from_labels([0, 0, 1, 1, 2, 3])
     tie = [
-        CandidateRecord(3, p4, 0.25),
-        CandidateRecord(2, p2, 0.25),
-        CandidateRecord(2, p4, 0.25),
+        CandidateRecord(3, 4, 49),
+        CandidateRecord(2, 2, 49),
+        CandidateRecord(5, 5, 49),
     ]
     chosen = best_partition(tie)
     assert chosen.removed_edge_count == 2
-    assert chosen.partition.community_count == 2
+    assert chosen.community_count == 2
+
+
+def test_best_partition_exact_tie_beats_float_rounding():
+    # Both candidates score exactly Q = 5/72, but modularity() rounds the
+    # one after 4 removals above the one after 2; the exact integers tie,
+    # so the candidate with fewer removed edges wins.
+    g = pairs_graph(7, [(0, 2), (0, 6), (1, 5), (3, 5), (4, 5), (4, 6)])
+    w = WeightMatrix()
+    w.counts.update({(0, 2): 1, (0, 6): 1, (1, 5): 1, (3, 5): 2, (4, 5): 1, (4, 6): 2})
+    oracle = {r.removed_edge_count: r for r in flood_fill_sweep(g, w)}
+    assert oracle[4].q > oracle[2].q
+    assert scaled_modularity(g, oracle[4].partition) == scaled_modularity(g, oracle[2].partition)
+    records = sweep(g, w)
+    assert best_partition(records).removed_edge_count == 2
+    split = best_split(g, w, records)
+    assert split.partition == oracle[2].partition
+    assert split.q == oracle[2].q
 
 
 def test_sweep_recovers_oracle_optimum_when_achievable():
@@ -138,7 +180,10 @@ def test_sweep_recovers_oracle_optimum_when_achievable():
         )
         if not achievable:
             continue
-        best = best_partition(sweep(g, ideal_weights(g, oracle_partition)))
+        w = ideal_weights(g, oracle_partition)
+        records = sweep(g, w)
+        assert best_partition(records).q_scaled == scaled_modularity(g, oracle_partition)
+        best = best_split(g, w, records)
         assert best.q == pytest.approx(oracle_q, abs=1e-12)
         checked += 1
     assert checked >= 5

@@ -202,3 +202,31 @@ def test_bench_synthetic_flag_validation(capsys):
     code, _, err = run_cli(capsys, "bench", "--synthetic", "blocks=2,size=8", "--trials", "1")
     assert code == 2
     assert "error:" in err
+
+
+def test_detect_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.edges"
+    bad.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "detect", "--input", str(bad))
+    assert code == 1
+    assert "error:" in err and "UTF-8" in err
+
+
+def test_eval_tsv_result_non_integer_label(tmp_path, capsys):
+    result_path = tmp_path / "result.tsv"
+    result_path.write_text("a\t0\nb\tx\n")
+    truth_path = tmp_path / "truth.labels"
+    truth_path.write_text("a 0\nb 1\n")
+    code, _, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert code == 1
+    assert "error:" in err and "'b'" in err
+
+
+def test_eval_json_communities_not_a_map(tmp_path, capsys):
+    result_path = tmp_path / "result.json"
+    result_path.write_text(json.dumps({"communities": [0, 1]}))
+    truth_path = tmp_path / "truth.labels"
+    truth_path.write_text("0 0\n1 1\n")
+    code, _, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert code == 1
+    assert "error:" in err and "'communities' map" in err

@@ -4,10 +4,12 @@ import pytest
 
 from commwalker import (
     Partition,
+    WeightMatrix,
     brute_force_best_partition,
     confusion_matrix,
     modularity,
     partition_accuracy,
+    sweep,
 )
 from commwalker.errors import (
     NoEdgesError,
@@ -20,6 +22,7 @@ from commwalker.graph import Graph
 from _helpers import (
     barbell6,
     cycle_graph,
+    flood_fill_sweep,
     karate,
     pairs_graph,
     random_connected_graph,
@@ -174,3 +177,31 @@ def test_confusion_matrix_shape_and_sum():
     assert counts.shape == (3, 2)
     assert counts.sum() == 5
     assert counts[0, 0] == 2
+
+
+def test_modularity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def nx_modularity(g, p):
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.node_count))
+        return nx.community.modularity(h, [set(c) for c in p.members()])
+
+    rng = random.Random(11)
+    k, truth = karate()
+    cases = [(k, truth)]
+    cases += [(k, random_partition(rng, k.node_count)) for _ in range(20)]
+    for _ in range(50):
+        g = random_connected_graph(rng, rng.randrange(2, 12))
+        cases.append((g, random_partition(rng, g.node_count)))
+    for g, p in cases:
+        assert modularity(g, p) == pytest.approx(nx_modularity(g, p), abs=1e-12)
+
+    for g in [k] + [random_connected_graph(rng, rng.randrange(2, 12)) for _ in range(20)]:
+        w = WeightMatrix()
+        for u, v in g.edges:
+            w.counts[(u, v)] = rng.randrange(4)
+        four_m_squared = 4 * g.edge_count**2
+        for record, reference in zip(sweep(g, w), flood_fill_sweep(g, w)):
+            expected = nx_modularity(g, reference.partition)
+            assert record.q_scaled / four_m_squared == pytest.approx(expected, abs=1e-12)
