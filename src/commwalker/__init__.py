@@ -19,8 +19,6 @@ from .bench import BenchReport, TrialOutcome, run_bench
 from .exploration import (
     ExplorationConfig,
     ExplorationResult,
-    WeightMatrix,
-    apply_memory_update,
     exploration_done,
     explore,
     move_probabilities,
@@ -62,8 +60,6 @@ __all__ = [
     "Partition",
     "Split",
     "TrialOutcome",
-    "WeightMatrix",
-    "apply_memory_update",
     "best_partition",
     "best_split",
     "brute_force_best_partition",

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoEdgesError, NotConnectedError
-from .exploration import WeightMatrix
+from .exploration import EdgeWeights
 from .graph import EdgeMask, Graph, Partition, connected_components
 from .modularity import modularity
 
@@ -48,12 +50,12 @@ class Split:
     q: float
 
 
-def edge_removal_order(g: Graph, w: WeightMatrix) -> list[int]:
-    """Edge ids sorted by ascending pair weight; ties by ascending edge id."""
-    return sorted(range(g.edge_count), key=lambda e: (w.get(*g.edges[e]), e))
+def edge_removal_order(w: EdgeWeights) -> np.ndarray:
+    """Edge ids sorted by ascending weight; ties by ascending edge id."""
+    return np.argsort(w, kind="stable")
 
 
-def sweep(g: Graph, w: WeightMatrix) -> list[CandidateRecord]:
+def sweep(g: Graph, w: EdgeWeights) -> list[CandidateRecord]:
     """Every candidate met while removing edges in removal order, one per
     increase of the component count, in order of removed edges.
 
@@ -61,7 +63,7 @@ def sweep(g: Graph, w: WeightMatrix) -> list[CandidateRecord]:
     the last is all singletons.
     """
     m = g.edge_count
-    order = edge_removal_order(g, w)
+    order = edge_removal_order(w).tolist()
     neighbors = g.neighbors
     component = list(range(g.node_count))
     members = [[u] for u in range(g.node_count)]
@@ -104,12 +106,17 @@ def best_partition(candidates: list[CandidateRecord]) -> CandidateRecord:
     return max(candidates, key=lambda r: (r.q_scaled, -r.removed_edge_count))
 
 
-def best_split(g: Graph, w: WeightMatrix, candidates: list[CandidateRecord]) -> Split:
+def best_split(g: Graph, w: EdgeWeights, candidates: list[CandidateRecord]) -> Split:
     """Materialise the best of sweep(g, w)'s candidates: the components of
-    g once the first removed_edge_count edges of the removal order are cut."""
+    g once the first k = removed_edge_count edges of the removal order are
+    cut. Those edges are selected, not sorted again: every edge lighter than
+    the k-th smallest weight, then the lowest-id edges of that weight."""
     best = best_partition(candidates)
-    mask = EdgeMask.for_graph(g)
-    for eid in edge_removal_order(g, w)[: best.removed_edge_count]:
-        mask.removed[eid] = True
-    partition = connected_components(g, mask)
+    k = best.removed_edge_count
+    removed = np.zeros(g.edge_count, dtype=bool)
+    if k:
+        cut = np.partition(w, k - 1)[k - 1]
+        removed = w < cut
+        removed[np.flatnonzero(w == cut)[: k - removed.sum()]] = True
+    partition = connected_components(g, EdgeMask(removed.tolist()))
     return Split(best.removed_edge_count, partition, modularity(g, partition))

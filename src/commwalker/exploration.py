@@ -8,6 +8,10 @@ and its own uniform stream, keyed by (seed, t, k), so the result does not
 depend on how the walks are scheduled. explore() moves all agents of a
 generation together, one step at a time, as arrays; run_walk() is the
 one-agent reference that this lockstep kernel is pinned to.
+
+Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
+every pair of distinct nodes in it, but only the pairs that are edges are
+stored: the walk, the edge sweep and the output read nothing else.
 """
 
 from __future__ import annotations
@@ -22,38 +26,16 @@ import numpy as np
 from .errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
 from .graph import Graph, is_connected
 
-# Memories are plain ordered lists of node ids; hit counts are plain lists
-# indexed by node id.
+# Memories are plain ordered lists of node ids; hit counts are indexed by
+# node id (a list or an int array); weights are indexed by edge id.
 AgentMemory = list
-HitCounts = list
+HitCounts = list | np.ndarray
+EdgeWeights = np.ndarray
 
 _START_LANE = -1  # substream lane for start selection; agents use 0..A-1
-
-
-class WeightMatrix:
-    """Symmetric nonnegative co-visit counts keyed by unordered node pair.
-
-    Semantically a full n-by-n symmetric integer matrix that starts at zero;
-    stored sparsely because most pairs never co-occur. The diagonal is never
-    written. Counts only grow.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self) -> None:
-        self.counts: dict[tuple[int, int], int] = {}
-
-    def get(self, u: int, v: int) -> int:
-        return self.counts.get((u, v) if u < v else (v, u), 0)
-
-    def increment(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("diagonal entries are never written")
-        key = (u, v) if u < v else (v, u)
-        self.counts[key] = self.counts.get(key, 0) + 1
-
-    def total_mass(self) -> int:
-        return sum(self.counts.values())
+# Per-generation arrays grow with agents x memory^2 (the pairs of every
+# report); configs above this many cells are rejected before allocating.
+MAX_GENERATION_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -62,8 +44,10 @@ class ExplorationConfig:
 
     agent_count must be at least 2 (the stop threshold (agents - 1) * memory
     would otherwise be zero) and memory_size at least 2 (a pair update needs
-    two nodes). max_generations is a safety cap: the visit-count stop rule
-    can stall on pathological topologies.
+    two nodes); agent_count * memory_size**2 may not exceed
+    MAX_GENERATION_CELLS, so one generation's arrays stay within memory.
+    max_generations is a safety cap: the visit-count stop rule can stall on
+    pathological topologies.
     """
 
     agent_count: int
@@ -77,6 +61,11 @@ class ExplorationConfig:
             raise ConfigInvalidError(f"agent_count must be >= 2, got {self.agent_count}")
         if self.memory_size < 2:
             raise ConfigInvalidError(f"memory_size must be >= 2, got {self.memory_size}")
+        if self.agent_count * self.memory_size**2 > MAX_GENERATION_CELLS:
+            raise ConfigInvalidError(
+                f"agent_count * memory_size**2 must be <= {MAX_GENERATION_CELLS}, got "
+                f"{self.agent_count} * {self.memory_size}**2"
+            )
         if not 0.0 <= self.hub_fraction <= 1.0:
             raise ConfigInvalidError(f"hub_fraction must be in [0, 1], got {self.hub_fraction}")
         if self.max_generations < 1:
@@ -120,7 +109,9 @@ class ExplorationConfig:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    weights: WeightMatrix
+    """weights[e] is the co-visit count of the endpoints of edge e."""
+
+    weights: EdgeWeights
     hits: list[int]
     generations_run: int
     cap_hit: bool
@@ -140,10 +131,17 @@ _UNIFORMS_PER_BLOCK = 8  # one 64-byte BLAKE2b digest = 8 big-endian 64-bit word
 _UNIT = 2.0**-53  # scales a 53-bit integer into [0, 1)
 
 
-def _stream_block(seed: int, generation: int, lane: int, counter: int) -> bytes:
-    """Block `counter` of the walk stream for one (seed, generation, lane)."""
-    key = b"%d:%d:%d:%d" % (seed, generation, lane, counter)
-    return hashlib.blake2b(key, digest_size=64).digest()
+def _stream_prefix(seed: int, generation: int):
+    """BLAKE2b state after the key prefix shared by every lane of a generation."""
+    return hashlib.blake2b(b"%d:%d:" % (seed, generation), digest_size=64)
+
+
+def _stream_block(prefix, lane: int, counter: int) -> bytes:
+    """Block `counter` of the walk stream for one lane: the digest of the key
+    b"seed:generation:lane:counter", resumed from the generation's prefix."""
+    state = prefix.copy()
+    state.update(b"%d:%d" % (lane, counter))
+    return state.digest()
 
 
 class _WalkStream:
@@ -156,11 +154,10 @@ class _WalkStream:
     at once.
     """
 
-    __slots__ = ("_seed", "_generation", "_lane", "_counter", "_buf", "_pos")
+    __slots__ = ("_prefix", "_lane", "_counter", "_buf", "_pos")
 
     def __init__(self, seed: int, generation: int, lane: int) -> None:
-        self._seed = seed
-        self._generation = generation
+        self._prefix = _stream_prefix(seed, generation)
         self._lane = lane
         self._counter = 0
         self._buf = b""
@@ -169,7 +166,7 @@ class _WalkStream:
     def random(self) -> float:
         pos = self._pos
         if pos >= 64:
-            self._buf = _stream_block(self._seed, self._generation, self._lane, self._counter)
+            self._buf = _stream_block(self._prefix, self._lane, self._counter)
             self._counter += 1
             pos = 0
         chunk = self._buf[pos : pos + 8]
@@ -182,20 +179,21 @@ def _walk_uniforms(seed: int, generation: int, agent_count: int, draws: int) -> 
     """Row k holds the first `draws` (rounded up to whole blocks) values that
     _WalkStream(seed, generation, k) returns, bit for bit."""
     blocks = -(-draws // _UNIFORMS_PER_BLOCK)
+    prefix = _stream_prefix(seed, generation)
     data = b"".join(
-        _stream_block(seed, generation, k, c) for k in range(agent_count) for c in range(blocks)
+        _stream_block(prefix, k, c) for k in range(agent_count) for c in range(blocks)
     )
     words = np.frombuffer(data, dtype=">u8").reshape(agent_count, blocks * _UNIFORMS_PER_BLOCK)
     return (words >> 11).astype(np.float64) * _UNIT
 
 
 def move_probabilities(
-    g: Graph, w: WeightMatrix, current: int, tabu: set[int]
+    g: Graph, w: EdgeWeights, current: int, tabu: set[int]
 ) -> list[float]:
     """Move distribution over the neighbors of `current`, aligned with
     g.adjacency[current].
 
-    Non-tabu neighbors get probability proportional to 1 + pair weight; tabu
+    Non-tabu neighbors get probability proportional to 1 + edge weight; tabu
     neighbors get 0. When every neighbor is tabu the tabu is dropped and all
     neighbors compete, so a walk can never deadlock.
     """
@@ -205,7 +203,7 @@ def move_probabilities(
     allowed = [i for i, (v, _) in enumerate(neighbors) if v not in tabu]
     if not allowed:
         allowed = list(range(len(neighbors)))
-    weights = [1 + w.get(current, neighbors[i][0]) for i in allowed]
+    weights = [1 + int(w[neighbors[i][1]]) for i in allowed]
     total = sum(weights)
     probs = [0.0] * len(neighbors)
     for i, wt in zip(allowed, weights):
@@ -213,7 +211,7 @@ def move_probabilities(
     return probs
 
 
-def run_walk(g: Graph, w: WeightMatrix, start: int, memory_size: int, rng) -> AgentMemory:
+def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> AgentMemory:
     """One agent walk of exactly memory_size nodes starting at `start`.
 
     Every node already in this walk's memory is tabu; the tabu is dropped
@@ -227,58 +225,33 @@ def run_walk(g: Graph, w: WeightMatrix, start: int, memory_size: int, rng) -> Ag
     snapshot, it returns the memory that agent k gets there (the test suite
     pins the equivalence).
     """
-    neighbor_lists = g.neighbors
-    if not neighbor_lists[start]:
+    adjacency = g.adjacency
+    if not adjacency[start]:
         raise IsolatedNodeError(f"node {start} has no neighbors")
-    counts_get = w.counts.get
     uniform = rng.random
     memory = [start]
-    append = memory.append
     visited = {start}
-    add_visited = visited.add
     current = start
     for _ in range(memory_size - 1):
-        neighbors = neighbor_lists[current]
-        candidates = [v for v in neighbors if v not in visited]
+        row = adjacency[current]
+        candidates = [(v, e) for v, e in row if v not in visited]
         if not candidates:
-            candidates = neighbors
+            candidates = row
         if len(candidates) == 1:
-            nxt = candidates[0]
+            nxt = candidates[0][0]
         else:
-            weights = []
-            total = 0
-            for v in candidates:
-                wt = 1 + counts_get((current, v) if current < v else (v, current), 0)
-                weights.append(wt)
-                total += wt
-            r = uniform() * total
+            weights = [1 + int(w[e]) for _, e in candidates]
+            r = uniform() * sum(weights)
             acc = 0
-            for i, wt in enumerate(weights):
+            for (v, _), wt in zip(candidates, weights):
                 acc += wt
                 if r < acc:
-                    nxt = candidates[i]
+                    nxt = v
                     break
-        append(nxt)
-        add_visited(nxt)
+        memory.append(nxt)
+        visited.add(nxt)
         current = nxt
     return memory
-
-
-def apply_memory_update(w: WeightMatrix, memory: AgentMemory) -> None:
-    """Increment the pair count of every unordered pair of distinct nodes in
-    the memory: nodes reported in one message are counted as co-visited.
-
-    Pairs are taken over the set of memory nodes, so revisits do not
-    multiply increments.
-    """
-    nodes = sorted(set(memory))
-    counts = w.counts
-    get = counts.get
-    for i in range(len(nodes) - 1):
-        u = nodes[i]
-        for v in nodes[i + 1 :]:
-            key = (u, v)
-            counts[key] = get(key, 0) + 1
 
 
 def select_start_nodes(
@@ -287,7 +260,7 @@ def select_start_nodes(
     cfg: ExplorationConfig,
     generation: int,
     rng: random.Random,
-) -> list[int]:
+) -> np.ndarray:
     """Start nodes for one generation of agents.
 
     Generation 0 places agents on distinct uniformly random nodes. Later
@@ -300,22 +273,24 @@ def select_start_nodes(
     a = cfg.agent_count
     if generation == 0:
         if a <= n:
-            return rng.sample(range(n), a)
+            return np.array(rng.sample(range(n), a), dtype=np.int64)
         starts = list(range(n))
         rng.shuffle(starts)
         starts.extend(rng.randrange(n) for _ in range(a - n))
-        return starts
+        return np.array(starts, dtype=np.int64)
     hub_count = math.ceil(cfg.hub_fraction * a)
-    by_most_hit = sorted(range(n), key=lambda u: (-hits[u], u))
-    by_least_hit = sorted(range(n), key=lambda u: (hits[u], u))
-    starts = [by_most_hit[i % n] for i in range(hub_count)]
-    starts.extend(by_least_hit[i % n] for i in range(a - hub_count))
-    return starts
+    hits = np.asarray(hits, dtype=np.int64)
+    # stable sorts keep equal hit counts in node id order
+    by_most_hit = np.argsort(-hits, kind="stable")
+    by_least_hit = np.argsort(hits, kind="stable")
+    return np.concatenate(
+        (by_most_hit[np.arange(hub_count) % n], by_least_hit[np.arange(a - hub_count) % n])
+    )
 
 
 def exploration_done(hits: HitCounts, cfg: ExplorationConfig) -> bool:
     """Stop rule: every node visited at least (agents - 1) * memory_size times."""
-    return min(hits) >= (cfg.agent_count - 1) * cfg.memory_size
+    return bool(np.asarray(hits).min() >= (cfg.agent_count - 1) * cfg.memory_size)
 
 
 def _padded_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,16 +308,15 @@ def _padded_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _lockstep_walks(
     rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    edge_weights: np.ndarray,
-    starts: list[int],
+    edge_weights: EdgeWeights,
+    starts: np.ndarray,
     memory_size: int,
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """run_walk for every agent of a generation, all taking step s together.
 
     Row k of the result is the memory run_walk returns from starts[k] when
-    its stream yields row k of `uniforms`, with pair weights read from
-    `edge_weights` (indexed by edge id). Candidates sit at their adjacency
+    its stream yields row k of `uniforms`. Candidates sit at their adjacency
     position with zero mass where tabu or padding, so the running mass and
     the first slot whose running mass exceeds r match run_walk's loop; a
     uniform is consumed only on steps with more than one candidate.
@@ -380,7 +354,7 @@ def _lockstep_walks(
 def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     """Run generations of walks until the stop rule fires or the cap hits.
 
-    All walks of a generation read the weight matrix as it stood when the
+    All walks of a generation read the edge weights as they stood when the
     generation started; their memory updates and hit increments are applied
     together afterwards. Agent k of generation t draws from a private stream
     keyed by (seed, t, k), so results are reproducible regardless of how the
@@ -390,48 +364,41 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     if g.node_count < 2 or not is_connected(g):
         raise NotConnectedError("exploration needs a connected graph with >= 2 nodes")
     n = g.node_count
+    m = g.edge_count
     memory_size = cfg.memory_size
     seed = cfg.seed
-    weights = WeightMatrix()
-    counts = weights.counts
-    counts_get = counts.get
     rows = _padded_rows(g)
-    edge_weights = np.zeros(g.edge_count, dtype=np.int64)  # walk-side mirror of the edge entries
+    weights = np.zeros(m, dtype=np.int64)
     edge_keys = np.array([u * n + v for u, v in g.edges], dtype=np.int64)
     edge_by_key = np.argsort(edge_keys)
     sorted_edge_keys = edge_keys[edge_by_key]
     left, right = np.triu_indices(memory_size, 1)
     hits = np.zeros(n, dtype=np.int64)
-    hit_list = [0] * n
     generations_run = 0
     cap_hit = False
     for generation in range(cfg.max_generations):
         starts = select_start_nodes(
-            g, hit_list, cfg, generation, _substream(seed, generation, _START_LANE)
+            g, hits, cfg, generation, _substream(seed, generation, _START_LANE)
         )
         uniforms = _walk_uniforms(seed, generation, len(starts), memory_size - 1)
-        memory = _lockstep_walks(rows, edge_weights, starts, memory_size, uniforms)
-        # every pair of distinct memory nodes, each once per agent (first visits only)
+        memory = _lockstep_walks(rows, weights, starts, memory_size, uniforms)
+        # every pair of distinct memory nodes, each once per agent (first
+        # visits only); the pairs that are edges add 1 to their edge
         first = np.ones(memory.shape, dtype=bool)
         for step in range(1, memory_size):
             first[:, step] = (memory[:, :step] != memory[:, step, None]).all(axis=1)
         keep = first[:, left] & first[:, right]
         u = memory[:, left][keep]
         v = memory[:, right][keep]
-        keys, added = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
-        for key, c in zip(keys.tolist(), added.tolist()):
-            pair = divmod(key, n)
-            counts[pair] = counts_get(pair, 0) + c
-        at = np.minimum(np.searchsorted(sorted_edge_keys, keys), g.edge_count - 1)
-        on_edge = sorted_edge_keys[at] == keys
-        edge_weights[edge_by_key[at[on_edge]]] += added[on_edge]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        at = np.minimum(np.searchsorted(sorted_edge_keys, keys), m - 1)
+        weights += np.bincount(edge_by_key[at[sorted_edge_keys[at] == keys]], minlength=m)
         hits += np.bincount(memory.ravel(), minlength=n)
-        hit_list = hits.tolist()
         generations_run = generation + 1
-        if exploration_done(hit_list, cfg):
+        if exploration_done(hits, cfg):
             break
     else:
         cap_hit = True
     return ExplorationResult(
-        weights=weights, hits=hit_list, generations_run=generations_run, cap_hit=cap_hit
+        weights=weights, hits=hits.tolist(), generations_run=generations_run, cap_hit=cap_hit
     )

@@ -170,8 +170,16 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
 
 
 def to_edge_list(g: Graph) -> str:
-    """Serialize a graph back to edge-list text (inverse of load_edge_list)."""
-    return "".join(f"{g.nodes[u]} {g.nodes[v]}\n" for u, v in g.edges)
+    """Serialize a graph back to edge-list text (inverse of load_edge_list).
+
+    An edge whose first name starts with '#' is written the other way
+    round, so that its line is not read back as a comment.
+    """
+    lines = []
+    for u, v in g.edges:
+        a, b = g.nodes[u], g.nodes[v]
+        lines.append(f"{b} {a}\n" if a.startswith("#") else f"{a} {b}\n")
+    return "".join(lines)
 
 
 # --- GML subset -------------------------------------------------------------

@@ -7,11 +7,12 @@ from importlib.resources import files
 from itertools import combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from commwalker import (
     EdgeMask,
     Graph,
     Partition,
-    WeightMatrix,
     connected_components,
     edge_removal_order,
     is_connected,
@@ -112,13 +113,33 @@ def connected_planted(blocks: int, size: int, p_in: float, p_out: float, seed: i
     raise RuntimeError("no connected planted sample found")
 
 
+def apply_memory_update(counts: dict[tuple[int, int], int], memory) -> None:
+    """Full-pair reference for the weight update: add 1 to every unordered
+    pair (u, v), u < v, of distinct nodes in the memory, edge or not.
+
+    Pairs are taken over the set of memory nodes, so revisits do not
+    multiply increments."""
+    nodes = sorted(set(memory))
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            counts[(u, v)] = counts.get((u, v), 0) + 1
+
+
+def edge_weights(g: Graph, counts: dict[tuple[int, int], int] | None = None) -> np.ndarray:
+    """The edge entries of a pair-count dict keyed (u, v) with u < v, as the
+    int64 array indexed by edge id that the library reads; all zero when no
+    counts are given. Entries for pairs that are not edges are dropped."""
+    counts = counts or {}
+    return np.array([counts.get(edge, 0) for edge in g.edges], dtype=np.int64)
+
+
 class FloodFillRecord(NamedTuple):
     removed_edge_count: int
     partition: Partition
     q: float
 
 
-def flood_fill_sweep(g: Graph, w: WeightMatrix) -> list[FloodFillRecord]:
+def flood_fill_sweep(g: Graph, w: np.ndarray) -> list[FloodFillRecord]:
     """Reference for sweep(): remove edges one at a time in removal order,
     flood-fill after every cut, and record the partition and its float
     modularity whenever the component count grows. O(m·(n+m))."""
@@ -128,7 +149,7 @@ def flood_fill_sweep(g: Graph, w: WeightMatrix) -> list[FloodFillRecord]:
     baseline = connected_components(g, mask)
     records = [FloodFillRecord(0, baseline, modularity(g, baseline))]
     component_count = baseline.community_count
-    for removed, eid in enumerate(edge_removal_order(g, w), start=1):
+    for removed, eid in enumerate(edge_removal_order(w).tolist(), start=1):
         mask.removed[eid] = True
         parts = connected_components(g, mask)
         if parts.community_count > component_count:

@@ -5,7 +5,6 @@ import pytest
 from commwalker import (
     CandidateRecord,
     Partition,
-    WeightMatrix,
     best_partition,
     best_split,
     brute_force_best_partition,
@@ -18,6 +17,7 @@ from commwalker.graph import Graph
 
 from _helpers import (
     barbell6,
+    edge_weights,
     flood_fill_sweep,
     pairs_graph,
     random_connected_graph,
@@ -26,33 +26,30 @@ from _helpers import (
 
 
 def ideal_weights(g, partition):
-    """Weight 1 on intra-community pairs, 0 elsewhere."""
-    w = WeightMatrix()
+    """Edge entries of the pair counts with 1 on intra-community pairs, 0 elsewhere."""
     labels = partition.community_of
+    counts = {}
     for u in range(g.node_count):
         for v in range(u + 1, g.node_count):
             if labels[u] == labels[v]:
-                w.counts[(u, v)] = 1
-    return w
+                counts[(u, v)] = 1
+    return edge_weights(g, counts)
 
 
 def test_removal_order_all_ties_is_edge_id_order():
     g = barbell6()
-    assert edge_removal_order(g, WeightMatrix()) == list(range(g.edge_count))
+    assert edge_removal_order(edge_weights(g)).tolist() == list(range(g.edge_count))
 
 
 def test_removal_order_ascending_weights():
     g = pairs_graph(3, [(0, 1), (0, 2), (1, 2)])
-    w = WeightMatrix()
-    w.counts[(0, 1)] = 5
-    w.counts[(0, 2)] = 0
-    w.counts[(1, 2)] = 2
-    assert edge_removal_order(g, w) == [1, 2, 0]
+    w = edge_weights(g, {(0, 1): 5, (0, 2): 0, (1, 2): 2})
+    assert edge_removal_order(w).tolist() == [1, 2, 0]
 
 
 def test_sweep_single_edge_graph():
     g = pairs_graph(2, [(0, 1)])
-    records = sweep(g, WeightMatrix())
+    records = sweep(g, edge_weights(g))
     assert [r.community_count for r in records] == [1, 2]
     assert records[0].q_scaled == 0
     assert records[1].q_scaled == -2  # Q = -0.5 with 4m² = 4
@@ -76,9 +73,7 @@ def test_sweep_ends_with_singletons_and_counts_increase():
     rng = random.Random(2)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(2, 9))
-        w = WeightMatrix()
-        for eid, (u, v) in enumerate(g.edges):
-            w.counts[(u, v)] = rng.randrange(5)
+        w = edge_weights(g, {edge: rng.randrange(5) for edge in g.edges})
         records = sweep(g, w)
         assert records[0].community_count == 1
         assert records[-1].community_count == g.node_count
@@ -93,9 +88,7 @@ def test_sweep_q_matches_modularity_bitwise():
     g = barbell6()
     rng = random.Random(4)
     for _ in range(5):
-        w = WeightMatrix()
-        for (u, v) in g.edges:
-            w.counts[(u, v)] = rng.randrange(10)
+        w = edge_weights(g, {edge: rng.randrange(10) for edge in g.edges})
         records = sweep(g, w)
         oracle = flood_fill_sweep(g, w)
         assert len(records) == len(oracle)
@@ -111,7 +104,7 @@ def test_sweep_q_matches_modularity_bitwise():
 def test_sweep_requires_connected_graph():
     g = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
-        sweep(g, WeightMatrix())
+        sweep(g, edge_weights(g))
 
 
 def test_best_partition_argmax():
@@ -126,11 +119,11 @@ def test_best_partition_argmax():
 
 def test_best_partition_baseline_wins_when_all_else_negative():
     g = pairs_graph(2, [(0, 1)])
-    records = sweep(g, WeightMatrix())
+    records = sweep(g, edge_weights(g))
     best = best_partition(records)
     assert best.community_count == 1
     assert best.q_scaled == 0
-    split = best_split(g, WeightMatrix(), records)
+    split = best_split(g, edge_weights(g), records)
     assert split.partition.community_count == 1
     assert split.q == 0.0
 
@@ -151,8 +144,7 @@ def test_best_partition_exact_tie_beats_float_rounding():
     # one after 4 removals above the one after 2; the exact integers tie,
     # so the candidate with fewer removed edges wins.
     g = pairs_graph(7, [(0, 2), (0, 6), (1, 5), (3, 5), (4, 5), (4, 6)])
-    w = WeightMatrix()
-    w.counts.update({(0, 2): 1, (0, 6): 1, (1, 5): 1, (3, 5): 2, (4, 5): 1, (4, 6): 2})
+    w = edge_weights(g, {(0, 2): 1, (0, 6): 1, (1, 5): 1, (3, 5): 2, (4, 5): 1, (4, 6): 2})
     oracle = {r.removed_edge_count: r for r in flood_fill_sweep(g, w)}
     assert oracle[4].q > oracle[2].q
     assert scaled_modularity(g, oracle[4].partition) == scaled_modularity(g, oracle[2].partition)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib.resources import files
 
 import pytest
@@ -230,3 +231,25 @@ def test_eval_json_communities_not_a_map(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
     assert code == 1
     assert "error:" in err and "'communities' map" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--memory", "100000000"], ["--agents", "100000000", "--max-generations", "1"]],
+    ids=["memory", "agents"],
+)
+def test_detect_oversized_generation_is_config_error(tmp_path, capsys, flags):
+    # Rejected by ExplorationConfig.validate() before any per-generation
+    # array exists: the run allocates next to nothing.
+    path = tmp_path / "path.edges"
+    path.write_text("a b\nb c\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "detect", "--input", str(path), *flags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "memory_size" in err
+    assert peak < 2**22

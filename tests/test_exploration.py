@@ -1,12 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from commwalker import (
     ExplorationConfig,
-    WeightMatrix,
-    apply_memory_update,
     exploration_done,
     explore,
     move_probabilities,
@@ -14,13 +13,15 @@ from commwalker import (
     select_start_nodes,
 )
 from commwalker.errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
-from commwalker.exploration import _START_LANE, _WalkStream, _substream
+from commwalker.exploration import MAX_GENERATION_CELLS, _START_LANE, _WalkStream, _substream
 from commwalker.graph import Graph
 
 from _helpers import (
     BARBELL_BRIDGE,
+    apply_memory_update,
     barbell6,
     cycle_graph,
+    edge_weights,
     karate,
     pairs_graph,
     path_graph,
@@ -34,16 +35,14 @@ def star_graph(k):
 
 def test_move_probabilities_uniform_on_zero_weights():
     g = star_graph(3)
-    probs = move_probabilities(g, WeightMatrix(), 0, set())
+    probs = move_probabilities(g, edge_weights(g), 0, set())
     assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
 def test_move_probabilities_weighted():
     # weights (0, 1, 3) -> smoothed masses (1, 2, 4) over a total of 7
     g = star_graph(3)
-    w = WeightMatrix()
-    w.counts[(0, 2)] = 1
-    w.counts[(0, 3)] = 3
+    w = edge_weights(g, {(0, 2): 1, (0, 3): 3})
     probs = move_probabilities(g, w, 0, set())
     assert probs == pytest.approx([1 / 7, 2 / 7, 4 / 7])
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -51,13 +50,13 @@ def test_move_probabilities_weighted():
 
 def test_move_probabilities_tabu_leaves_single_candidate():
     g = pairs_graph(3, [(0, 1), (0, 2)])
-    probs = move_probabilities(g, WeightMatrix(), 0, {1})
+    probs = move_probabilities(g, edge_weights(g), 0, {1})
     assert probs == [0.0, 1.0]
 
 
 def test_move_probabilities_relaxes_when_all_tabu():
     g = pairs_graph(3, [(0, 1), (0, 2)])
-    probs = move_probabilities(g, WeightMatrix(), 0, {1, 2})
+    probs = move_probabilities(g, edge_weights(g), 0, {1, 2})
     assert probs == pytest.approx([0.5, 0.5])
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -65,14 +64,14 @@ def test_move_probabilities_relaxes_when_all_tabu():
 def test_move_probabilities_isolated_node():
     g = Graph.from_edges(["a", "b", "c"], [(0, 1)])
     with pytest.raises(IsolatedNodeError):
-        move_probabilities(g, WeightMatrix(), 2, set())
+        move_probabilities(g, edge_weights(g), 2, set())
 
 
 def test_run_walk_two_step_path_splits_evenly():
     g = path_graph(3)
     counts = {1: 0, 2: 0}  # memory from start=1 ends at 0 or 2
     for seed in range(2000):
-        mem = run_walk(g, WeightMatrix(), 1, 2, random.Random(seed))
+        mem = run_walk(g, edge_weights(g), 1, 2, random.Random(seed))
         assert mem[0] == 1
         counts[1 if mem[1] == 0 else 2] += 1
     assert abs(counts[1] - counts[2]) < 200
@@ -80,7 +79,7 @@ def test_run_walk_two_step_path_splits_evenly():
 
 def test_run_walk_dead_end_relaxes_tabu():
     g = path_graph(2)
-    mem = run_walk(g, WeightMatrix(), 0, 3, random.Random(0))
+    mem = run_walk(g, edge_weights(g), 0, 3, random.Random(0))
     assert mem == [0, 1, 0]
 
 
@@ -88,7 +87,7 @@ def test_run_walk_length_and_adjacency():
     g, _ = karate()
     neighbor_sets = [set(ns) for ns in g.neighbors]
     for seed in range(30):
-        mem = run_walk(g, WeightMatrix(), seed % g.node_count, 6, random.Random(seed))
+        mem = run_walk(g, edge_weights(g), seed % g.node_count, 6, random.Random(seed))
         assert len(mem) == 6
         for a, b in zip(mem, mem[1:]):
             assert b in neighbor_sets[a]
@@ -97,7 +96,7 @@ def test_run_walk_length_and_adjacency():
 def test_run_walk_from_isolated_node():
     g = Graph.from_edges(["a", "b", "c"], [(0, 1)])
     with pytest.raises(IsolatedNodeError):
-        run_walk(g, WeightMatrix(), 2, 3, random.Random(0))
+        run_walk(g, edge_weights(g), 2, 3, random.Random(0))
 
 
 def test_run_walk_barbell_stays_local_from_bridge_endpoint():
@@ -109,7 +108,7 @@ def test_run_walk_barbell_stays_local_from_bridge_endpoint():
     triangle_nodes = {0, 1, 2}
     stayed = crossed = 0
     for seed in range(10_000):
-        mem = run_walk(g, WeightMatrix(), start, 4, _WalkStream(seed, 0, 0))
+        mem = run_walk(g, edge_weights(g), start, 4, _WalkStream(seed, 0, 0))
         if set(mem) <= triangle_nodes:
             stayed += 1
         else:
@@ -119,34 +118,32 @@ def test_run_walk_barbell_stays_local_from_bridge_endpoint():
 
 
 def test_apply_memory_update_all_pairs():
-    w = WeightMatrix()
-    apply_memory_update(w, [0, 1, 2])
-    assert w.counts == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    counts = {}
+    apply_memory_update(counts, [0, 1, 2])
+    assert counts == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
 
 def test_apply_memory_update_set_semantics_on_revisit():
-    w = WeightMatrix()
-    apply_memory_update(w, [0, 1, 0])
-    assert w.counts == {(0, 1): 1}
+    counts = {}
+    apply_memory_update(counts, [0, 1, 0])
+    assert counts == {(0, 1): 1}
 
 
 def test_apply_memory_update_accumulates():
-    w = WeightMatrix()
-    apply_memory_update(w, [0, 1, 2])
-    apply_memory_update(w, [1, 2, 3])
-    assert w.get(1, 2) == 2
-    for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
-        assert w.get(u, v) == 1
-    assert w.get(0, 3) == 0
+    counts = {}
+    apply_memory_update(counts, [0, 1, 2])
+    apply_memory_update(counts, [3, 2, 1])
+    assert counts == {(0, 1): 1, (0, 2): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
 
 
-def test_weight_matrix_symmetry_and_diagonal():
-    w = WeightMatrix()
-    w.increment(3, 1)
-    assert w.get(1, 3) == 1
-    assert w.get(3, 1) == 1
-    with pytest.raises(ValueError):
-        w.increment(2, 2)
+def test_edge_weight_read_alike_from_both_endpoints():
+    # One entry per undirected edge: moving 0 -> 1 and 1 -> 0 reads the
+    # same weight, and a pair that is not an edge has no entry at all.
+    g = pairs_graph(4, [(0, 1), (0, 2), (1, 3)])
+    w = edge_weights(g, {(0, 1): 3, (2, 3): 9})
+    assert w.tolist() == [3, 0, 0]
+    assert move_probabilities(g, w, 0, set()) == pytest.approx([4 / 5, 1 / 5])
+    assert move_probabilities(g, w, 1, set()) == pytest.approx([4 / 5, 1 / 5])
 
 
 def test_select_start_nodes_generation_zero_distinct():
@@ -163,7 +160,8 @@ def test_select_start_nodes_hub_and_least_split():
     hits = [10, 8, 8, 1] + [0] * 30
     cfg = ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=0.75)
     starts = select_start_nodes(g, hits, cfg, 1, random.Random(0))
-    assert starts == [0, 1, 2, 4]
+    assert starts.tolist() == [0, 1, 2, 4]
+    assert select_start_nodes(g, np.array(hits), cfg, 1, random.Random(0)).tolist() == [0, 1, 2, 4]
 
 
 def test_select_start_nodes_all_nodes_when_agents_equal_nodes():
@@ -185,6 +183,8 @@ def test_exploration_done_threshold():
     cfg = ExplorationConfig(agent_count=2, memory_size=5)
     assert exploration_done([5, 6, 7], cfg)
     assert not exploration_done([5, 4, 7], cfg)
+    assert exploration_done(np.array([5, 6, 7]), cfg)
+    assert not exploration_done(np.array([5, 4, 7]), cfg)
 
 
 def test_config_validation():
@@ -196,6 +196,11 @@ def test_config_validation():
         ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=1.5).validate()
     with pytest.raises(ConfigInvalidError):
         ExplorationConfig(agent_count=4, memory_size=4, max_generations=0).validate()
+    ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16, memory_size=4).validate()
+    with pytest.raises(ConfigInvalidError):
+        ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16 + 1, memory_size=4).validate()
+    with pytest.raises(ConfigInvalidError):
+        ExplorationConfig(agent_count=2, memory_size=10**8).validate()
 
 
 def test_explore_two_node_graph_single_generation():
@@ -221,7 +226,7 @@ def test_explore_deterministic_for_fixed_seed():
     cfg = ExplorationConfig(agent_count=6, memory_size=3, seed=42)
     a = explore(g, cfg)
     b = explore(g, cfg)
-    assert a.weights.counts == b.weights.counts
+    assert a.weights.tolist() == b.weights.tolist()
     assert a.hits == b.hits
     assert a.generations_run == b.generations_run
 
@@ -230,9 +235,11 @@ def test_explore_memory_two_weights_only_on_edges():
     g, _ = karate()
     cfg = ExplorationConfig(agent_count=8, memory_size=2, seed=0, max_generations=50)
     result = explore(g, cfg)
-    edge_set = set(g.edges)
-    assert result.weights.counts
-    assert set(result.weights.counts) <= edge_set
+    # a memory of two nodes is one pair, and that pair is an edge: every
+    # agent adds exactly 1 to the edge array
+    assert result.weights.shape == (g.edge_count,)
+    assert result.weights.min() >= 0
+    assert result.weights.sum() == result.generations_run * cfg.agent_count
 
 
 def hub_graph():
@@ -280,30 +287,31 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
     g = make_graph()
     expected = explore(g, cfg)
 
-    w = WeightMatrix()
+    counts = {}  # full-pair oracle: every co-visited pair, edge or not
     hits = [0] * g.node_count
     generations = 0
     cap_hit = True
     for generation in range(cfg.max_generations):
         starts = select_start_nodes(g, hits, cfg, generation, _substream(cfg.seed, generation, _START_LANE))
+        w = edge_weights(g, counts)
         memories = [
             run_walk(g, w, start, cfg.memory_size, _WalkStream(cfg.seed, generation, k))
             for k, start in enumerate(starts)
         ]
-        mass_before = w.total_mass()
+        mass_before = sum(counts.values())
         pair_count = 0
         for memory in memories:
-            apply_memory_update(w, memory)
+            apply_memory_update(counts, memory)
             pair_count += math.comb(len(set(memory)), 2)
             for node in memory:
                 hits[node] += 1
-        assert w.total_mass() == mass_before + pair_count
+        assert sum(counts.values()) == mass_before + pair_count
         assert pair_count >= cfg.agent_count  # strict growth every generation
         generations += 1
         if exploration_done(hits, cfg):
             cap_hit = False
             break
-    assert w.counts == expected.weights.counts
+    assert expected.weights.tolist() == edge_weights(g, counts).tolist()
     assert hits == expected.hits
     assert generations == expected.generations_run
     assert cap_hit == expected.cap_hit
@@ -334,8 +342,8 @@ def test_explore_barbell_bridge_below_median_intra():
     for seed in range(10):
         result = explore(g, ExplorationConfig.for_graph(g, seed=seed))
         w = result.weights
-        intra = sorted(w.get(u, v) for (u, v) in g.edges if (u, v) != bridge)
+        intra = sorted(w[e] for e, edge in enumerate(g.edges) if edge != bridge)
         median = intra[len(intra) // 2]
-        if w.get(*bridge) < median:
+        if w[g.edges.index(bridge)] < median:
             wins += 1
     assert wins >= 9

@@ -4,7 +4,6 @@ import pytest
 
 from commwalker import (
     Partition,
-    WeightMatrix,
     brute_force_best_partition,
     confusion_matrix,
     modularity,
@@ -22,6 +21,7 @@ from commwalker.graph import Graph
 from _helpers import (
     barbell6,
     cycle_graph,
+    edge_weights,
     flood_fill_sweep,
     karate,
     pairs_graph,
@@ -198,9 +198,7 @@ def test_modularity_matches_networkx():
         assert modularity(g, p) == pytest.approx(nx_modularity(g, p), abs=1e-12)
 
     for g in [k] + [random_connected_graph(rng, rng.randrange(2, 12)) for _ in range(20)]:
-        w = WeightMatrix()
-        for u, v in g.edges:
-            w.counts[(u, v)] = rng.randrange(4)
+        w = edge_weights(g, {edge: rng.randrange(4) for edge in g.edges})
         four_m_squared = 4 * g.edge_count**2
         for record, reference in zip(sweep(g, w), flood_fill_sweep(g, w)):
             expected = nx_modularity(g, reference.partition)

@@ -8,9 +8,9 @@ from itertools import combinations
 
 import pytest
 
-from commwalker import WeightMatrix, best_split, modularity, sweep
+from commwalker import best_split, modularity, sweep
 
-from _helpers import flood_fill_sweep, pairs_graph, scaled_modularity
+from _helpers import edge_weights, flood_fill_sweep, pairs_graph, scaled_modularity
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -25,9 +25,7 @@ def weighted_connected_graphs(draw):
     pairs.update(p for p, kept in zip(others, keep) if kept)
     edges = draw(st.permutations(sorted(pairs)))
     g = pairs_graph(n, edges)
-    w = WeightMatrix()
-    for u, v in g.edges:
-        w.counts[(u, v)] = draw(st.integers(0, 2))
+    w = edge_weights(g, {edge: draw(st.integers(0, 2)) for edge in g.edges})
     return g, w
 
 
