@@ -6,8 +6,11 @@ coordinator, which then applies all updates at once. Walks within a
 generation are independent: agent k of generation t reads only the snapshot
 and its own uniform stream, keyed by (seed, t, k), so the result does not
 depend on how the walks are scheduled. explore() moves all agents of a
-generation together, one step at a time, as arrays; run_walk() is the
-one-agent reference that this lockstep kernel is pinned to.
+generation together, one step at a time, as arrays over the CSR rows of the
+adjacency (_csr_walks): the generation's slot masses 1 + weight are summed
+once into a prefix, and each step picks by an integer search in it, so a
+step costs agents x memory whatever the degrees. run_walk() is the
+one-agent reference that this kernel is pinned to.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -20,6 +23,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +140,17 @@ def _stream_prefix(seed: int, generation: int):
     return hashlib.blake2b(b"%d:%d:" % (seed, generation), digest_size=64)
 
 
-def _stream_block(prefix, lane: int, counter: int) -> bytes:
-    """Block `counter` of the walk stream for one lane: the digest of the key
-    b"seed:generation:lane:counter", resumed from the generation's prefix."""
-    state = prefix.copy()
-    state.update(b"%d:%d" % (lane, counter))
-    return state.digest()
+def _stream_blocks(prefix, keys: list[bytes]) -> bytes:
+    """Blocks of the walk streams, concatenated: block i is the digest of the
+    key prefix + keys[i] (b"lane:counter"), resumed from a copy of the
+    generation's prefix state."""
+    copy = prefix.copy
+    blocks = []
+    for key in keys:
+        state = copy()
+        state.update(key)
+        blocks.append(state.digest())
+    return b"".join(blocks)
 
 
 class _WalkStream:
@@ -166,7 +175,7 @@ class _WalkStream:
     def random(self) -> float:
         pos = self._pos
         if pos >= 64:
-            self._buf = _stream_block(self._prefix, self._lane, self._counter)
+            self._buf = _stream_blocks(self._prefix, [b"%d:%d" % (self._lane, self._counter)])
             self._counter += 1
             pos = 0
         chunk = self._buf[pos : pos + 8]
@@ -175,15 +184,21 @@ class _WalkStream:
         return (int.from_bytes(chunk, "big") >> 11) * _UNIT
 
 
-def _walk_uniforms(seed: int, generation: int, agent_count: int, draws: int) -> np.ndarray:
-    """Row k holds the first `draws` (rounded up to whole blocks) values that
-    _WalkStream(seed, generation, k) returns, bit for bit."""
+def _lane_keys(agent_count: int, draws: int) -> list[bytes]:
+    """The b"lane:counter" key suffixes of the blocks that `draws` uniforms
+    per lane need (whole blocks), lane by lane. They are the same in every
+    generation, so explore() builds them once."""
     blocks = -(-draws // _UNIFORMS_PER_BLOCK)
-    prefix = _stream_prefix(seed, generation)
-    data = b"".join(
-        _stream_block(prefix, k, c) for k in range(agent_count) for c in range(blocks)
-    )
-    words = np.frombuffer(data, dtype=">u8").reshape(agent_count, blocks * _UNIFORMS_PER_BLOCK)
+    return [b"%d:%d" % (k, c) for k in range(agent_count) for c in range(blocks)]
+
+
+def _walk_uniforms(
+    seed: int, generation: int, lane_keys: list[bytes], agent_count: int
+) -> np.ndarray:
+    """Row k holds the values that _WalkStream(seed, generation, k) returns
+    from the blocks named in lane_keys (see _lane_keys), bit for bit."""
+    data = _stream_blocks(_stream_prefix(seed, generation), lane_keys)
+    words = np.frombuffer(data, dtype=">u8").reshape(agent_count, -1)
     return (words >> 11).astype(np.float64) * _UNIT
 
 
@@ -220,7 +235,7 @@ def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> Age
     than one candidate. rng needs only a .random() method returning floats
     in [0, 1).
 
-    This is the scalar reference for the lockstep kernel in explore(): with
+    This is the scalar reference for the CSR kernel in explore(): with
     rng = _WalkStream(seed, generation, k) and the generation's weight
     snapshot, it returns the memory that agent k gets there (the test suite
     pins the equivalence).
@@ -259,11 +274,12 @@ def select_start_nodes(
     hits: HitCounts,
     cfg: ExplorationConfig,
     generation: int,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> np.ndarray:
     """Start nodes for one generation of agents.
 
-    Generation 0 places agents on distinct uniformly random nodes. Later
+    Generation 0 places agents on distinct uniformly random nodes drawn from
+    rng, which later generations do not read (explore() passes None). Later
     generations put ceil(hub_fraction * agents) on the most-hit nodes and
     the rest on the least-hit ones, so hubs are reinforced while neglected
     regions keep getting visits. Hit ties break by node id. Start nodes
@@ -293,62 +309,109 @@ def exploration_done(hits: HitCounts, cfg: ExplorationConfig) -> bool:
     return bool(np.asarray(hits).min() >= (cfg.agent_count - 1) * cfg.memory_size)
 
 
-def _padded_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g.adjacency as (n, max degree) arrays of neighbor ids and edge ids in
-    adjacency order, plus the mask of real (not padding) slots."""
+class _CsrRows(NamedTuple):
+    """g.adjacency as flat slot arrays, one slot per (node, incident edge) in
+    adjacency order: row u is slots indptr[u] .. indptr[u + 1] - 1."""
+
+    indptr: np.ndarray
+    neighbors: np.ndarray  # neighbor of each slot
+    edge_ids: np.ndarray  # edge id of each slot
+    sorted_keys: np.ndarray  # directed keys u * n + v of all slots, ascending
+    slot_by_key: np.ndarray  # the slot of each sorted key
+    twins: np.ndarray  # the slot of the same edge, read from the other end
+
+    def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, found) of directed keys u * n + v; slot is arbitrary
+        where the pair is not an edge."""
+        at = np.minimum(np.searchsorted(self.sorted_keys, keys), len(self.sorted_keys) - 1)
+        return self.slot_by_key[at], self.sorted_keys[at] == keys
+
+
+def _csr_rows(g: Graph) -> _CsrRows:
+    n = g.node_count
     degree = np.array([len(row) for row in g.adjacency], dtype=np.int64)
-    real = np.arange(degree.max()) < degree[:, None]
-    flat = np.array([pair for row in g.adjacency for pair in row], dtype=np.int64)
-    neighbors = np.zeros(real.shape, dtype=np.int64)
-    edge_ids = np.zeros(real.shape, dtype=np.int64)
-    neighbors[real] = flat[:, 0]
-    edge_ids[real] = flat[:, 1]
-    return neighbors, edge_ids, real
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    flat = np.array([pair for row in g.adjacency for pair in row], dtype=np.int64).reshape(-1, 2)
+    neighbors, edge_ids = flat[:, 0].copy(), flat[:, 1].copy()
+    owners = np.repeat(np.arange(n, dtype=np.int64), degree)
+    keys = owners * n + neighbors
+    slot_by_key = np.argsort(keys)
+    sorted_keys = keys[slot_by_key]
+    twins = slot_by_key[np.searchsorted(sorted_keys, neighbors * n + owners)]
+    return _CsrRows(indptr, neighbors, edge_ids, sorted_keys, slot_by_key, twins)
 
 
-def _lockstep_walks(
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _csr_walks(
+    rows: _CsrRows,
     edge_weights: EdgeWeights,
     starts: np.ndarray,
     memory_size: int,
     uniforms: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """run_walk for every agent of a generation, all taking step s together.
 
-    Row k of the result is the memory run_walk returns from starts[k] when
-    its stream yields row k of `uniforms`. Candidates sit at their adjacency
-    position with zero mass where tabu or padding, so the running mass and
-    the first slot whose running mass exceeds r match run_walk's loop; a
-    uniform is consumed only on steps with more than one candidate.
+    Row k of the memory is what run_walk returns from starts[k] when its
+    stream yields row k of `uniforms`; the mask marks the first visit of
+    each node in each row. Slot masses 1 + weight are summed once into a
+    prefix over all slots. At each step an agent's tabu slots are the twin
+    of the slot it just took plus the slots of its older memory nodes in the
+    current row (all dropped when they cover the row, which is exactly when
+    the step revisits a node). With T the allowed mass and r = u * T, the
+    pick is the first slot whose allowed running mass exceeds r, that is,
+    reaches floor(r) + 1: a search in the prefix, repeated once past each
+    tabu slot at or before the pick. A forced step's only candidate is found
+    for any u, and a uniform is consumed only on steps with more than one
+    candidate. Work per step is agents x memory, whatever the degrees.
     """
-    neighbors, edge_ids, real_slots = rows
+    indptr, neighbors, twins = rows.indptr, rows.neighbors, rows.twins
+    n = len(indptr) - 1
+    no_slot = len(neighbors)  # sorts after every slot and weighs nothing
+    mass = np.zeros(no_slot + 1, dtype=np.int64)
+    mass[:-1] = 1 + edge_weights[rows.edge_ids]
+    before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
+    np.cumsum(mass[:-1], out=before[1:])
     agents = len(starts)
     agent_ids = np.arange(agents)
-    last_slot = neighbors.shape[1] - 1
-    smoothed = 1 + edge_weights
     memory = np.empty((agents, memory_size), dtype=np.int64)
     memory[:, 0] = starts
+    first = np.ones((agents, memory_size), dtype=bool)
     drawn = np.zeros(agents, dtype=np.int64)
+    tabu = np.empty((agents, 0), dtype=np.int64)
     for step in range(1, memory_size):
         current = memory[:, step - 1]
-        candidates = neighbors[current]
-        real = real_slots[current]
-        allowed = real.copy()
-        for earlier in range(step - 1):  # the current node is never its own neighbor
-            allowed &= candidates != memory[:, earlier, None]
-        blocked = ~allowed.any(axis=1)
-        allowed[blocked] = real[blocked]
-        mass = np.where(allowed, smoothed[edge_ids[current]], 0).cumsum(axis=1)
-        sampled = allowed.sum(axis=1) > 1
-        r = uniforms[agent_ids, drawn] * mass[:, -1]
-        drawn += sampled
+        row_start, row_end = indptr[current], indptr[current + 1]
+        degree = row_end - row_start
+        lo = before[row_start]
+        row_mass = before[row_end] - lo
+        if step > 1:
+            # tabu: the twin of the slot just taken, and the slots of older
+            # memory nodes (the current node is never its own neighbor, so
+            # nodes equal to it find no slot)
+            older, found = rows.slots_of(current[:, None] * n + memory[:, : step - 2])
+            tabu = np.concatenate((twins[pick, None], np.where(found, older, no_slot)), axis=1)
+            tabu.sort(axis=1)
+            tabu[:, 1:][tabu[:, 1:] == tabu[:, :-1]] = no_slot  # a node seen twice
+        candidates = degree - (tabu < no_slot).sum(axis=1)
+        blocked = candidates == 0
+        if blocked.any():
+            tabu[blocked] = no_slot
+            candidates[blocked] = degree[blocked]
+        allowed_mass = row_mass - mass[tabu].sum(axis=1)
         # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
-        # below T, so some slot's running mass always exceeds r.
-        below = r[:, None] < mass
-        last = last_slot - allowed[:, ::-1].argmax(axis=1)  # a forced step's only candidate
-        pick = np.where(sampled, below.argmax(axis=1), last)
-        memory[:, step] = candidates[agent_ids, pick]
-    return memory
+        # below T, so floor(r) + 1 <= T: some slot is always reached.
+        r = uniforms[agent_ids, drawn] * allowed_mass
+        drawn += candidates > 1
+        target = lo + np.floor(r).astype(np.int64) + 1
+        pick = np.searchsorted(before, target) - 1
+        for excluded in tabu.T:  # ascending per agent, apart from no_slot
+            passed = np.flatnonzero(excluded <= pick)
+            if len(passed):
+                target[passed] += mass[excluded[passed]]
+                pick[passed] = np.searchsorted(before, target[passed]) - 1
+        memory[:, step] = neighbors[pick]
+        first[:, step] = ~blocked
+    return memory, first
 
 
 def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
@@ -358,7 +421,8 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     generation started; their memory updates and hit increments are applied
     together afterwards. Agent k of generation t draws from a private stream
     keyed by (seed, t, k), so results are reproducible regardless of how the
-    walks are scheduled; here they move in lockstep (_lockstep_walks).
+    walks are scheduled; here they move in lockstep over CSR rows
+    (_csr_walks).
     """
     cfg.validate()
     if g.node_count < 2 or not is_connected(g):
@@ -367,32 +431,26 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     m = g.edge_count
     memory_size = cfg.memory_size
     seed = cfg.seed
-    rows = _padded_rows(g)
+    rows = _csr_rows(g)
+    lane_keys = _lane_keys(cfg.agent_count, memory_size - 1)
     weights = np.zeros(m, dtype=np.int64)
-    edge_keys = np.array([u * n + v for u, v in g.edges], dtype=np.int64)
-    edge_by_key = np.argsort(edge_keys)
-    sorted_edge_keys = edge_keys[edge_by_key]
     left, right = np.triu_indices(memory_size, 1)
     hits = np.zeros(n, dtype=np.int64)
     generations_run = 0
     cap_hit = False
     for generation in range(cfg.max_generations):
-        starts = select_start_nodes(
-            g, hits, cfg, generation, _substream(seed, generation, _START_LANE)
-        )
-        uniforms = _walk_uniforms(seed, generation, len(starts), memory_size - 1)
-        memory = _lockstep_walks(rows, weights, starts, memory_size, uniforms)
+        # only generation 0 draws its starts at random
+        rng = _substream(seed, generation, _START_LANE) if generation == 0 else None
+        starts = select_start_nodes(g, hits, cfg, generation, rng)
+        uniforms = _walk_uniforms(seed, generation, lane_keys, len(starts))
+        memory, first = _csr_walks(rows, weights, starts, memory_size, uniforms)
         # every pair of distinct memory nodes, each once per agent (first
         # visits only); the pairs that are edges add 1 to their edge
-        first = np.ones(memory.shape, dtype=bool)
-        for step in range(1, memory_size):
-            first[:, step] = (memory[:, :step] != memory[:, step, None]).all(axis=1)
         keep = first[:, left] & first[:, right]
-        u = memory[:, left][keep]
-        v = memory[:, right][keep]
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
-        at = np.minimum(np.searchsorted(sorted_edge_keys, keys), m - 1)
-        weights += np.bincount(edge_by_key[at[sorted_edge_keys[at] == keys]], minlength=m)
+        # the fold ignores order, and sorted keys are found faster
+        keys = np.sort(memory[:, left][keep] * n + memory[:, right][keep])
+        slots, is_edge = rows.slots_of(keys)
+        weights += np.bincount(rows.edge_ids[slots[is_edge]], minlength=m)
         hits += np.bincount(memory.ravel(), minlength=n)
         generations_run = generation + 1
         if exploration_done(hits, cfg):

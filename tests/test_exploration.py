@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,9 +243,24 @@ def test_explore_memory_two_weights_only_on_edges():
     assert result.weights.sum() == result.generations_run * cfg.agent_count
 
 
+def test_explore_generation_memory_does_not_grow_with_max_degree():
+    # One generation on a 400-node star with default parameters (3,200
+    # agents, memory 3). Per-step arrays must be agents x memory with no
+    # max-degree term: one int64 array of agents x max degree is 9.7 MiB.
+    g = star_graph(399)
+    cfg = ExplorationConfig.for_graph(g, max_generations=1)
+    tracemalloc.start()
+    try:
+        explore(g, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def hub_graph():
     """Hub 0 on eleven spokes, a few spoke-spoke edges and a two-node tail:
-    degrees from 1 to 11, so most padded neighbor rows are mostly padding."""
+    degrees from 1 to 11, so adjacency rows differ widely in length."""
     spokes = [(0, i) for i in range(1, 12)]
     return pairs_graph(14, spokes + [(1, 2), (2, 3), (4, 5), (11, 12), (12, 13)])
 

@@ -29,6 +29,36 @@ PLANTED_DIGESTS = {
     12: "ae0bd08e60832178e642831e675fd84a2aa0bdcb75d49fbeb1e200f275d6f9f5",
 }
 
+# Disconnected graphs on the per-component branch of detect(): two sparse
+# planted components, a hub joined to K4 cliques, and an isolated node,
+# written as GML (an edge list cannot carry an isolated node). Keyed by
+# graph seed, which is also the detect seed.
+COMPONENTS_DIGESTS = {
+    21: "4fe0bcc2bd3865b7e4dbba4cf78686c0be5953a891c1d1bc3f82de290ed18840",
+    22: "c04c275e03627d926704c73a3e810cdbae0bb983b23913e70cc0d977db5122ed",
+}
+
+
+def components_gml(seed: int, cliques: int = 8) -> str:
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for c in range(2):
+        g, _ = connected_planted(2, 12, 0.3, 0.04, 1000 * seed + c)
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.node_count
+    hub = n
+    n += 1
+    for _ in range(cliques):
+        members = range(n, n + 4)
+        edges += [(hub, u) for u in members]
+        edges += [(u, v) for u in members for v in members if u < v]
+        n += 4
+    n += 1  # the isolated node
+    lines = ["graph ["]
+    lines += [f'  node [ id {i} label "n{i}" ]' for i in range(n)]
+    lines += [f"  edge [ source {u} target {v} ]" for u, v in edges]
+    return "\n".join(lines + ["]"]) + "\n"
+
 
 def detect_digest(capsys, *argv):
     assert main(["detect", *argv]) == 0
@@ -48,3 +78,11 @@ def test_dense_planted_detect_json_digest(tmp_path, capsys, seed):
     path.write_text(to_edge_list(g))
     digest = detect_digest(capsys, "--input", str(path), "--agents", "160", "--seed", str(seed))
     assert digest == PLANTED_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(COMPONENTS_DIGESTS))
+def test_components_detect_json_digest(tmp_path, capsys, seed):
+    path = tmp_path / "components.gml"
+    path.write_text(components_gml(seed))
+    digest = detect_digest(capsys, "--input", str(path), "--seed", str(seed))
+    assert digest == COMPONENTS_DIGESTS[seed]
