@@ -21,12 +21,10 @@ from .exploration import (
     ExplorationResult,
     exploration_done,
     explore,
-    move_probabilities,
     run_walk,
     select_start_nodes,
 )
 from .graph import (
-    EdgeMask,
     Graph,
     Partition,
     connected_components,
@@ -53,7 +51,6 @@ __all__ = [
     "CandidateRecord",
     "DetectionResult",
     "Diagnostics",
-    "EdgeMask",
     "ExplorationConfig",
     "ExplorationResult",
     "Graph",
@@ -76,7 +73,6 @@ __all__ = [
     "load_gml",
     "load_labels",
     "modularity",
-    "move_probabilities",
     "partition_accuracy",
     "planted_partition",
     "run_bench",

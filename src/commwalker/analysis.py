@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoEdgesError, NotConnectedError
 from .exploration import EdgeWeights
-from .graph import EdgeMask, Graph, Partition, connected_components
+from .graph import Graph, Partition, connected_components
 from .modularity import modularity
 
 
@@ -64,10 +64,11 @@ def sweep(g: Graph, w: EdgeWeights) -> list[CandidateRecord]:
     """
     m = g.edge_count
     order = edge_removal_order(w).tolist()
-    neighbors = g.neighbors
+    indptr = g.indptr.tolist()
+    neighbors = g.neighbors.tolist()
     component = list(range(g.node_count))
     members = [[u] for u in range(g.node_count)]
-    degsum = [len(row) for row in neighbors]
+    degsum = g.degrees()
     square_sum = sum(d * d for d in degsum)
     intra = 0
     k = g.node_count
@@ -82,7 +83,7 @@ def sweep(g: Graph, w: EdgeWeights) -> list[CandidateRecord]:
             a, b = b, a
         moved = members[a]
         for x in moved:
-            for y in neighbors[x]:
+            for y in neighbors[indptr[x] : indptr[x + 1]]:
                 if component[y] == b:
                     intra += 1
         for x in moved:
@@ -118,5 +119,5 @@ def best_split(g: Graph, w: EdgeWeights, candidates: list[CandidateRecord]) -> S
         cut = np.partition(w, k - 1)[k - 1]
         removed = w < cut
         removed[np.flatnonzero(w == cut)[: k - removed.sum()]] = True
-    partition = connected_components(g, EdgeMask(removed.tolist()))
+    partition = connected_components(g, removed)
     return Split(best.removed_edge_count, partition, modularity(g, partition))

@@ -6,11 +6,11 @@ coordinator, which then applies all updates at once. Walks within a
 generation are independent: agent k of generation t reads only the snapshot
 and its own uniform stream, keyed by (seed, t, k), so the result does not
 depend on how the walks are scheduled. explore() moves all agents of a
-generation together, one step at a time, as arrays over the CSR rows of the
-adjacency (_csr_walks): the generation's slot masses 1 + weight are summed
-once into a prefix, and each step picks by an integer search in it, so a
-step costs agents x memory whatever the degrees. run_walk() is the
-one-agent reference that this kernel is pinned to.
+generation together, one step at a time, as arrays over the graph's CSR
+rows (_csr_walks): the generation's slot masses 1 + weight are summed once
+into a prefix, and each step picks by an integer search in it, so a step
+costs agents x memory whatever the degrees. run_walk() walks the same rows
+one agent at a time; it is the one reference this kernel is pinned to.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -23,7 +23,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -202,70 +201,44 @@ def _walk_uniforms(
     return (words >> 11).astype(np.float64) * _UNIT
 
 
-def move_probabilities(
-    g: Graph, w: EdgeWeights, current: int, tabu: set[int]
-) -> list[float]:
-    """Move distribution over the neighbors of `current`, aligned with
-    g.adjacency[current].
-
-    Non-tabu neighbors get probability proportional to 1 + edge weight; tabu
-    neighbors get 0. When every neighbor is tabu the tabu is dropped and all
-    neighbors compete, so a walk can never deadlock.
-    """
-    neighbors = g.adjacency[current]
-    if not neighbors:
-        raise IsolatedNodeError(f"node {current} has no neighbors")
-    allowed = [i for i, (v, _) in enumerate(neighbors) if v not in tabu]
-    if not allowed:
-        allowed = list(range(len(neighbors)))
-    weights = [1 + int(w[neighbors[i][1]]) for i in allowed]
-    total = sum(weights)
-    probs = [0.0] * len(neighbors)
-    for i, wt in zip(allowed, weights):
-        probs[i] = wt / total
-    return probs
-
-
 def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> AgentMemory:
     """One agent walk of exactly memory_size nodes starting at `start`.
 
     Every node already in this walk's memory is tabu; the tabu is dropped
-    for a step when it would block every neighbor. Sampling matches
-    move_probabilities exactly, spending one uniform draw per step with more
-    than one candidate. rng needs only a .random() method returning floats
-    in [0, 1).
+    for a step when it would block every neighbor. A step moves to a
+    non-tabu neighbor with probability proportional to 1 + edge weight,
+    spending one uniform draw when there is more than one candidate. rng
+    needs only a .random() method returning floats in [0, 1).
 
     This is the scalar reference for the CSR kernel in explore(): with
     rng = _WalkStream(seed, generation, k) and the generation's weight
     snapshot, it returns the memory that agent k gets there (the test suite
     pins the equivalence).
     """
-    adjacency = g.adjacency
-    if not adjacency[start]:
+    indptr = g.indptr.tolist()
+    if indptr[start] == indptr[start + 1]:
         raise IsolatedNodeError(f"node {start} has no neighbors")
+    neighbors = g.neighbors.tolist()
+    mass = (1 + w[g.edge_ids]).tolist()  # move mass of each slot
     uniform = rng.random
     memory = [start]
     visited = {start}
     current = start
     for _ in range(memory_size - 1):
-        row = adjacency[current]
-        candidates = [(v, e) for v, e in row if v not in visited]
-        if not candidates:
-            candidates = row
+        row = range(indptr[current], indptr[current + 1])
+        candidates = [s for s in row if neighbors[s] not in visited] or row
         if len(candidates) == 1:
-            nxt = candidates[0][0]
+            slot = candidates[0]
         else:
-            weights = [1 + int(w[e]) for _, e in candidates]
-            r = uniform() * sum(weights)
+            r = uniform() * sum(mass[s] for s in candidates)
             acc = 0
-            for (v, _), wt in zip(candidates, weights):
-                acc += wt
+            for slot in candidates:
+                acc += mass[slot]
                 if r < acc:
-                    nxt = v
                     break
-        memory.append(nxt)
-        visited.add(nxt)
-        current = nxt
+        current = neighbors[slot]
+        memory.append(current)
+        visited.add(current)
     return memory
 
 
@@ -309,41 +282,8 @@ def exploration_done(hits: HitCounts, cfg: ExplorationConfig) -> bool:
     return bool(np.asarray(hits).min() >= (cfg.agent_count - 1) * cfg.memory_size)
 
 
-class _CsrRows(NamedTuple):
-    """g.adjacency as flat slot arrays, one slot per (node, incident edge) in
-    adjacency order: row u is slots indptr[u] .. indptr[u + 1] - 1."""
-
-    indptr: np.ndarray
-    neighbors: np.ndarray  # neighbor of each slot
-    edge_ids: np.ndarray  # edge id of each slot
-    sorted_keys: np.ndarray  # directed keys u * n + v of all slots, ascending
-    slot_by_key: np.ndarray  # the slot of each sorted key
-    twins: np.ndarray  # the slot of the same edge, read from the other end
-
-    def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slot, found) of directed keys u * n + v; slot is arbitrary
-        where the pair is not an edge."""
-        at = np.minimum(np.searchsorted(self.sorted_keys, keys), len(self.sorted_keys) - 1)
-        return self.slot_by_key[at], self.sorted_keys[at] == keys
-
-
-def _csr_rows(g: Graph) -> _CsrRows:
-    n = g.node_count
-    degree = np.array([len(row) for row in g.adjacency], dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    flat = np.array([pair for row in g.adjacency for pair in row], dtype=np.int64).reshape(-1, 2)
-    neighbors, edge_ids = flat[:, 0].copy(), flat[:, 1].copy()
-    owners = np.repeat(np.arange(n, dtype=np.int64), degree)
-    keys = owners * n + neighbors
-    slot_by_key = np.argsort(keys)
-    sorted_keys = keys[slot_by_key]
-    twins = slot_by_key[np.searchsorted(sorted_keys, neighbors * n + owners)]
-    return _CsrRows(indptr, neighbors, edge_ids, sorted_keys, slot_by_key, twins)
-
-
 def _csr_walks(
-    rows: _CsrRows,
+    g: Graph,
     edge_weights: EdgeWeights,
     starts: np.ndarray,
     memory_size: int,
@@ -364,11 +304,11 @@ def _csr_walks(
     for any u, and a uniform is consumed only on steps with more than one
     candidate. Work per step is agents x memory, whatever the degrees.
     """
-    indptr, neighbors, twins = rows.indptr, rows.neighbors, rows.twins
-    n = len(indptr) - 1
+    indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
+    n = g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     mass = np.zeros(no_slot + 1, dtype=np.int64)
-    mass[:-1] = 1 + edge_weights[rows.edge_ids]
+    mass[:-1] = 1 + edge_weights[g.edge_ids]
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     np.cumsum(mass[:-1], out=before[1:])
     agents = len(starts)
@@ -388,7 +328,7 @@ def _csr_walks(
             # tabu: the twin of the slot just taken, and the slots of older
             # memory nodes (the current node is never its own neighbor, so
             # nodes equal to it find no slot)
-            older, found = rows.slots_of(current[:, None] * n + memory[:, : step - 2])
+            older, found = g.slots_of(current[:, None] * n + memory[:, : step - 2])
             tabu = np.concatenate((twins[pick, None], np.where(found, older, no_slot)), axis=1)
             tabu.sort(axis=1)
             tabu[:, 1:][tabu[:, 1:] == tabu[:, :-1]] = no_slot  # a node seen twice
@@ -431,7 +371,6 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     m = g.edge_count
     memory_size = cfg.memory_size
     seed = cfg.seed
-    rows = _csr_rows(g)
     lane_keys = _lane_keys(cfg.agent_count, memory_size - 1)
     weights = np.zeros(m, dtype=np.int64)
     left, right = np.triu_indices(memory_size, 1)
@@ -443,14 +382,14 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
         rng = _substream(seed, generation, _START_LANE) if generation == 0 else None
         starts = select_start_nodes(g, hits, cfg, generation, rng)
         uniforms = _walk_uniforms(seed, generation, lane_keys, len(starts))
-        memory, first = _csr_walks(rows, weights, starts, memory_size, uniforms)
+        memory, first = _csr_walks(g, weights, starts, memory_size, uniforms)
         # every pair of distinct memory nodes, each once per agent (first
         # visits only); the pairs that are edges add 1 to their edge
         keep = first[:, left] & first[:, right]
         # the fold ignores order, and sorted keys are found faster
         keys = np.sort(memory[:, left][keep] * n + memory[:, right][keep])
-        slots, is_edge = rows.slots_of(keys)
-        weights += np.bincount(rows.edge_ids[slots[is_edge]], minlength=m)
+        slots, is_edge = g.slots_of(keys)
+        weights += np.bincount(g.edge_ids[slots[is_edge]], minlength=m)
         hits += np.bincount(memory.ravel(), minlength=n)
         generations_run = generation + 1
         if exploration_done(hits, cfg):

@@ -2,15 +2,19 @@
 
 Nodes carry external string names; internally everything runs on dense
 integer ids assigned in first-appearance order. Edges get dense ids in
-input order, stored as (u, v) with u < v.
+input order, stored as (u, v) with u < v. Each node's neighbours are
+stored once, in the CSR arrays that Graph.from_edges builds: the walk
+kernel, the walk reference, the sweep, the flood fill and modularity all
+read them.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     DanglingEdgeError,
@@ -25,20 +29,29 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph.
 
-    adjacency[u] lists (neighbor, edge_id) pairs, one per incident edge.
-    The structure is never mutated after construction, so it is safe to
-    share across any number of concurrent readers.
+    Neighbours are stored once, as compressed rows (CSR) with one slot per
+    (node, incident edge): row u is slots indptr[u] .. indptr[u + 1] - 1,
+    in edge-id order. A slot holds its neighbour and edge id; sorted_keys
+    holds the directed keys u * n + v of all slots in ascending order, with
+    the slot of each in slot_by_key, and twins[s] is the slot of the same
+    edge read from the other end. The arrays are read-only and nothing is
+    mutated after construction, so a graph is safe to share across any
+    number of concurrent readers.
     """
 
     nodes: list[str]
     edges: list[tuple[int, int]]
-    adjacency: list[list[tuple[int, int]]]
-    neighbors: list[list[int]]
     name_to_id: dict[str, int]
+    indptr: np.ndarray
+    neighbors: np.ndarray
+    edge_ids: np.ndarray
+    sorted_keys: np.ndarray
+    slot_by_key: np.ndarray
+    twins: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -48,8 +61,14 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+    def degrees(self) -> list[int]:
+        return np.diff(self.indptr).tolist()
+
+    def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, found) of directed keys u * n + v; slot is arbitrary
+        where the pair is not an edge."""
+        at = np.minimum(np.searchsorted(self.sorted_keys, keys), len(self.sorted_keys) - 1)
+        return self.slot_by_key[at], self.sorted_keys[at] == keys
 
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -59,8 +78,6 @@ class Graph:
             raise MalformedLineError("node names are not unique")
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in names]
-        neighbors: list[list[int]] = [[] for _ in names]
         for u, v in edge_pairs:
             if u == v:
                 raise SelfLoopError(f"self-loop on node '{names[u]}'")
@@ -69,30 +86,22 @@ class Graph:
             if (u, v) in seen:
                 raise DuplicateEdgeError(f"duplicate edge '{names[u]}'-'{names[v]}'")
             seen.add((u, v))
-            eid = len(edges)
             edges.append((u, v))
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return cls(
-            nodes=list(names),
-            edges=edges,
-            adjacency=adjacency,
-            neighbors=neighbors,
-            name_to_id=name_to_id,
-        )
-
-
-@dataclass
-class EdgeMask:
-    """Per-edge removal flags for one graph; single-writer."""
-
-    removed: list[bool]
-
-    @classmethod
-    def for_graph(cls, g: Graph) -> "EdgeMask":
-        return cls(removed=[False] * g.edge_count)
+        n, m = len(names), len(edges)
+        # entry 2e reads edge e from its lower end, 2e + 1 from its upper
+        # end; a stable sort by owner keeps every row in edge-id order
+        ends = np.array(edges, dtype=np.int64).reshape(m, 2)
+        entry = np.argsort(ends.ravel(), kind="stable")
+        owner, neighbors = ends.ravel()[entry], ends[:, ::-1].ravel()[entry]
+        keys = owner * n + neighbors
+        slot_by_key = np.argsort(keys)
+        sorted_keys = keys[slot_by_key]
+        twins = slot_by_key[np.searchsorted(sorted_keys, neighbors * n + owner)]
+        indptr = np.searchsorted(owner, np.arange(n + 1))
+        csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins)
+        for array in csr:
+            array.flags.writeable = False
+        return cls(list(names), edges, name_to_id, *csr)
 
 
 @dataclass(frozen=True)
@@ -385,28 +394,30 @@ def load_labels(text: str | Iterable[str], g: Graph) -> Partition:
 # --- connectivity -----------------------------------------------------------
 
 
-def connected_components(g: Graph, mask: EdgeMask | None = None) -> Partition:
-    """Flood-fill components over non-removed edges.
+def connected_components(g: Graph, removed: np.ndarray | None = None) -> Partition:
+    """Flood-fill components over the edges not flagged in `removed` (one
+    bool per edge id; None keeps every edge).
 
     Labels are assigned in order of each component's lowest node id, so the
-    result is deterministic and independent of adjacency ordering.
+    result is deterministic and independent of the slot order.
     """
-    removed = mask.removed if mask is not None else None
+    indptr = g.indptr.tolist()
+    neighbors = g.neighbors.tolist()
+    cut = None if removed is None else np.asarray(removed, dtype=bool)[g.edge_ids].tolist()
     labels = [-1] * g.node_count
     count = 0
     for start in range(g.node_count):
         if labels[start] != -1:
             continue
         labels[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, eid in g.adjacency[u]:
-                if removed is not None and removed[eid]:
-                    continue
-                if labels[v] == -1:
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for slot in range(indptr[u], indptr[u + 1]):
+                v = neighbors[slot]
+                if labels[v] == -1 and (cut is None or not cut[slot]):
                     labels[v] = count
-                    queue.append(v)
+                    stack.append(v)
         count += 1
     return Partition(community_of=labels, community_count=count)
 
@@ -419,8 +430,11 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int]) -> tuple[Graph, list[int
     """Subgraph induced by node_ids; returns (subgraph, sub-id -> original-id).
 
     Node names are preserved; edges keep their original relative order.
+    A node set spanning the whole graph gives g itself, uncopied.
     """
     kept = sorted(set(node_ids))
+    if len(kept) == g.node_count:
+        return g, kept
     orig_to_sub = {orig: sub for sub, orig in enumerate(kept)}
     names = [g.nodes[orig] for orig in kept]
     pairs = [

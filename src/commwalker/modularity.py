@@ -33,8 +33,8 @@ def modularity(g: Graph, p: Partition) -> float:
     for u, v in g.edges:
         if labels[u] == labels[v]:
             intra[labels[u]] += 1
-    for u in range(g.node_count):
-        degsum[labels[u]] += g.degree(u)
+    for label, d in zip(labels, g.degrees()):
+        degsum[label] += d
     two_m = 2 * m
     q = 0.0
     for i in range(p.community_count):
@@ -77,7 +77,7 @@ def brute_force_best_partition(g: Graph) -> tuple[Partition, float]:
     if m == 0:
         raise NoEdgesError("modularity is undefined on a graph with no edges")
     edges = g.edges
-    deg = [g.degree(u) for u in range(n)]
+    deg = g.degrees()
     two_m = 2 * m
 
     best_labels: list[int] = []

@@ -1,9 +1,12 @@
 """End-to-end detection: explore, cut weak edges, keep the best split.
 
-Disconnected inputs are handled per connected component, since walkers can
+detect() is one loop over the connected components, since walkers can
 never cross components and the visit-count stop rule would never fire on
-the full graph. Community labels are offset so components do not collide,
-and the reported modularity is always recomputed on the loaded graph.
+the full graph. A connected input is the one-component case: its only
+component is the graph itself, used as is. Community labels are offset so
+components do not collide, and the reported modularity is always
+recomputed on the loaded graph. Per-component diagnostics are reported
+only when there is more than one component.
 """
 
 from __future__ import annotations
@@ -88,66 +91,50 @@ def detect(
         seed=seed,
     )
     components = connected_components(g)
-
-    if components.community_count == 1:
-        result = explore(g, cfg)
-        split = best_split(g, result.weights, sweep(g, result.weights))
-        partition = split.partition
-        diagnostics = Diagnostics(
-            generations_run=result.generations_run,
-            total_hops=result.total_hops,
-            removed_edges_at_best=split.removed_edge_count,
-            cap_hit=result.cap_hit,
-            seed=cfg.seed,
-            agent_count=cfg.agent_count,
-            memory_size=cfg.memory_size,
-        )
-        q = split.q
-    else:
-        labels: list[int] = [-1] * g.node_count
-        offset = 0
-        details = []
-        generations = hops = removed = 0
-        cap_hit = False
-        for comp in components.members():
-            if len(comp) == 1:
-                labels[comp[0]] = offset
-                offset += 1
-                details.append(ComponentDetail(1, 0, 0, 0, 0, False, 1))
-                continue
-            sub, orig_ids = induced_subgraph(g, comp)
-            result = explore(sub, cfg)
-            split = best_split(sub, result.weights, sweep(sub, result.weights))
-            for sub_id, orig_id in enumerate(orig_ids):
-                labels[orig_id] = offset + split.partition.community_of[sub_id]
-            offset += split.partition.community_count
-            generations += result.generations_run
-            hops += result.total_hops
-            removed += split.removed_edge_count
-            cap_hit = cap_hit or result.cap_hit
-            details.append(
-                ComponentDetail(
-                    node_count=sub.node_count,
-                    edge_count=sub.edge_count,
-                    generations_run=result.generations_run,
-                    total_hops=result.total_hops,
-                    removed_edges_at_best=split.removed_edge_count,
-                    cap_hit=result.cap_hit,
-                    community_count=split.partition.community_count,
-                )
+    labels: list[int] = [-1] * g.node_count
+    offset = 0
+    details = []
+    generations = hops = removed = 0
+    cap_hit = False
+    for comp in components.members():
+        if len(comp) == 1:
+            labels[comp[0]] = offset
+            offset += 1
+            details.append(ComponentDetail(1, 0, 0, 0, 0, False, 1))
+            continue
+        sub, orig_ids = induced_subgraph(g, comp)
+        result = explore(sub, cfg)
+        split = best_split(sub, result.weights, sweep(sub, result.weights))
+        for sub_id, orig_id in enumerate(orig_ids):
+            labels[orig_id] = offset + split.partition.community_of[sub_id]
+        offset += split.partition.community_count
+        generations += result.generations_run
+        hops += result.total_hops
+        removed += split.removed_edge_count
+        cap_hit = cap_hit or result.cap_hit
+        details.append(
+            ComponentDetail(
+                node_count=sub.node_count,
+                edge_count=sub.edge_count,
+                generations_run=result.generations_run,
+                total_hops=result.total_hops,
+                removed_edges_at_best=split.removed_edge_count,
+                cap_hit=result.cap_hit,
+                community_count=split.partition.community_count,
             )
-        partition = Partition(community_of=labels, community_count=offset)
-        q = modularity(g, partition)
-        diagnostics = Diagnostics(
-            generations_run=generations,
-            total_hops=hops,
-            removed_edges_at_best=removed,
-            cap_hit=cap_hit,
-            seed=cfg.seed,
-            agent_count=cfg.agent_count,
-            memory_size=cfg.memory_size,
-            components=tuple(details),
         )
+    partition = Partition(community_of=labels, community_count=offset)
+    q = modularity(g, partition)
+    diagnostics = Diagnostics(
+        generations_run=generations,
+        total_hops=hops,
+        removed_edges_at_best=removed,
+        cap_hit=cap_hit,
+        seed=cfg.seed,
+        agent_count=cfg.agent_count,
+        memory_size=cfg.memory_size,
+        components=tuple(details) if len(details) > 1 else None,
+    )
 
     communities = {name: partition.community_of[i] for i, name in enumerate(g.nodes)}
     return DetectionResult(communities=communities, q=q, partition=partition, diagnostics=diagnostics)

@@ -10,7 +10,6 @@ from typing import NamedTuple
 import numpy as np
 
 from commwalker import (
-    EdgeMask,
     Graph,
     Partition,
     connected_components,
@@ -20,7 +19,7 @@ from commwalker import (
     load_labels,
     modularity,
 )
-from commwalker.errors import NotConnectedError
+from commwalker.errors import IsolatedNodeError, NotConnectedError
 from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -29,6 +28,11 @@ BARBELL_BRIDGE = (2, 3)  # c-d
 
 def pairs_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges([str(i) for i in range(n)], pairs)
+
+
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """The CSR rows of g as one list of neighbors per node."""
+    return [row.tolist() for row in np.split(g.neighbors, g.indptr[1:-1])]
 
 
 def barbell6() -> Graph:
@@ -133,6 +137,29 @@ def edge_weights(g: Graph, counts: dict[tuple[int, int], int] | None = None) -> 
     return np.array([counts.get(edge, 0) for edge in g.edges], dtype=np.int64)
 
 
+def move_probabilities(g: Graph, w: np.ndarray, current: int, tabu: set[int]) -> list[float]:
+    """Oracle for the move distribution over the slots of row `current`
+    (its incident edges in edge-id order).
+
+    Non-tabu neighbors get probability proportional to 1 + edge weight; tabu
+    neighbors get 0. When every neighbor is tabu the tabu is dropped and all
+    neighbors compete, so a walk can never deadlock.
+    """
+    row = slice(g.indptr[current], g.indptr[current + 1])
+    neighbors, edge_ids = g.neighbors[row].tolist(), g.edge_ids[row].tolist()
+    if not neighbors:
+        raise IsolatedNodeError(f"node {current} has no neighbors")
+    allowed = [i for i, v in enumerate(neighbors) if v not in tabu]
+    if not allowed:
+        allowed = list(range(len(neighbors)))
+    weights = [1 + int(w[edge_ids[i]]) for i in allowed]
+    total = sum(weights)
+    probs = [0.0] * len(neighbors)
+    for i, wt in zip(allowed, weights):
+        probs[i] = wt / total
+    return probs
+
+
 class FloodFillRecord(NamedTuple):
     removed_edge_count: int
     partition: Partition
@@ -145,13 +172,13 @@ def flood_fill_sweep(g: Graph, w: np.ndarray) -> list[FloodFillRecord]:
     modularity whenever the component count grows. O(m·(n+m))."""
     if not is_connected(g):
         raise NotConnectedError("sweep needs a connected graph")
-    mask = EdgeMask.for_graph(g)
-    baseline = connected_components(g, mask)
+    cut = np.zeros(g.edge_count, dtype=bool)
+    baseline = connected_components(g, cut)
     records = [FloodFillRecord(0, baseline, modularity(g, baseline))]
     component_count = baseline.community_count
     for removed, eid in enumerate(edge_removal_order(w).tolist(), start=1):
-        mask.removed[eid] = True
-        parts = connected_components(g, mask)
+        cut[eid] = True
+        parts = connected_components(g, cut)
         if parts.community_count > component_count:
             records.append(FloodFillRecord(removed, parts, modularity(g, parts)))
             component_count = parts.community_count

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from commwalker import (
-    EdgeMask,
     ExplorationConfig,
     Partition,
     brute_force_best_partition,
@@ -24,7 +23,6 @@ from commwalker import (
     edge_removal_order,
     explore,
     modularity,
-    move_probabilities,
     partition_accuracy,
     planted_partition,
 )
@@ -37,6 +35,8 @@ from _helpers import (
     connected_planted,
     edge_weights,
     karate,
+    move_probabilities,
+    neighbor_lists,
     pairs_graph,
     path_graph,
     random_connected_graph,
@@ -70,7 +70,7 @@ def _merge_singleton_best_q(g, partition, node):
     labels = list(partition.community_of)
     own = labels[node]
     best = -math.inf
-    for target in {labels[v] for v in g.neighbors[node]} - {own}:
+    for target in {labels[v] for v in neighbor_lists(g)[node]} - {own}:
         merged = list(labels)
         merged[node] = target
         best = max(best, modularity(g, Partition.from_labels(merged)))
@@ -281,7 +281,7 @@ def test_criterion_5d_components_equal_reachability():
     for g in (barbell6(), pairs_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])):
         for bits in range(2 ** g.edge_count):
             removed = [(bits >> e) & 1 == 1 for e in range(g.edge_count)]
-            got = connected_components(g, EdgeMask(removed=list(removed)))
+            got = connected_components(g, removed)
             want = Partition.from_labels(reachability_components(g, removed))
             assert got.community_of == want.community_of
     # random masks on random 8-node graphs
@@ -290,7 +290,7 @@ def test_criterion_5d_components_equal_reachability():
         g = random_connected_graph(rng, 8)
         for _ in range(100):
             removed = [rng.random() < 0.5 for _ in range(g.edge_count)]
-            got = connected_components(g, EdgeMask(removed=list(removed)))
+            got = connected_components(g, removed)
             want = Partition.from_labels(reachability_components(g, removed))
             assert got.community_of == want.community_of
     report("ACCEPTANCE 5d: PASS: flood fill equals reachability closure on exhaustive and random masks")

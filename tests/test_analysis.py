@@ -19,6 +19,7 @@ from _helpers import (
     barbell6,
     edge_weights,
     flood_fill_sweep,
+    neighbor_lists,
     pairs_graph,
     random_connected_graph,
     scaled_modularity,
@@ -190,7 +191,7 @@ def _is_internally_connected(g, members):
     frontier = [start]
     while frontier:
         u = frontier.pop()
-        for v in g.neighbors[u]:
+        for v in neighbor_lists(g)[u]:
             if v in members and v not in seen:
                 seen.add(v)
                 frontier.append(v)

@@ -9,7 +9,6 @@ from commwalker import (
     ExplorationConfig,
     exploration_done,
     explore,
-    move_probabilities,
     run_walk,
     select_start_nodes,
 )
@@ -24,6 +23,8 @@ from _helpers import (
     cycle_graph,
     edge_weights,
     karate,
+    move_probabilities,
+    neighbor_lists,
     pairs_graph,
     path_graph,
     triangle,
@@ -86,7 +87,7 @@ def test_run_walk_dead_end_relaxes_tabu():
 
 def test_run_walk_length_and_adjacency():
     g, _ = karate()
-    neighbor_sets = [set(ns) for ns in g.neighbors]
+    neighbor_sets = [set(ns) for ns in neighbor_lists(g)]
     for seed in range(30):
         mem = run_walk(g, edge_weights(g), seed % g.node_count, 6, random.Random(seed))
         assert len(mem) == 6
@@ -260,7 +261,7 @@ def test_explore_generation_memory_does_not_grow_with_max_degree():
 
 def hub_graph():
     """Hub 0 on eleven spokes, a few spoke-spoke edges and a two-node tail:
-    degrees from 1 to 11, so adjacency rows differ widely in length."""
+    degrees from 1 to 11, so CSR rows differ widely in length."""
     spokes = [(0, i) for i in range(1, 12)]
     return pairs_graph(14, spokes + [(1, 2), (2, 3), (4, 5), (11, 12), (12, 13)])
 

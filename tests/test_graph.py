@@ -1,10 +1,11 @@
 import logging
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from commwalker import (
-    EdgeMask,
     Partition,
     connected_components,
     induced_subgraph,
@@ -24,7 +25,13 @@ from commwalker.errors import (
     UnknownNodeError,
 )
 
-from _helpers import barbell6, pairs_graph, random_connected_graph, reachability_components
+from _helpers import (
+    barbell6,
+    neighbor_lists,
+    pairs_graph,
+    random_connected_graph,
+    reachability_components,
+)
 
 
 def test_load_edge_list_path_graph():
@@ -61,14 +68,48 @@ def test_load_edge_list_empty():
         load_edge_list("# nothing here\n")
 
 
-def test_adjacency_consistent_with_edges():
-    g = load_edge_list("a b\nb c\na c\nc d\n")
-    for eid, (u, v) in enumerate(g.edges):
-        assert u < v
-        assert (v, eid) in g.adjacency[u]
-        assert (u, eid) in g.adjacency[v]
-        assert v in g.neighbors[u] and u in g.neighbors[v]
-    assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
+def test_csr_rows_consistent_with_edges():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 10))
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+        flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return pairs_graph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(graphs())
+    def check(g):
+        n, m = g.node_count, g.edge_count
+        assert g.indptr[0] == 0 and g.indptr[-1] == 2 * m
+        owner = np.repeat(np.arange(n), np.diff(g.indptr))
+        for u in range(n):
+            row = g.edge_ids[g.indptr[u] : g.indptr[u + 1]].tolist()
+            assert row == [e for e, edge in enumerate(g.edges) if u in edge]
+        for u, v, e in zip(owner.tolist(), g.neighbors.tolist(), g.edge_ids.tolist()):
+            assert g.edges[e] == (min(u, v), max(u, v))
+        assert (g.edge_ids[g.twins] == g.edge_ids).all()
+        assert (owner[g.twins] == g.neighbors).all() and (g.neighbors[g.twins] == owner).all()
+        assert (g.twins[g.twins] == np.arange(2 * m)).all()
+        if m == 0:
+            return  # slots_of searches a non-empty key array
+        u, v = np.divmod(np.arange(n * n), n)
+        slot, found = g.slots_of(u * n + v)
+        edge_set = set(g.edges)
+        assert found.tolist() == [(min(a, b), max(a, b)) in edge_set for a, b in zip(u, v)]
+        assert (owner[slot[found]] == u[found]).all() and (g.neighbors[slot[found]] == v[found]).all()
+
+    check()
+
+
+def test_graph_arrays_are_read_only():
+    g = barbell6()
+    for array in (g.indptr, g.neighbors, g.edge_ids, g.sorted_keys, g.slot_by_key, g.twins):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert g == g and g != barbell6()  # identity, never an elementwise array compare
 
 
 def test_edge_list_round_trip():
@@ -76,7 +117,7 @@ def test_edge_list_round_trip():
     h = load_edge_list(to_edge_list(g))
     assert h.nodes == g.nodes
     neighbor_names = lambda gr: {
-        gr.nodes[u]: sorted(gr.nodes[v] for v in gr.neighbors[u]) for u in range(gr.node_count)
+        gr.nodes[u]: sorted(gr.nodes[v] for v in row) for u, row in enumerate(neighbor_lists(gr))
     }
     assert neighbor_names(h) == neighbor_names(g)
 
@@ -192,19 +233,16 @@ def test_partition_validates_dense_labels():
 def test_connected_components_triangle():
     g = pairs_graph(3, [(0, 1), (0, 2), (1, 2)])
     assert connected_components(g).community_count == 1
-    mask = EdgeMask.for_graph(g)
-    mask.removed = [True, True, True]
-    parts = connected_components(g, mask)
+    parts = connected_components(g, np.ones(3, dtype=bool))
     assert parts.community_count == 3
     assert parts.community_of == [0, 1, 2]
 
 
 def test_connected_components_barbell_bridge_removed():
     g = barbell6()
-    mask = EdgeMask.for_graph(g)
-    bridge_eid = g.edges.index((2, 3))
-    mask.removed[bridge_eid] = True
-    parts = connected_components(g, mask)
+    removed = np.zeros(g.edge_count, dtype=bool)
+    removed[g.edges.index((2, 3))] = True
+    parts = connected_components(g, removed)
     assert parts.community_count == 2
     assert parts.sizes() == [3, 3]
     assert parts.community_of == [0, 0, 0, 1, 1, 1]
@@ -225,8 +263,7 @@ def test_components_match_reachability_oracle_exhaustively():
     for g in graphs:
         for bits in range(2 ** g.edge_count):
             removed = [(bits >> e) & 1 == 1 for e in range(g.edge_count)]
-            mask = EdgeMask(removed=list(removed))
-            got = connected_components(g, mask)
+            got = connected_components(g, removed)
             want = reachability_components(g, removed)
             assert Partition.from_labels(want).community_of == got.community_of
 
@@ -236,7 +273,7 @@ def test_components_match_reachability_on_random_graphs():
     for _ in range(25):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         removed = [rng.random() < 0.4 for _ in range(g.edge_count)]
-        got = connected_components(g, EdgeMask(removed=list(removed)))
+        got = connected_components(g, removed)
         want = Partition.from_labels(reachability_components(g, removed))
         assert got.community_of == want.community_of
 
@@ -246,12 +283,12 @@ def test_mask_monotonicity_properties():
     for _ in range(30):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         removed = [False] * g.edge_count
-        previous = connected_components(g, EdgeMask(removed=list(removed))).community_count
+        previous = connected_components(g, removed).community_count
         order = list(range(g.edge_count))
         rng.shuffle(order)
         for eid in order:
             removed[eid] = True
-            count = connected_components(g, EdgeMask(removed=list(removed))).community_count
+            count = connected_components(g, removed).community_count
             assert 1 <= count <= g.node_count
             assert previous <= count <= previous + 1
             previous = count
@@ -265,3 +302,5 @@ def test_induced_subgraph():
     assert sub.edge_count == 3
     assert sub.nodes == [g.nodes[3], g.nodes[4], g.nodes[5]]
     assert is_connected(sub)
+    whole, orig = induced_subgraph(g, range(6))
+    assert whole is g and orig == list(range(6))

@@ -2,17 +2,18 @@
 
 Weight snapshots reach values (up to 2**40) that explore() never produces,
 so the integer search for floor(r) + 1 in the slot-mass prefix is checked
-where float rounding of r would matter first.
+where float rounding of r would matter first. Uniforms u = j / T, with T
+the allowed mass of the step, check it where r = u * T is an integer.
 """
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from commwalker import run_walk
 from commwalker.exploration import (
-    _csr_rows,
     _csr_walks,
     _lane_keys,
     _walk_uniforms,
@@ -48,10 +49,45 @@ def test_csr_walks_match_run_walk(case):
     g, w, memory_size, starts, seed, generation = case
     agents = len(starts)
     uniforms = _walk_uniforms(seed, generation, _lane_keys(agents, memory_size - 1), agents)
-    memory, first = _csr_walks(
-        _csr_rows(g), w, np.array(starts, dtype=np.int64), memory_size, uniforms
-    )
+    memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), memory_size, uniforms)
     for k, start in enumerate(starts):
         expected = run_walk(g, w, start, memory_size, _WalkStream(seed, generation, k))
+        assert memory[k].tolist() == expected
+        assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+
+
+def _replay(values):
+    """A stream for run_walk that yields `values` in order."""
+    return SimpleNamespace(random=iter(values).__next__)
+
+
+def _integer_points(total):
+    """The uniforms j / total, j < total, whose product with total is j."""
+    return [j / total for j in range(total) if j / total * total == j]
+
+
+def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
+    # Every node has degree >= 2, so the first step always draws; the
+    # second step, with the node just left tabu, draws with the first
+    # uniform spent. Each (start, first move, second pick) combination is
+    # fed uniforms at the exact integer points of its allowed mass.
+    g = pairs_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    w = np.array([2, 0, 5, 1, 3, 0, 4], dtype=np.int64)
+    mass = (1 + w[g.edge_ids]).tolist()
+    indptr = g.indptr.tolist()
+    starts, rows = [], []
+    for start in range(g.node_count):
+        for first_u in _integer_points(sum(mass[indptr[start] : indptr[start + 1]])):
+            _, via = run_walk(g, w, start, 2, _replay([first_u]))
+            allowed = [
+                mass[s] for s in range(indptr[via], indptr[via + 1]) if g.neighbors[s] != start
+            ]
+            for second_u in _integer_points(sum(allowed)):
+                starts.append(start)
+                rows.append([first_u, second_u])
+    assert sum(u > 0 for row in rows for u in row) > 100
+    memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), 3, np.array(rows))
+    for k, (start, row) in enumerate(zip(starts, rows)):
+        expected = run_walk(g, w, start, 3, _replay(row))
         assert memory[k].tolist() == expected
         assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
