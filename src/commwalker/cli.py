@@ -179,7 +179,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="share of agents started on most-hit nodes")
     parser.add_argument("--max-generations", type=int, default=1000, dest="max_generations",
                         help="safety cap on generations")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=int, default=0, help="random seed in [0, 2**64)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,13 +4,17 @@ One generation = a batch of walker agents reading a frozen weight snapshot,
 each reporting its memory (the ordered list of visited nodes) to the
 coordinator, which then applies all updates at once. Walks within a
 generation are independent: agent k of generation t reads only the snapshot
-and its own uniform stream, keyed by (seed, t, k), so the result does not
-depend on how the walks are scheduled. explore() moves all agents of a
-generation together, one step at a time, as arrays over the graph's CSR
-rows (_csr_walks): the generation's slot masses 1 + weight are summed once
-into a prefix, and each step picks by an integer search in it, so a step
-costs agents x memory whatever the degrees. run_walk() walks the same rows
-one agent at a time; it is the one reference this kernel is pinned to.
+and its own uniforms, so the result does not depend on how the walks are
+scheduled. All randomness comes from one counter-based generator, numpy's
+Philox (Salmon et al., SC 2011), keyed by (seed, generation): lane k of
+generation t is row k of the stream read as (agents, draws), and generation
+0's random node order is read from the same key's stream jumped 2**128
+words ahead. explore() moves all agents of a generation together, one step
+at a time, as arrays over the graph's CSR rows (_csr_walks): the
+generation's slot masses 1 + weight are summed once into a prefix, and each
+step picks by an integer search in it, so a step costs agents x memory
+whatever the degrees. run_walk() walks the same rows one agent at a time;
+it is the one reference this kernel is pinned to.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -19,9 +23,7 @@ stored: the walk, the edge sweep and the output read nothing else.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,6 @@ AgentMemory = list
 HitCounts = list | np.ndarray
 EdgeWeights = np.ndarray
 
-_START_LANE = -1  # substream lane for start selection; agents use 0..A-1
 # Per-generation arrays grow with agents x memory^2 (the pairs of every
 # report); configs above this many cells are rejected before allocating.
 MAX_GENERATION_CELLS = 1 << 24
@@ -50,7 +51,8 @@ class ExplorationConfig:
     two nodes); agent_count * memory_size**2 may not exceed
     MAX_GENERATION_CELLS, so one generation's arrays stay within memory.
     max_generations is a safety cap: the visit-count stop rule can stall on
-    pathological topologies.
+    pathological topologies. seed must be in [0, 2**64), the range of a
+    Philox key word.
     """
 
     agent_count: int
@@ -73,6 +75,8 @@ class ExplorationConfig:
             raise ConfigInvalidError(f"hub_fraction must be in [0, 1], got {self.hub_fraction}")
         if self.max_generations < 1:
             raise ConfigInvalidError(f"max_generations must be >= 1, got {self.max_generations}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigInvalidError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @classmethod
     def for_graph(
@@ -124,81 +128,26 @@ class ExplorationResult:
         return sum(self.hits)
 
 
-def _substream(seed: int, generation: int, lane: int) -> random.Random:
-    """Independent, platform-stable RNG for one (generation, lane) cell."""
-    digest = hashlib.blake2b(b"%d:%d:%d" % (seed, generation, lane), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-_UNIFORMS_PER_BLOCK = 8  # one 64-byte BLAKE2b digest = 8 big-endian 64-bit words
 _UNIT = 2.0**-53  # scales a 53-bit integer into [0, 1)
 
 
-def _stream_prefix(seed: int, generation: int):
-    """BLAKE2b state after the key prefix shared by every lane of a generation."""
-    return hashlib.blake2b(b"%d:%d:" % (seed, generation), digest_size=64)
+def _philox(seed: int, generation: int) -> np.random.Philox:
+    """The counter-based generator of one generation, keyed by (seed,
+    generation). The key is built as a uint64 array: a list with a word at
+    or above 2**63 would pass through float64 and lose its low bits."""
+    return np.random.Philox(key=np.array([seed, generation], dtype=np.uint64))
 
 
-def _stream_blocks(prefix, keys: list[bytes]) -> bytes:
-    """Blocks of the walk streams, concatenated: block i is the digest of the
-    key prefix + keys[i] (b"lane:counter"), resumed from a copy of the
-    generation's prefix state."""
-    copy = prefix.copy
-    blocks = []
-    for key in keys:
-        state = copy()
-        state.update(key)
-        blocks.append(state.digest())
-    return b"".join(blocks)
+def _walk_uniforms(seed: int, generation: int, agent_count: int, draws: int) -> np.ndarray:
+    """The walk uniforms of one generation, one row of `draws` per agent.
 
-
-class _WalkStream:
-    """Uniform stream from counter-mode BLAKE2b, keyed by (seed, generation, lane).
-
-    Much cheaper to set up than random.Random (walks are short and there are
-    hundreds of thousands of them), deterministic across platforms, and
-    independent across lanes. Only .random() is provided; that is all a walk
-    needs. _walk_uniforms() produces the same numbers for a whole generation
-    at once.
+    Row k is lane k: words k * draws to (k + 1) * draws - 1 of the
+    generation's Philox stream, each u = (word >> 11) * 2**-53, so a row
+    depends on k and draws but never on the agent count. Only random_raw()
+    is read: numpy keeps bit-generator streams stable, not Generator methods.
     """
-
-    __slots__ = ("_prefix", "_lane", "_counter", "_buf", "_pos")
-
-    def __init__(self, seed: int, generation: int, lane: int) -> None:
-        self._prefix = _stream_prefix(seed, generation)
-        self._lane = lane
-        self._counter = 0
-        self._buf = b""
-        self._pos = 64
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos >= 64:
-            self._buf = _stream_blocks(self._prefix, [b"%d:%d" % (self._lane, self._counter)])
-            self._counter += 1
-            pos = 0
-        chunk = self._buf[pos : pos + 8]
-        self._pos = pos + 8
-        # 53-bit mantissa, uniform in [0, 1)
-        return (int.from_bytes(chunk, "big") >> 11) * _UNIT
-
-
-def _lane_keys(agent_count: int, draws: int) -> list[bytes]:
-    """The b"lane:counter" key suffixes of the blocks that `draws` uniforms
-    per lane need (whole blocks), lane by lane. They are the same in every
-    generation, so explore() builds them once."""
-    blocks = -(-draws // _UNIFORMS_PER_BLOCK)
-    return [b"%d:%d" % (k, c) for k in range(agent_count) for c in range(blocks)]
-
-
-def _walk_uniforms(
-    seed: int, generation: int, lane_keys: list[bytes], agent_count: int
-) -> np.ndarray:
-    """Row k holds the values that _WalkStream(seed, generation, k) returns
-    from the blocks named in lane_keys (see _lane_keys), bit for bit."""
-    data = _stream_blocks(_stream_prefix(seed, generation), lane_keys)
-    words = np.frombuffer(data, dtype=">u8").reshape(agent_count, -1)
-    return (words >> 11).astype(np.float64) * _UNIT
+    words = _philox(seed, generation).random_raw(agent_count * draws)
+    return (words.reshape(agent_count, draws) >> 11) * _UNIT
 
 
 def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> AgentMemory:
@@ -210,10 +159,10 @@ def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> Age
     spending one uniform draw when there is more than one candidate. rng
     needs only a .random() method returning floats in [0, 1).
 
-    This is the scalar reference for the CSR kernel in explore(): with
-    rng = _WalkStream(seed, generation, k) and the generation's weight
-    snapshot, it returns the memory that agent k gets there (the test suite
-    pins the equivalence).
+    This is the scalar reference for the CSR kernel in explore(): fed row k
+    of the generation's _walk_uniforms in order, with the generation's
+    weight snapshot, it returns the memory that agent k gets there (the
+    test suite pins the equivalence).
     """
     indptr = g.indptr.tolist()
     if indptr[start] == indptr[start + 1]:
@@ -247,26 +196,22 @@ def select_start_nodes(
     hits: HitCounts,
     cfg: ExplorationConfig,
     generation: int,
-    rng: random.Random | None,
 ) -> np.ndarray:
     """Start nodes for one generation of agents.
 
-    Generation 0 places agents on distinct uniformly random nodes drawn from
-    rng, which later generations do not read (explore() passes None). Later
-    generations put ceil(hub_fraction * agents) on the most-hit nodes and
-    the rest on the least-hit ones, so hubs are reinforced while neglected
-    regions keep getting visits. Hit ties break by node id. Start nodes
-    repeat only when there are more agents than nodes.
+    Generation 0 orders the nodes at random, by n words of the Philox
+    stream keyed (cfg.seed, 0) jumped past the walk draws, and ignores hits.
+    Later generations put ceil(hub_fraction * agents) on the most-hit nodes
+    and the rest on the least-hit ones, so hubs are reinforced while
+    neglected regions keep getting visits; hit ties break by node id. Each
+    order is cycled through, so start nodes repeat only when there are more
+    agents than nodes, and then every node gets floor or ceil(agents / n).
     """
     n = g.node_count
     a = cfg.agent_count
     if generation == 0:
-        if a <= n:
-            return np.array(rng.sample(range(n), a), dtype=np.int64)
-        starts = list(range(n))
-        rng.shuffle(starts)
-        starts.extend(rng.randrange(n) for _ in range(a - n))
-        return np.array(starts, dtype=np.int64)
+        order = np.argsort(_philox(cfg.seed, 0).jumped().random_raw(n), kind="stable")
+        return order[np.arange(a) % n]
     hub_count = math.ceil(cfg.hub_fraction * a)
     hits = np.asarray(hits, dtype=np.int64)
     # stable sorts keep equal hit counts in node id order
@@ -359,9 +304,9 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
 
     All walks of a generation read the edge weights as they stood when the
     generation started; their memory updates and hit increments are applied
-    together afterwards. Agent k of generation t draws from a private stream
-    keyed by (seed, t, k), so results are reproducible regardless of how the
-    walks are scheduled; here they move in lockstep over CSR rows
+    together afterwards. Agent k of generation t reads only lane k of the
+    Philox stream keyed by (seed, t), so results are reproducible regardless
+    of how the walks are scheduled; here they move in lockstep over CSR rows
     (_csr_walks).
     """
     cfg.validate()
@@ -370,18 +315,14 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     n = g.node_count
     m = g.edge_count
     memory_size = cfg.memory_size
-    seed = cfg.seed
-    lane_keys = _lane_keys(cfg.agent_count, memory_size - 1)
     weights = np.zeros(m, dtype=np.int64)
     left, right = np.triu_indices(memory_size, 1)
     hits = np.zeros(n, dtype=np.int64)
     generations_run = 0
     cap_hit = False
     for generation in range(cfg.max_generations):
-        # only generation 0 draws its starts at random
-        rng = _substream(seed, generation, _START_LANE) if generation == 0 else None
-        starts = select_start_nodes(g, hits, cfg, generation, rng)
-        uniforms = _walk_uniforms(seed, generation, lane_keys, len(starts))
+        starts = select_start_nodes(g, hits, cfg, generation)
+        uniforms = _walk_uniforms(cfg.seed, generation, len(starts), memory_size - 1)
         memory, first = _csr_walks(g, weights, starts, memory_size, uniforms)
         # every pair of distinct memory nodes, each once per agent (first
         # visits only); the pairs that are edges add 1 to their edge

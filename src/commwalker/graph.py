@@ -67,6 +67,9 @@ class Graph:
     def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, found) of directed keys u * n + v; slot is arbitrary
         where the pair is not an edge."""
+        if not len(self.sorted_keys):  # no edges: nothing to search
+            found = np.zeros(np.shape(keys), dtype=bool)
+            return found.astype(np.int64), found
         at = np.minimum(np.searchsorted(self.sorted_keys, keys), len(self.sorted_keys) - 1)
         return self.slot_by_key[at], self.sorted_keys[at] == keys
 

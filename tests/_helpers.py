@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from importlib.resources import files
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,11 @@ def pairs_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
 def neighbor_lists(g: Graph) -> list[list[int]]:
     """The CSR rows of g as one list of neighbors per node."""
     return [row.tolist() for row in np.split(g.neighbors, g.indptr[1:-1])]
+
+
+def replay(values) -> SimpleNamespace:
+    """A stream for run_walk that yields `values` in order."""
+    return SimpleNamespace(random=iter(values).__next__)
 
 
 def barbell6() -> Graph:

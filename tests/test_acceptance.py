@@ -88,8 +88,10 @@ def test_criterion_1a_karate_accuracy_rate(karate_runs):
         "administrator's side and node 10 on the instructor's side, 32/34 against "
         "the truth labels; the 33/34 split (16/18) has Q 0.3715 and the truth "
         "partition Q 0.3582. Whenever the removal sequence passes the 0.3718 "
-        "split, max-Q selection prefers it to the 33/34 split, as in 10 of the "
-        "20 runs. Recorded as a known limit of the method's selection rule."
+        "split, max-Q selection prefers it to the 33/34 split, as in 7 of the "
+        "20 runs (seeds 3, 5, 11, 12, 13, 15 and 17); the other 2 misses are "
+        "the runs that fail 1b (seeds 1 and 10), 32/34 with one node cut off. "
+        "Recorded as a known limit of the method's selection rule."
     )
 
 
@@ -113,12 +115,14 @@ def test_criterion_1b_karate_two_communities(karate_runs):
            f"(singletons only when Q-justified) in {clean}/20 runs (need 20)")
     assert ok, (
         f"runs with exactly 2 non-singleton communities and only Q-justified "
-        f"singletons: {clean}/20, required 20/20. In the failing runs (seeds 4, "
-        "7 and 15) all three edges of node 29 (to 3, 32 and 34) are cut "
-        "before the faction split, so every later candidate carries node 29 as "
-        "a singleton; the best one, [17, 16, 1] with Q 0.3646-0.3648, wins the "
-        "max-Q selection although merging node 29 back would raise Q to "
-        "0.3715-0.3718. Recorded as a known limit of the method's selection rule."
+        f"singletons: {clean}/20, required 20/20. In each failing run every "
+        "edge of one low-degree node is cut before the faction split: node 10 "
+        "(to 3 and 34) in seed 1, node 29 (to 3, 32 and 34) in seed 10. Every "
+        "later candidate carries that node as a singleton; the best one, "
+        "[17, 16, 1] with Q 0.3715 (seed 1) and 0.3648 (seed 10), wins the "
+        "max-Q selection although merging the node back would raise Q to "
+        "0.3718 and 0.3715. Recorded as a known limit of the method's "
+        "selection rule."
     )
 
 

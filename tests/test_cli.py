@@ -205,6 +205,15 @@ def test_bench_synthetic_flag_validation(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_detect_seed_outside_key_range_is_config_error(barbell_file, capsys, seed):
+    code, out, err = run_cli(capsys, "detect", "--input", barbell_file, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+
+
 def test_detect_non_utf8_input(tmp_path, capsys):
     bad = tmp_path / "latin1.edges"
     bad.write_bytes("caf\xe9 b\n".encode("latin-1"))

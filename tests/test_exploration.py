@@ -13,7 +13,7 @@ from commwalker import (
     select_start_nodes,
 )
 from commwalker.errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
-from commwalker.exploration import MAX_GENERATION_CELLS, _START_LANE, _WalkStream, _substream
+from commwalker.exploration import MAX_GENERATION_CELLS, _walk_uniforms
 from commwalker.graph import Graph
 
 from _helpers import (
@@ -27,6 +27,7 @@ from _helpers import (
     neighbor_lists,
     pairs_graph,
     path_graph,
+    replay,
     triangle,
 )
 
@@ -109,8 +110,8 @@ def test_run_walk_barbell_stays_local_from_bridge_endpoint():
     start = 2
     triangle_nodes = {0, 1, 2}
     stayed = crossed = 0
-    for seed in range(10_000):
-        mem = run_walk(g, edge_weights(g), start, 4, _WalkStream(seed, 0, 0))
+    for row in _walk_uniforms(0, 0, 10_000, 3):
+        mem = run_walk(g, edge_weights(g), start, 4, replay(row))
         if set(mem) <= triangle_nodes:
             stayed += 1
         else:
@@ -149,34 +150,49 @@ def test_edge_weight_read_alike_from_both_endpoints():
 
 
 def test_select_start_nodes_generation_zero_distinct():
+    # Generation 0 cycles through one random node order per seed: distinct
+    # starts while agents <= nodes, then floor or ceil(agents / nodes) each.
+    # The order sorts n words of Philox(key=[seed, 0]) jumped past the walks.
     g, _ = karate()
-    cfg = ExplorationConfig(agent_count=3, memory_size=4)
-    starts = select_start_nodes(g, [0] * 34, cfg, 0, random.Random(0))
-    assert len(starts) == 3
-    assert len(set(starts)) == 3
-    assert all(0 <= s < 34 for s in starts)
+    n = g.node_count
+    longest = select_start_nodes(g, [0] * n, ExplorationConfig(agent_count=100, memory_size=4), 0)
+    words = np.random.Philox(key=[0, 0]).jumped().random_raw(n)
+    assert longest[:n].tolist() == np.argsort(words, kind="stable").tolist()
+    for agents in (3, 33, 34, 35, 67, 100):
+        cfg = ExplorationConfig(agent_count=agents, memory_size=4)
+        starts = select_start_nodes(g, [0] * n, cfg, 0)
+        counts = np.bincount(starts, minlength=n)
+        assert len(starts) == agents and len(counts) == n
+        if agents <= n:
+            assert counts.max() == 1
+        else:
+            assert set(counts.tolist()) <= {agents // n, -(-agents // n)}
+        assert starts.tolist() == longest[:agents].tolist()  # same seed, same order
+        assert select_start_nodes(g, list(range(n)), cfg, 0).tolist() == starts.tolist()
+    reseeded = ExplorationConfig(agent_count=n, memory_size=4, seed=1)
+    assert select_start_nodes(g, [0] * n, reseeded, 0).tolist() != longest[:n].tolist()
 
 
 def test_select_start_nodes_hub_and_least_split():
     g, _ = karate()
     hits = [10, 8, 8, 1] + [0] * 30
     cfg = ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=0.75)
-    starts = select_start_nodes(g, hits, cfg, 1, random.Random(0))
+    starts = select_start_nodes(g, hits, cfg, 1)
     assert starts.tolist() == [0, 1, 2, 4]
-    assert select_start_nodes(g, np.array(hits), cfg, 1, random.Random(0)).tolist() == [0, 1, 2, 4]
+    assert select_start_nodes(g, np.array(hits), cfg, 1).tolist() == [0, 1, 2, 4]
 
 
 def test_select_start_nodes_all_nodes_when_agents_equal_nodes():
     g = barbell6()
     cfg = ExplorationConfig(agent_count=6, memory_size=3, hub_fraction=1.0)
-    starts = select_start_nodes(g, [5, 4, 3, 2, 1, 0], cfg, 1, random.Random(0))
+    starts = select_start_nodes(g, [5, 4, 3, 2, 1, 0], cfg, 1)
     assert sorted(starts) == [0, 1, 2, 3, 4, 5]
 
 
 def test_select_start_nodes_repeats_only_when_agents_exceed_nodes():
     g = path_graph(3)
     cfg = ExplorationConfig(agent_count=7, memory_size=3)
-    starts = select_start_nodes(g, [0, 1, 2], cfg, 1, random.Random(0))
+    starts = select_start_nodes(g, [0, 1, 2], cfg, 1)
     assert len(starts) == 7
     assert set(starts) <= {0, 1, 2}
 
@@ -203,6 +219,10 @@ def test_config_validation():
         ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16 + 1, memory_size=4).validate()
     with pytest.raises(ConfigInvalidError):
         ExplorationConfig(agent_count=2, memory_size=10**8).validate()
+    ExplorationConfig(agent_count=2, memory_size=2, seed=2**64 - 1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigInvalidError):
+            ExplorationConfig(agent_count=2, memory_size=2, seed=seed).validate()
 
 
 def test_explore_two_node_graph_single_generation():
@@ -273,7 +293,7 @@ MANUAL_LOOP_CASES = [
         ExplorationConfig(agent_count=8, memory_size=2, seed=1, max_generations=60),
         id="karate-memory-2",
     ),
-    pytest.param(  # 11 steps: agents draw past the first 8-uniform stream block
+    pytest.param(  # 11 draws per walk, and the generation cap is hit
         lambda: karate()[0],
         ExplorationConfig(agent_count=6, memory_size=12, seed=2, max_generations=25),
         id="karate-memory-12",
@@ -301,6 +321,8 @@ MANUAL_LOOP_CASES = [
 def test_explore_matches_manual_generation_loop(make_graph, cfg):
     # explore() == the published ops composed in agent order, including the
     # per-generation mass bookkeeping: the lockstep kernel against run_walk.
+    # Agent k replays row k of a generation of only k + 1 agents, so its
+    # lane must not depend on the agent count.
     g = make_graph()
     expected = explore(g, cfg)
 
@@ -309,12 +331,12 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
     generations = 0
     cap_hit = True
     for generation in range(cfg.max_generations):
-        starts = select_start_nodes(g, hits, cfg, generation, _substream(cfg.seed, generation, _START_LANE))
+        starts = select_start_nodes(g, hits, cfg, generation)
         w = edge_weights(g, counts)
-        memories = [
-            run_walk(g, w, start, cfg.memory_size, _WalkStream(cfg.seed, generation, k))
-            for k, start in enumerate(starts)
-        ]
+        memories = []
+        for k, start in enumerate(starts):
+            lane = _walk_uniforms(cfg.seed, generation, k + 1, cfg.memory_size - 1)[k]
+            memories.append(run_walk(g, w, start, cfg.memory_size, replay(lane)))
         mass_before = sum(counts.values())
         pair_count = 0
         for memory in memories:

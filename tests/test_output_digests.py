@@ -1,7 +1,7 @@
 """Cross-commit determinism guard: the SHA-256 of CLI `detect` JSON for
 fixed inputs, seeds and parameters. A change that alters any output byte
-(walk sampling, stream hashing, weight update, sweep order, JSON layout)
-fails here, not only a rerun within one process."""
+(walk sampling, the Philox stream layout, weight update, sweep order, JSON
+layout) fails here, not only a rerun within one process."""
 
 import hashlib
 from importlib.resources import files
@@ -14,19 +14,19 @@ from commwalker.cli import main
 from _helpers import connected_planted
 
 KARATE_DIGESTS = {
-    0: "bb33939a09e7d4f60ebbed6e435ca656c320f81df4cfb670c050fee8fd0c527d",
-    1: "cae997f5dc81bc83e84723d01c7b6aa25728c1a6155492f0112ddd3eca2bf548",
-    2: "d9431e27d3bcb08fb4027d0116aa8d750dd6b123654396e4f13cb55d768fe2f4",
-    3: "a7c07e2f1376cd9a564b395388c8a1ca59b22f0c008d18bd0ef819d711f538e8",
-    4: "880a203154f6423fa3ec550e188f75df90bd1e190670b33ef21f473bda438c18",
+    0: "6a252153ea3ba73364cd8dfb99d1ced4cbe310cbde5feac0d9e9d596a4c99685",
+    1: "53aaa674531ab564a3bed751e0c905a78cd2a6cb3dbe27b8a40cf04dde7c0e39",
+    2: "422765771abfca64af4d1f6fc9ae2cfb0288f319ed5fe1432b641df0387a1bbb",
+    3: "54c9f40632afaddb0101e9cd01ed4b724634f6b6f13cd330454355b23f406e22",
+    4: "083aeea2368b8630aef763b142595f566b8f6c5c021684074dc63f8a4dfc6c53",
 }
 
 # Connected planted 2x80, p_in 0.7, p_out 0.02 (~4.6k edges), 160 agents:
 # the shape of the benchmark's dense-sweep workload. Keyed by graph seed,
 # which is also the detect seed.
 PLANTED_DIGESTS = {
-    11: "7b56366db37fd75c1eaffe580e8cc0418f125d4fe74971821fe74d03b4e97695",
-    12: "ae0bd08e60832178e642831e675fd84a2aa0bdcb75d49fbeb1e200f275d6f9f5",
+    11: "8c21d63ce5a960187422618ef95c8f0ec6d15a1a2039b957eafe38f0d46e6353",
+    12: "4374bd4acca7b819df42be1a883e0d325dc461296ca393c2b48aa2854834c070",
 }
 
 # Disconnected graphs on the per-component branch of detect(): two sparse
@@ -34,8 +34,8 @@ PLANTED_DIGESTS = {
 # written as GML (an edge list cannot carry an isolated node). Keyed by
 # graph seed, which is also the detect seed.
 COMPONENTS_DIGESTS = {
-    21: "4fe0bcc2bd3865b7e4dbba4cf78686c0be5953a891c1d1bc3f82de290ed18840",
-    22: "c04c275e03627d926704c73a3e810cdbae0bb983b23913e70cc0d977db5122ed",
+    21: "07f073fff7ce76f0fb005cc906c5ff50ea47602d66356518262da4684e3bee43",
+    22: "99c6111b5488ed43c51577436d8f53aa83d6ab2474cd26320cc86ecea03cf838",
 }
 
 

@@ -7,20 +7,14 @@ the allowed mass of the step, check it where r = u * T is an integer.
 """
 
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from commwalker import run_walk
-from commwalker.exploration import (
-    _csr_walks,
-    _lane_keys,
-    _walk_uniforms,
-    _WalkStream,
-)
+from commwalker.exploration import _csr_walks, _walk_uniforms
 
-from _helpers import edge_weights, pairs_graph
+from _helpers import edge_weights, pairs_graph, replay
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -48,17 +42,12 @@ def walk_cases(draw):
 def test_csr_walks_match_run_walk(case):
     g, w, memory_size, starts, seed, generation = case
     agents = len(starts)
-    uniforms = _walk_uniforms(seed, generation, _lane_keys(agents, memory_size - 1), agents)
+    uniforms = _walk_uniforms(seed, generation, agents, memory_size - 1)
     memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), memory_size, uniforms)
     for k, start in enumerate(starts):
-        expected = run_walk(g, w, start, memory_size, _WalkStream(seed, generation, k))
+        expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
         assert memory[k].tolist() == expected
         assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
-
-
-def _replay(values):
-    """A stream for run_walk that yields `values` in order."""
-    return SimpleNamespace(random=iter(values).__next__)
 
 
 def _integer_points(total):
@@ -78,7 +67,7 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
     starts, rows = [], []
     for start in range(g.node_count):
         for first_u in _integer_points(sum(mass[indptr[start] : indptr[start + 1]])):
-            _, via = run_walk(g, w, start, 2, _replay([first_u]))
+            _, via = run_walk(g, w, start, 2, replay([first_u]))
             allowed = [
                 mass[s] for s in range(indptr[via], indptr[via + 1]) if g.neighbors[s] != start
             ]
@@ -88,6 +77,24 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
     assert sum(u > 0 for row in rows for u in row) > 100
     memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), 3, np.array(rows))
     for k, (start, row) in enumerate(zip(starts, rows)):
-        expected = run_walk(g, w, start, 3, _replay(row))
+        expected = run_walk(g, w, start, 3, replay(row))
         assert memory[k].tolist() == expected
         assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+
+
+def test_walk_uniforms_layout():
+    # Lane k of generation t is row k of Philox(key=[seed, t]) read as
+    # (agents, draws), u = (word >> 11) * 2**-53: the row does not depend on
+    # the agent count.
+    words = np.random.Philox(key=[7, 3]).random_raw(5 * 4).reshape(5, 4)
+    assert (_walk_uniforms(7, 3, 5, 4) == (words >> 11) * 2.0**-53).all()
+    assert (_walk_uniforms(7, 3, 2, 4) == _walk_uniforms(7, 3, 5, 4)[:2]).all()
+    assert not (_walk_uniforms(7, 4, 5, 4) == _walk_uniforms(7, 3, 5, 4)).any()
+
+
+def test_walk_uniforms_keep_every_seed_bit():
+    # A key given as a Python list passes words at or above 2**63 through
+    # float64, which maps 2**63 + 1 to 2**63 and 2**64 - 1 to 0.
+    rows = [_walk_uniforms(seed, 0, 1, 8)[0] for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    assert len({row.tobytes() for row in rows}) == 4
+    assert all(((0 <= row) & (row < 1)).all() for row in rows)
