@@ -79,9 +79,14 @@ def run_bench(
     **detect_kwargs,
 ) -> BenchReport:
     """Run `trials` detections with seeds base_seed..base_seed+trials-1 and
-    score each against its ground truth."""
+    score each against its ground truth. Every trial seed is checked against
+    the seed range before the first trial runs."""
     if trials < 1:
         raise ConfigInvalidError(f"trials must be >= 1, got {trials}")
+    if not 0 <= base_seed <= 2**64 - trials:
+        raise ConfigInvalidError(
+            f"trial seeds must be in [0, 2**64), got [{base_seed}, {base_seed + trials})"
+        )
     outcomes = []
     for t in range(trials):
         seed = base_seed + t

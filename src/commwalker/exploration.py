@@ -12,9 +12,15 @@ generation t is row k of the stream read as (agents, draws), and generation
 words ahead. explore() moves all agents of a generation together, one step
 at a time, as arrays over the graph's CSR rows (_csr_walks): the
 generation's slot masses 1 + weight are summed once into a prefix, and each
-step picks by an integer search in it, so a step costs agents x memory
+step picks by one integer search in it, so a step costs agents x memory
 whatever the degrees. run_walk() walks the same rows one agent at a time;
 it is the one reference this kernel is pinned to.
+
+Walkers never cross components, so every component of a disconnected graph
+is explored as if it were the whole graph: its own agents, hits and stop
+rule, on the same draws. explore() runs them all in one generation loop
+over the whole graph's rows, and a component leaves the batch when its
+stop rule fires.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
-from .graph import Graph, is_connected
+from .graph import Graph, Partition, is_connected, search_in_order
 
 # Memories are plain ordered lists of node ids; hit counts are indexed by
 # node id (a list or an int array); weights are indexed by edge id.
@@ -38,7 +44,8 @@ HitCounts = list | np.ndarray
 EdgeWeights = np.ndarray
 
 # Per-generation arrays grow with agents x memory^2 (the pairs of every
-# report); configs above this many cells are rejected before allocating.
+# report); configs above this many cells are rejected before allocating,
+# and explore() batches only as many components as fit in this budget.
 MAX_GENERATION_CELLS = 1 << 24
 
 
@@ -116,12 +123,20 @@ class ExplorationConfig:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """weights[e] is the co-visit count of the endpoints of edge e."""
+    """weights[e] is the co-visit count of the endpoints of edge e and
+    hits[v] the visits of node v.
+
+    component_generations[c] and component_cap_hit[c] are the generations
+    component c ran and whether it hit the cap (0 and False for a single
+    node); generations_run is their sum and cap_hit their OR.
+    """
 
     weights: EdgeWeights
     hits: list[int]
     generations_run: int
     cap_hit: bool
+    component_generations: tuple[int, ...]
+    component_cap_hit: tuple[bool, ...]
 
     @property
     def total_hops(self) -> int:
@@ -191,13 +206,9 @@ def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> Age
     return memory
 
 
-def select_start_nodes(
-    g: Graph,
-    hits: HitCounts,
-    cfg: ExplorationConfig,
-    generation: int,
-) -> np.ndarray:
-    """Start nodes for one generation of agents.
+def select_start_nodes(hits: HitCounts, cfg: ExplorationConfig, generation: int) -> np.ndarray:
+    """Start nodes for one generation of agents, as indices into hits: the
+    n = len(hits) nodes of one component, in node id order.
 
     Generation 0 orders the nodes at random, by n words of the Philox
     stream keyed (cfg.seed, 0) jumped past the walk draws, and ignores hits.
@@ -207,7 +218,7 @@ def select_start_nodes(
     order is cycled through, so start nodes repeat only when there are more
     agents than nodes, and then every node gets floor or ceil(agents / n).
     """
-    n = g.node_count
+    n = len(hits)
     a = cfg.agent_count
     if generation == 0:
         order = np.argsort(_philox(cfg.seed, 0).jumped().random_raw(n), kind="stable")
@@ -236,18 +247,22 @@ def _csr_walks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """run_walk for every agent of a generation, all taking step s together.
 
-    Row k of the memory is what run_walk returns from starts[k] when its
-    stream yields row k of `uniforms`; the mask marks the first visit of
-    each node in each row. Slot masses 1 + weight are summed once into a
-    prefix over all slots. At each step an agent's tabu slots are the twin
-    of the slot it just took plus the slots of its older memory nodes in the
-    current row (all dropped when they cover the row, which is exactly when
-    the step revisits a node). With T the allowed mass and r = u * T, the
-    pick is the first slot whose allowed running mass exceeds r, that is,
-    reaches floor(r) + 1: a search in the prefix, repeated once past each
-    tabu slot at or before the pick. A forced step's only candidate is found
-    for any u, and a uniform is consumed only on steps with more than one
-    candidate. Work per step is agents x memory, whatever the degrees.
+    Column k of the (memory_size, agents) memory is what run_walk returns
+    from starts[k] when its stream yields row k of `uniforms`; the mask
+    marks the first visit of each node in each column. Slot masses
+    1 + weight are summed once into a prefix over all slots. At each step an
+    agent's tabu slots are the twin of the slot it just took plus the slots
+    of its older memory nodes in the current row (all dropped when they
+    cover the row, which is exactly when the step revisits a node). With T
+    the allowed mass and r = u * T, the pick is the first slot whose allowed
+    running mass exceeds r, that is, reaches floor(r) + 1. A tabu slot lies
+    before the pick exactly when the allowed mass before it is below
+    floor(r) + 1, so adding the masses of those slots to the target leaves
+    one search in the prefix, which finds the pick. A forced step's only
+    candidate is found for any u, and a uniform is consumed only on steps
+    with more than one candidate. Arrays are step-major, so every per-step
+    operation runs over whole rows of agents; work per step is agents x
+    memory, whatever the degrees.
     """
     indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
     n = g.node_count
@@ -257,14 +272,14 @@ def _csr_walks(
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     np.cumsum(mass[:-1], out=before[1:])
     agents = len(starts)
-    agent_ids = np.arange(agents)
-    memory = np.empty((agents, memory_size), dtype=np.int64)
-    memory[:, 0] = starts
-    first = np.ones((agents, memory_size), dtype=bool)
-    drawn = np.zeros(agents, dtype=np.int64)
-    tabu = np.empty((agents, 0), dtype=np.int64)
+    memory = np.empty((memory_size, agents), dtype=np.int64)
+    memory[0] = starts
+    first = np.ones((memory_size, agents), dtype=bool)
+    draws = uniforms.T.ravel()  # agent k's d-th uniform at d * agents + k
+    next_draw = np.arange(agents)
+    tabu = np.empty((0, agents), dtype=np.int64)
     for step in range(1, memory_size):
-        current = memory[:, step - 1]
+        current = memory[step - 1]
         row_start, row_end = indptr[current], indptr[current + 1]
         degree = row_end - row_start
         lo = before[row_start]
@@ -273,33 +288,63 @@ def _csr_walks(
             # tabu: the twin of the slot just taken, and the slots of older
             # memory nodes (the current node is never its own neighbor, so
             # nodes equal to it find no slot)
-            older, found = g.slots_of(current[:, None] * n + memory[:, : step - 2])
-            tabu = np.concatenate((twins[pick, None], np.where(found, older, no_slot)), axis=1)
-            tabu.sort(axis=1)
-            tabu[:, 1:][tabu[:, 1:] == tabu[:, :-1]] = no_slot  # a node seen twice
-        candidates = degree - (tabu < no_slot).sum(axis=1)
+            older, found = g.slots_of(current * n + memory[: step - 2])
+            tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
+            _sort_columns(tabu)
+            tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
+        candidates = degree - (tabu < no_slot).sum(axis=0)
         blocked = candidates == 0
         if blocked.any():
-            tabu[blocked] = no_slot
+            tabu[:, blocked] = no_slot
             candidates[blocked] = degree[blocked]
-        allowed_mass = row_mass - mass[tabu].sum(axis=1)
+        tabu_mass = mass[tabu]
         # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
         # below T, so floor(r) + 1 <= T: some slot is always reached.
-        r = uniforms[agent_ids, drawn] * allowed_mass
-        drawn += candidates > 1
+        r = draws[next_draw] * (row_mass - tabu_mass.sum(axis=0))
+        next_draw += (candidates > 1) * agents
         target = lo + np.floor(r).astype(np.int64) + 1
-        pick = np.searchsorted(before, target) - 1
-        for excluded in tabu.T:  # ascending per agent, apart from no_slot
-            passed = np.flatnonzero(excluded <= pick)
-            if len(passed):
-                target[passed] += mass[excluded[passed]]
-                pick[passed] = np.searchsorted(before, target[passed]) - 1
-        memory[:, step] = neighbors[pick]
-        first[:, step] = ~blocked
+        # a tabu slot's prefix position less the tabu mass before it is lo
+        # plus the allowed mass before it (no_slot, even between two slots,
+        # weighs nothing and lies past the row, so it is never skipped)
+        skipped = before[tabu] - (np.cumsum(tabu_mass, axis=0) - tabu_mass) < target
+        target += (tabu_mass * skipped).sum(axis=0)
+        pick = search_in_order(before, target) - 1
+        memory[step] = neighbors[pick]
+        first[step] = ~blocked
     return memory, first
 
 
-def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
+def _sort_columns(a: np.ndarray) -> None:
+    """Sort each column of a short 2-D array in place (odd-even
+    transposition: len(a) rounds of compare-exchanges between whole rows,
+    far cheaper than np.sort along a short axis)."""
+    for round_ in range(len(a)):
+        for i in range(round_ % 2, len(a) - 1, 2):
+            low = np.minimum(a[i], a[i + 1])
+            np.maximum(a[i], a[i + 1], out=a[i + 1])
+            a[i] = low
+
+
+def _component_nodes(g: Graph, components: Partition) -> list[np.ndarray]:
+    """The node ids of each component, ascending. Checks that no edge joins
+    two components and that every node of a component of two or more nodes
+    has an edge."""
+    labels = np.asarray(components.community_of, dtype=np.int64)
+    if len(labels) != g.node_count:
+        raise ValueError("components must label every node of the graph")
+    degrees = np.diff(g.indptr)
+    if (np.repeat(labels, degrees) != labels[g.neighbors]).any():
+        raise NotConnectedError("an edge joins two of the given components")
+    sizes = np.bincount(labels, minlength=components.community_count)
+    lonely = np.flatnonzero((degrees == 0) & (sizes[labels] > 1))
+    if len(lonely):
+        raise NotConnectedError(f"node {lonely[0]} has no edge inside its component")
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def explore(
+    g: Graph, cfg: ExplorationConfig, components: Partition | None = None
+) -> ExplorationResult:
     """Run generations of walks until the stop rule fires or the cap hits.
 
     All walks of a generation read the edge weights as they stood when the
@@ -308,35 +353,65 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     Philox stream keyed by (seed, t), so results are reproducible regardless
     of how the walks are scheduled; here they move in lockstep over CSR rows
     (_csr_walks).
+
+    Without `components`, g must be connected with >= 2 nodes. With them
+    (the connected components of g, as connected_components returns them),
+    every component of two or more nodes is explored as explore() would
+    explore its induced subgraph: cfg.agent_count agents per generation on
+    lanes 0 .. agents - 1, its own start selection and its own stop rule.
+    Single nodes are not explored. The components share one generation
+    loop, in groups small enough that a generation's arrays stay within
+    MAX_GENERATION_CELLS, and a component leaves its group when its stop
+    rule fires.
     """
     cfg.validate()
-    if g.node_count < 2 or not is_connected(g):
-        raise NotConnectedError("exploration needs a connected graph with >= 2 nodes")
-    n = g.node_count
-    m = g.edge_count
-    memory_size = cfg.memory_size
-    weights = np.zeros(m, dtype=np.int64)
-    left, right = np.triu_indices(memory_size, 1)
-    hits = np.zeros(n, dtype=np.int64)
-    generations_run = 0
-    cap_hit = False
-    for generation in range(cfg.max_generations):
-        starts = select_start_nodes(g, hits, cfg, generation)
-        uniforms = _walk_uniforms(cfg.seed, generation, len(starts), memory_size - 1)
-        memory, first = _csr_walks(g, weights, starts, memory_size, uniforms)
-        # every pair of distinct memory nodes, each once per agent (first
-        # visits only); the pairs that are edges add 1 to their edge
-        keep = first[:, left] & first[:, right]
-        # the fold ignores order, and sorted keys are found faster
-        keys = np.sort(memory[:, left][keep] * n + memory[:, right][keep])
-        slots, is_edge = g.slots_of(keys)
-        weights += np.bincount(g.edge_ids[slots[is_edge]], minlength=m)
-        hits += np.bincount(memory.ravel(), minlength=n)
-        generations_run = generation + 1
-        if exploration_done(hits, cfg):
-            break
+    if components is None:
+        if g.node_count < 2 or not is_connected(g):
+            raise NotConnectedError("exploration needs a connected graph with >= 2 nodes")
+        nodes = [np.arange(g.node_count)]
     else:
-        cap_hit = True
+        nodes = _component_nodes(g, components)
+    n, m = g.node_count, g.edge_count
+    agents, memory_size = cfg.agent_count, cfg.memory_size
+    left, right = np.triu_indices(memory_size, 1)
+    weights = np.zeros(m, dtype=np.int64)
+    hits = np.zeros(n, dtype=np.int64)
+    generations = [0] * len(nodes)
+    cap_hit = [False] * len(nodes)
+    walked = [c for c, members in enumerate(nodes) if len(members) > 1]
+    per_group = MAX_GENERATION_CELLS // (agents * memory_size**2)
+    for at in range(0, len(walked), per_group):
+        running = walked[at : at + per_group]
+        for generation in range(cfg.max_generations):
+            starts = np.concatenate(
+                [nodes[c][select_start_nodes(hits[nodes[c]], cfg, generation)] for c in running]
+            )
+            # every component's agents read the same lanes 0 .. agents - 1
+            lanes = _walk_uniforms(cfg.seed, generation, agents, memory_size - 1)
+            memory, first = _csr_walks(
+                g, weights, starts, memory_size, np.tile(lanes, (len(running), 1))
+            )
+            # every pair of distinct memory nodes, each once per agent (first
+            # visits only); the pairs that are edges add 1 to their edge.
+            # Equal keys are one pair, looked up once and added as a count.
+            keep = first[left] & first[right]
+            keys = np.sort(memory[left][keep] * n + memory[right][keep])
+            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+            slots, is_edge = g.slots_of(keys[runs[:-1]])
+            np.add.at(weights, g.edge_ids[slots[is_edge]], np.diff(runs)[is_edge])
+            hits += np.bincount(memory.ravel(), minlength=n)
+            for c in running:
+                generations[c] = generation + 1
+            running = [c for c in running if not exploration_done(hits[nodes[c]], cfg)]
+            if not running:
+                break
+        for c in running:
+            cap_hit[c] = True
     return ExplorationResult(
-        weights=weights, hits=hits.tolist(), generations_run=generations_run, cap_hit=cap_hit
+        weights=weights,
+        hits=hits.tolist(),
+        generations_run=sum(generations),
+        cap_hit=any(cap_hit),
+        component_generations=tuple(generations),
+        component_cap_hit=tuple(cap_hit),
     )

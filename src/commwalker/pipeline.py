@@ -1,17 +1,23 @@
 """End-to-end detection: explore, cut weak edges, keep the best split.
 
-detect() is one loop over the connected components, since walkers can
-never cross components and the visit-count stop rule would never fire on
-the full graph. A connected input is the one-component case: its only
-component is the graph itself, used as is. Community labels are offset so
-components do not collide, and the reported modularity is always
-recomputed on the loaded graph. Per-component diagnostics are reported
-only when there is more than one component.
+Walkers can never cross components, and the visit-count stop rule would
+never fire on the full graph, so every connected component is explored and
+split on its own. detect() hands the component partition to one explore()
+call, which runs all components in one generation loop over the whole
+graph, each with its own stop rule. Each component is then swept on its
+induced subgraph, whose edges keep their order, so its weights are the
+component's slice of the weight array. A connected input is the
+one-component case: its only component is the graph itself, used as is.
+Community labels are offset so components do not collide, and the reported
+modularity is always recomputed on the loaded graph. Per-component
+diagnostics are reported only when there is more than one component.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .analysis import best_split, sweep
 from .errors import NoEdgesError
@@ -91,45 +97,50 @@ def detect(
         seed=seed,
     )
     components = connected_components(g)
+    result = explore(g, cfg, components)
+    # the edge ids of each component, ascending: the order its induced
+    # subgraph numbers them in
+    edge_labels = np.empty(g.edge_count, dtype=np.int64)
+    edge_labels[g.edge_ids] = np.repeat(components.community_of, np.diff(g.indptr))
+    component_edges = np.split(
+        np.argsort(edge_labels, kind="stable"),
+        np.cumsum(np.bincount(edge_labels, minlength=components.community_count))[:-1],
+    )
     labels: list[int] = [-1] * g.node_count
     offset = 0
     details = []
-    generations = hops = removed = 0
-    cap_hit = False
-    for comp in components.members():
+    removed = 0
+    for c, comp in enumerate(components.members()):
         if len(comp) == 1:
             labels[comp[0]] = offset
             offset += 1
             details.append(ComponentDetail(1, 0, 0, 0, 0, False, 1))
             continue
         sub, orig_ids = induced_subgraph(g, comp)
-        result = explore(sub, cfg)
-        split = best_split(sub, result.weights, sweep(sub, result.weights))
+        weights = result.weights[component_edges[c]]
+        split = best_split(sub, weights, sweep(sub, weights))
         for sub_id, orig_id in enumerate(orig_ids):
             labels[orig_id] = offset + split.partition.community_of[sub_id]
         offset += split.partition.community_count
-        generations += result.generations_run
-        hops += result.total_hops
         removed += split.removed_edge_count
-        cap_hit = cap_hit or result.cap_hit
         details.append(
             ComponentDetail(
                 node_count=sub.node_count,
                 edge_count=sub.edge_count,
-                generations_run=result.generations_run,
-                total_hops=result.total_hops,
+                generations_run=result.component_generations[c],
+                total_hops=sum(result.hits[v] for v in comp),
                 removed_edges_at_best=split.removed_edge_count,
-                cap_hit=result.cap_hit,
+                cap_hit=result.component_cap_hit[c],
                 community_count=split.partition.community_count,
             )
         )
     partition = Partition(community_of=labels, community_count=offset)
     q = modularity(g, partition)
     diagnostics = Diagnostics(
-        generations_run=generations,
-        total_hops=hops,
+        generations_run=result.generations_run,
+        total_hops=result.total_hops,
         removed_edges_at_best=removed,
-        cap_hit=cap_hit,
+        cap_hit=result.cap_hit,
         seed=cfg.seed,
         agent_count=cfg.agent_count,
         memory_size=cfg.memory_size,

@@ -214,6 +214,27 @@ def test_detect_seed_outside_key_range_is_config_error(barbell_file, capsys, see
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "seed, trials, named",
+    [(str(2**64 - 2), "3", f"[{2**64 - 2}, {2**64 + 1})"), ("-1", "1", "[-1, 0)")],
+)
+def test_bench_seed_range_checked_before_any_trial(capsys, monkeypatch, seed, trials, named):
+    # 2**64 - 2 is a valid seed, but its third trial's is not: the whole
+    # range is refused up front, named as typed, and no detection runs.
+    def no_detect(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("commwalker.bench.detect", no_detect)
+    code, out, err = run_cli(
+        capsys, "bench", "--synthetic", "blocks=2,size=8,pin=0.9,pout=0.05",
+        "--seed", seed, "--trials", trials,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_detect_non_utf8_input(tmp_path, capsys):
     bad = tmp_path / "latin1.edges"
     bad.write_bytes("caf\xe9 b\n".encode("latin-1"))

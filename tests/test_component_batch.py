@@ -1,0 +1,158 @@
+"""explore() over a component partition pinned to explore() on each
+component's induced subgraph.
+
+One batched generation loop must give every component exactly what a
+separate run on its induced subgraph gives: the same weights on its edges,
+hits on its nodes, generations run and cap flag. Components stop at
+different generations, and a low generation cap is hit by some of them
+only.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from commwalker import ExplorationConfig, connected_components, explore, induced_subgraph
+from commwalker import exploration
+from commwalker.errors import NotConnectedError
+
+from _helpers import pairs_graph
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Random connected parts of 1 to 7 nodes (a part of one node is an
+    isolated node), their node ids interleaved and their edges in any
+    order."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    pairs, at = [], 0
+    for size in sizes:
+        local = {(draw(st.integers(0, i - 1)), i) for i in range(1, size)}  # spanning tree
+        others = [p for p in combinations(range(size), 2) if p not in local]
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        local.update(p for p, kept in zip(others, keep) if kept)
+        pairs += [(ids[at + u], ids[at + v]) for u, v in local]
+        at += size
+    return pairs_graph(n, draw(st.permutations(pairs)))
+
+
+configs = st.builds(
+    ExplorationConfig,
+    agent_count=st.integers(2, 12),
+    memory_size=st.integers(2, 6),
+    hub_fraction=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+    max_generations=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def assert_matches_each_component(g, cfg, result):
+    components = connected_components(g)
+    for c, members in enumerate(components.members()):
+        if len(members) == 1:
+            assert result.hits[members[0]] == 0
+            assert (result.component_generations[c], result.component_cap_hit[c]) == (0, False)
+            continue
+        sub, _ = induced_subgraph(g, members)
+        alone = explore(sub, cfg)
+        edges = [e for e, (u, _) in enumerate(g.edges) if components.community_of[u] == c]
+        assert result.weights[edges].tolist() == alone.weights.tolist()
+        assert [result.hits[v] for v in members] == alone.hits
+        assert result.component_generations[c] == alone.generations_run
+        assert result.component_cap_hit[c] == alone.cap_hit
+    assert result.generations_run == sum(result.component_generations)
+    assert result.cap_hit == any(result.component_cap_hit)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(disconnected_graphs(), configs)
+def test_batched_explore_matches_each_induced_subgraph(g, cfg):
+    result = explore(g, cfg, connected_components(g))
+    assert_matches_each_component(g, cfg, result)
+
+
+def two_speed_graph():
+    """An edge, a triangle, a 9-node path and two isolated nodes (8 and 15),
+    with the node ids of the parts interleaved."""
+    edge = [(0, 5)]
+    triangle = [(1, 6), (6, 9), (1, 9)]
+    path = [(2, 7), (7, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 3), (3, 4)]
+    return pairs_graph(16, edge + path + triangle)
+
+
+def test_cap_hit_by_some_components_only():
+    g = two_speed_graph()
+    cfg = ExplorationConfig(agent_count=6, memory_size=3, seed=3, max_generations=4)
+    result = explore(g, cfg, connected_components(g))
+    stopped = [
+        gens for gens, cap in zip(result.component_generations, result.component_cap_hit)
+        if gens and not cap
+    ]
+    assert stopped and max(stopped) < cfg.max_generations
+    assert 0 < sum(result.component_cap_hit) < sum(gens > 0 for gens in result.component_generations)
+    assert_matches_each_component(g, cfg, result)
+
+
+def test_connected_graph_without_partition_is_one_component():
+    g = two_speed_graph()
+    sub, _ = induced_subgraph(g, [2, 3, 4, 7, 10, 11, 12, 13, 14])
+    cfg = ExplorationConfig(agent_count=5, memory_size=4, seed=8)
+    alone = explore(sub, cfg)
+    batched = explore(sub, cfg, connected_components(sub))
+    assert batched.weights.tolist() == alone.weights.tolist()
+    assert (batched.hits, batched.generations_run, batched.cap_hit) == (
+        alone.hits, alone.generations_run, alone.cap_hit
+    )
+    assert alone.component_generations == (alone.generations_run,)
+    assert alone.component_cap_hit == (alone.cap_hit,)
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group):
+    # With room for only `per_group` components per generation the parts run
+    # in several groups, one after the other, with the same results, and no
+    # generation's walk is larger than the budget.
+    g = pairs_graph(
+        20,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (9, 10), (10, 11),
+         (12, 13), (13, 14), (14, 12), (12, 15), (16, 17), (17, 18)],
+    )  # node 19 isolated; 6 components with edges
+    cfg = ExplorationConfig(agent_count=7, memory_size=4, seed=11, max_generations=30)
+    expected = explore(g, cfg, connected_components(g))
+
+    budget = per_group * cfg.agent_count * cfg.memory_size**2
+    monkeypatch.setattr(exploration, "MAX_GENERATION_CELLS", budget)
+    sizes = []
+    kernel = exploration._csr_walks
+
+    def recording_kernel(graph, weights, starts, memory_size, uniforms):
+        sizes.append(len(starts) * memory_size**2)
+        return kernel(graph, weights, starts, memory_size, uniforms)
+
+    monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
+    result = explore(g, cfg, connected_components(g))
+    assert max(sizes) <= budget
+    assert max(sizes) == budget  # the groups are full at the start
+    assert len(sizes) >= -(-6 // per_group)  # at least one generation per group
+    assert result.weights.tolist() == expected.weights.tolist()
+    assert result.hits == expected.hits
+    assert result.component_generations == expected.component_generations
+    assert result.component_cap_hit == expected.component_cap_hit
+    assert_matches_each_component(g, cfg, result)
+
+
+def test_partition_must_follow_the_edges():
+    g = pairs_graph(4, [(0, 1), (2, 3)])
+    cfg = ExplorationConfig(agent_count=2, memory_size=2)
+    joined = connected_components(pairs_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    result = explore(g, cfg, connected_components(g))
+    assert result.component_generations == (1, 1)
+    with pytest.raises(NotConnectedError):
+        explore(pairs_graph(4, [(0, 1), (1, 2), (2, 3)]), cfg, connected_components(g))
+    with pytest.raises(NotConnectedError):  # node 3 has no edge inside its part
+        explore(pairs_graph(4, [(0, 1), (1, 2)]), cfg, joined)

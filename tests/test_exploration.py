@@ -152,15 +152,15 @@ def test_edge_weight_read_alike_from_both_endpoints():
 def test_select_start_nodes_generation_zero_distinct():
     # Generation 0 cycles through one random node order per seed: distinct
     # starts while agents <= nodes, then floor or ceil(agents / nodes) each.
-    # The order sorts n words of Philox(key=[seed, 0]) jumped past the walks.
-    g, _ = karate()
-    n = g.node_count
-    longest = select_start_nodes(g, [0] * n, ExplorationConfig(agent_count=100, memory_size=4), 0)
+    # The order sorts n words of Philox(key=[seed, 0]) jumped past the walks;
+    # n is the length of the hit list, the nodes of one component.
+    n = 34
+    longest = select_start_nodes([0] * n, ExplorationConfig(agent_count=100, memory_size=4), 0)
     words = np.random.Philox(key=[0, 0]).jumped().random_raw(n)
     assert longest[:n].tolist() == np.argsort(words, kind="stable").tolist()
     for agents in (3, 33, 34, 35, 67, 100):
         cfg = ExplorationConfig(agent_count=agents, memory_size=4)
-        starts = select_start_nodes(g, [0] * n, cfg, 0)
+        starts = select_start_nodes([0] * n, cfg, 0)
         counts = np.bincount(starts, minlength=n)
         assert len(starts) == agents and len(counts) == n
         if agents <= n:
@@ -168,31 +168,28 @@ def test_select_start_nodes_generation_zero_distinct():
         else:
             assert set(counts.tolist()) <= {agents // n, -(-agents // n)}
         assert starts.tolist() == longest[:agents].tolist()  # same seed, same order
-        assert select_start_nodes(g, list(range(n)), cfg, 0).tolist() == starts.tolist()
+        assert select_start_nodes(list(range(n)), cfg, 0).tolist() == starts.tolist()
     reseeded = ExplorationConfig(agent_count=n, memory_size=4, seed=1)
-    assert select_start_nodes(g, [0] * n, reseeded, 0).tolist() != longest[:n].tolist()
+    assert select_start_nodes([0] * n, reseeded, 0).tolist() != longest[:n].tolist()
 
 
 def test_select_start_nodes_hub_and_least_split():
-    g, _ = karate()
     hits = [10, 8, 8, 1] + [0] * 30
     cfg = ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=0.75)
-    starts = select_start_nodes(g, hits, cfg, 1)
+    starts = select_start_nodes(hits, cfg, 1)
     assert starts.tolist() == [0, 1, 2, 4]
-    assert select_start_nodes(g, np.array(hits), cfg, 1).tolist() == [0, 1, 2, 4]
+    assert select_start_nodes(np.array(hits), cfg, 1).tolist() == [0, 1, 2, 4]
 
 
 def test_select_start_nodes_all_nodes_when_agents_equal_nodes():
-    g = barbell6()
     cfg = ExplorationConfig(agent_count=6, memory_size=3, hub_fraction=1.0)
-    starts = select_start_nodes(g, [5, 4, 3, 2, 1, 0], cfg, 1)
+    starts = select_start_nodes([5, 4, 3, 2, 1, 0], cfg, 1)
     assert sorted(starts) == [0, 1, 2, 3, 4, 5]
 
 
 def test_select_start_nodes_repeats_only_when_agents_exceed_nodes():
-    g = path_graph(3)
     cfg = ExplorationConfig(agent_count=7, memory_size=3)
-    starts = select_start_nodes(g, [0, 1, 2], cfg, 1)
+    starts = select_start_nodes([0, 1, 2], cfg, 1)
     assert len(starts) == 7
     assert set(starts) <= {0, 1, 2}
 
@@ -331,7 +328,7 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
     generations = 0
     cap_hit = True
     for generation in range(cfg.max_generations):
-        starts = select_start_nodes(g, hits, cfg, generation)
+        starts = select_start_nodes(hits, cfg, generation)
         w = edge_weights(g, counts)
         memories = []
         for k, start in enumerate(starts):

@@ -4,6 +4,7 @@ fixed inputs, seeds and parameters. A change that alters any output byte
 layout) fails here, not only a rerun within one process."""
 
 import hashlib
+import random
 from importlib.resources import files
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from commwalker import to_edge_list
 from commwalker.cli import main
 
-from _helpers import connected_planted
+from _helpers import connected_planted, random_connected_graph
 
 KARATE_DIGESTS = {
     0: "6a252153ea3ba73364cd8dfb99d1ced4cbe310cbde5feac0d9e9d596a4c99685",
@@ -38,6 +39,16 @@ COMPONENTS_DIGESTS = {
     22: "99c6111b5488ed43c51577436d8f53aa83d6ab2474cd26320cc86ecea03cf838",
 }
 
+# Many components at once: 32 random connected graphs of 2-12 nodes plus 6
+# isolated nodes, with the node ids of all components interleaved, so the
+# components stop at generations from 2 to 27. Keyed by (graph and detect
+# seed, --max-generations); at a cap of 8, 20 of the components hit it.
+MANY_COMPONENTS_DIGESTS = {
+    (31, 1000): "d539ff4e154c6ffe98adaabc1f8342da429763434062d7e993a9d555afdd0faf",
+    (32, 1000): "036f76d8a33a69f50341746a09b961164d2c66c0f99f710c5fbb06472b6037ef",
+    (33, 8): "23d578e7a1d2c71c0b3b8c4b10ad155737416e0171d6a1b8bb91bf552f766b46",
+}
+
 
 def components_gml(seed: int, cliques: int = 8) -> str:
     edges: list[tuple[int, int]] = []
@@ -54,10 +65,31 @@ def components_gml(seed: int, cliques: int = 8) -> str:
         edges += [(u, v) for u in members for v in members if u < v]
         n += 4
     n += 1  # the isolated node
+    return gml_text(n, edges)
+
+
+def gml_text(n: int, edges: list[tuple[int, int]]) -> str:
     lines = ["graph ["]
     lines += [f'  node [ id {i} label "n{i}" ]' for i in range(n)]
     lines += [f"  edge [ source {u} target {v} ]" for u, v in edges]
     return "\n".join(lines + ["]"]) + "\n"
+
+
+def many_components_gml(seed: int, components: int = 32, isolated: int = 6) -> str:
+    rng = random.Random(seed)
+    parts = []  # node count and local edges of each component
+    for _ in range(components):
+        size = rng.randrange(2, 13)
+        parts.append((size, random_connected_graph(rng, size).edges))
+    parts += [(1, [])] * isolated
+    n = sum(size for size, _ in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)  # interleave the components' node ids
+    edges, at = [], 0
+    for size, local in parts:
+        edges += [(ids[at + u], ids[at + v]) for u, v in local]
+        at += size
+    return gml_text(n, edges)
 
 
 def detect_digest(capsys, *argv):
@@ -86,3 +118,13 @@ def test_components_detect_json_digest(tmp_path, capsys, seed):
     path.write_text(components_gml(seed))
     digest = detect_digest(capsys, "--input", str(path), "--seed", str(seed))
     assert digest == COMPONENTS_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed, max_generations", sorted(MANY_COMPONENTS_DIGESTS))
+def test_many_components_detect_json_digest(tmp_path, capsys, seed, max_generations):
+    path = tmp_path / "many.gml"
+    path.write_text(many_components_gml(seed))
+    digest = detect_digest(
+        capsys, "--input", str(path), "--seed", str(seed), "--max-generations", str(max_generations)
+    )
+    assert digest == MANY_COMPONENTS_DIGESTS[(seed, max_generations)]

@@ -14,7 +14,7 @@ import pytest
 from commwalker import run_walk
 from commwalker.exploration import _csr_walks, _walk_uniforms
 
-from _helpers import edge_weights, pairs_graph, replay
+from _helpers import edge_weights, neighbor_lists, pairs_graph, replay
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -46,8 +46,8 @@ def test_csr_walks_match_run_walk(case):
     memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), memory_size, uniforms)
     for k, start in enumerate(starts):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
-        assert memory[k].tolist() == expected
-        assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
 
 
 def _integer_points(total):
@@ -78,8 +78,36 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
     memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), 3, np.array(rows))
     for k, (start, row) in enumerate(zip(starts, rows)):
         expected = run_walk(g, w, start, 3, replay(row))
-        assert memory[k].tolist() == expected
-        assert first[k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+
+
+def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
+    # Walk x -> L -> x -> c -> d (memory 6). L is a leaf, so the walk comes
+    # back to x with the tabu relaxed, and x is then an older node twice.
+    # At d the tabu is the twin d -> c plus d -> x from both older copies of
+    # x: sorted, the copy of d -> x becomes an empty entry between the two
+    # real tabu slots. d's row is f, x, g, c, e with masses 2, 3, 1, 4, 2,
+    # so the allowed mass before the tabu slot of x is 2 and before that of
+    # c is 3, out of T = 5. The last uniform runs over every u = j / T and
+    # (j + 1/2) / T: floor(r) + 1 meets the allowed mass before each tabu
+    # slot, is one more and one less.
+    x, leaf, c, d, f, g_, e = range(7)
+    g = pairs_graph(7, [(x, leaf), (x, c), (d, f), (x, d), (d, g_), (c, d), (d, e)])
+    assert neighbor_lists(g)[d] == [f, x, g_, c, e]
+    w = np.array([0, 5, 1, 2, 0, 3, 1], dtype=np.int64)
+    total = 5
+    last = [j / total for j in range(total)] + [(j + 0.5) / total for j in range(total)]
+    rows = np.array([[0.0, 0.0, u] for u in last])
+    memory, first = _csr_walks(g, w, np.full(len(rows), x), 6, rows)
+    picks = set()
+    for k, row in enumerate(rows):
+        expected = run_walk(g, w, x, 6, replay(row))
+        assert expected[:5] == [x, leaf, x, c, d]
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+        picks.add(expected[5])
+    assert picks == {f, g_, e}
 
 
 def test_walk_uniforms_layout():
