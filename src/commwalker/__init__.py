@@ -29,7 +29,6 @@ from .graph import (
     Partition,
     connected_components,
     induced_subgraph,
-    is_connected,
     load_edge_list,
     load_gml,
     load_labels,
@@ -68,7 +67,6 @@ __all__ = [
     "exploration_done",
     "explore",
     "induced_subgraph",
-    "is_connected",
     "load_edge_list",
     "load_gml",
     "load_labels",

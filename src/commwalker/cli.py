@@ -74,8 +74,9 @@ def _load_result_communities(path: str) -> dict[str, int]:
                 ) from None
         return communities
     communities = payload.get("communities") if isinstance(payload, dict) else None
+    # JSON true and false load as bool, a subclass of int: not a label
     if not isinstance(communities, dict) or not all(
-        isinstance(label, int) for label in communities.values()
+        type(label) is int for label in communities.values()
     ):
         raise InputError(f"{path}: JSON result has no 'communities' map of node to integer label")
     return communities
@@ -90,6 +91,8 @@ def cmd_eval(args) -> int:
     unknown = sorted(set(truth_map) - set(predicted_map))
     if unknown:
         raise UnknownNodeError(f"truth file names unknown node '{unknown[0]}'")
+    if not predicted_map:
+        raise InputError(f"{args.result} and {args.truth} name no nodes")
 
     names = sorted(predicted_map)
     predicted = Partition.from_labels([predicted_map[n] for n in names])

@@ -16,11 +16,12 @@ step picks by one integer search in it, so a step costs agents x memory
 whatever the degrees. run_walk() walks the same rows one agent at a time;
 it is the one reference this kernel is pinned to.
 
-Walkers never cross components, so every component of a disconnected graph
-is explored as if it were the whole graph: its own agents, hits and stop
-rule, on the same draws. explore() runs them all in one generation loop
-over the whole graph's rows, and a component leaves the batch when its
-stop rule fires.
+Walkers never cross components, so explore() finds the graph's connected
+components itself and explores each one as if it were the whole graph: its
+own agents, hits and stop rule, on the same draws. It runs them all in one
+generation loop over the whole graph's rows, and a component leaves the
+batch when its stop rule fires. A connected graph is the one-component
+case.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
-from .graph import Graph, Partition, is_connected, search_in_order
+from .errors import ConfigInvalidError, IsolatedNodeError
+from .graph import Graph, Partition, connected_components, search_in_order
 
 # Memories are plain ordered lists of node ids; hit counts are indexed by
 # node id (a list or an int array); weights are indexed by edge id.
@@ -126,15 +127,17 @@ class ExplorationResult:
     """weights[e] is the co-visit count of the endpoints of edge e and
     hits[v] the visits of node v.
 
-    component_generations[c] and component_cap_hit[c] are the generations
-    component c ran and whether it hit the cap (0 and False for a single
-    node); generations_run is their sum and cap_hit their OR.
+    components is the graph's connected components, as connected_components
+    returns them. component_generations[c] and component_cap_hit[c] are the
+    generations component c ran and whether it hit the cap (0 and False for
+    a single node); generations_run is their sum and cap_hit their OR.
     """
 
     weights: EdgeWeights
     hits: list[int]
     generations_run: int
     cap_hit: bool
+    components: Partition
     component_generations: tuple[int, ...]
     component_cap_hit: tuple[bool, ...]
 
@@ -325,26 +328,7 @@ def _sort_columns(a: np.ndarray) -> None:
             a[i] = low
 
 
-def _component_nodes(g: Graph, components: Partition) -> list[np.ndarray]:
-    """The node ids of each component, ascending. Checks that no edge joins
-    two components and that every node of a component of two or more nodes
-    has an edge."""
-    labels = np.asarray(components.community_of, dtype=np.int64)
-    if len(labels) != g.node_count:
-        raise ValueError("components must label every node of the graph")
-    degrees = np.diff(g.indptr)
-    if (np.repeat(labels, degrees) != labels[g.neighbors]).any():
-        raise NotConnectedError("an edge joins two of the given components")
-    sizes = np.bincount(labels, minlength=components.community_count)
-    lonely = np.flatnonzero((degrees == 0) & (sizes[labels] > 1))
-    if len(lonely):
-        raise NotConnectedError(f"node {lonely[0]} has no edge inside its component")
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-
-
-def explore(
-    g: Graph, cfg: ExplorationConfig, components: Partition | None = None
-) -> ExplorationResult:
+def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     """Run generations of walks until the stop rule fires or the cap hits.
 
     All walks of a generation read the edge weights as they stood when the
@@ -354,23 +338,19 @@ def explore(
     of how the walks are scheduled; here they move in lockstep over CSR rows
     (_csr_walks).
 
-    Without `components`, g must be connected with >= 2 nodes. With them
-    (the connected components of g, as connected_components returns them),
-    every component of two or more nodes is explored as explore() would
-    explore its induced subgraph: cfg.agent_count agents per generation on
-    lanes 0 .. agents - 1, its own start selection and its own stop rule.
-    Single nodes are not explored. The components share one generation
-    loop, in groups small enough that a generation's arrays stay within
-    MAX_GENERATION_CELLS, and a component leaves its group when its stop
-    rule fires.
+    g may be any graph. Its connected components are found once and
+    returned in the result; every component of two or more nodes is
+    explored as explore() would explore its induced subgraph:
+    cfg.agent_count agents per generation on lanes 0 .. agents - 1, its own
+    start selection and its own stop rule. Single nodes are not explored,
+    so a graph without an edge runs 0 generations. The components share one
+    generation loop, in groups small enough that a generation's arrays stay
+    within MAX_GENERATION_CELLS, and a component leaves its group when its
+    stop rule fires.
     """
     cfg.validate()
-    if components is None:
-        if g.node_count < 2 or not is_connected(g):
-            raise NotConnectedError("exploration needs a connected graph with >= 2 nodes")
-        nodes = [np.arange(g.node_count)]
-    else:
-        nodes = _component_nodes(g, components)
+    components = connected_components(g)
+    nodes = [np.array(members) for members in components.members()]
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
@@ -412,6 +392,7 @@ def explore(
         hits=hits.tolist(),
         generations_run=sum(generations),
         cap_hit=any(cap_hit),
+        components=components,
         component_generations=tuple(generations),
         component_cap_hit=tuple(cap_hit),
     )

@@ -439,24 +439,21 @@ def connected_components(g: Graph, removed: np.ndarray | None = None) -> Partiti
     return Partition(community_of=labels, community_count=count)
 
 
-def is_connected(g: Graph) -> bool:
-    return g.node_count > 0 and connected_components(g).community_count == 1
+def induced_subgraph(
+    g: Graph, node_ids: Iterable[int]
+) -> tuple[Graph, list[int], list[int]]:
+    """Subgraph induced by node_ids; returns (subgraph, sub-id -> original
+    id, sub edge id -> original edge id).
 
-
-def induced_subgraph(g: Graph, node_ids: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph induced by node_ids; returns (subgraph, sub-id -> original-id).
-
-    Node names are preserved; edges keep their original relative order.
-    A node set spanning the whole graph gives g itself, uncopied.
+    Node names are preserved; edges keep their original relative order, so
+    the edge ids ascend. A node set spanning the whole graph gives g itself,
+    uncopied.
     """
     kept = sorted(set(node_ids))
     if len(kept) == g.node_count:
-        return g, kept
+        return g, kept, list(range(g.edge_count))
     orig_to_sub = {orig: sub for sub, orig in enumerate(kept)}
     names = [g.nodes[orig] for orig in kept]
-    pairs = [
-        (orig_to_sub[u], orig_to_sub[v])
-        for u, v in g.edges
-        if u in orig_to_sub and v in orig_to_sub
-    ]
-    return Graph.from_edges(names, pairs), kept
+    edge_ids = [e for e, (u, v) in enumerate(g.edges) if u in orig_to_sub and v in orig_to_sub]
+    pairs = [(orig_to_sub[u], orig_to_sub[v]) for u, v in (g.edges[e] for e in edge_ids)]
+    return Graph.from_edges(names, pairs), kept, edge_ids

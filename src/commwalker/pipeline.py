@@ -2,12 +2,12 @@
 
 Walkers can never cross components, and the visit-count stop rule would
 never fire on the full graph, so every connected component is explored and
-split on its own. detect() hands the component partition to one explore()
-call, which runs all components in one generation loop over the whole
-graph, each with its own stop rule. Each component is then swept on its
-induced subgraph, whose edges keep their order, so its weights are the
-component's slice of the weight array. A connected input is the
-one-component case: its only component is the graph itself, used as is.
+split on its own. One explore() call finds the components and runs them
+all in one generation loop over the whole graph, each with its own stop
+rule. Each component is then swept on its induced subgraph, whose edge ids
+map its weights back to the component's entries of the weight array. A
+connected input is the one-component case: its only component is the graph
+itself, used as is.
 Community labels are offset so components do not collide, and the reported
 modularity is always recomputed on the loaded graph. Per-component
 diagnostics are reported only when there is more than one component.
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .analysis import best_split, sweep
 from .errors import NoEdgesError
 from .exploration import ExplorationConfig, explore
-from .graph import Graph, Partition, connected_components, induced_subgraph
+from .graph import Graph, Partition, induced_subgraph
 from .modularity import modularity
 
 
@@ -96,28 +94,19 @@ def detect(
         max_generations=max_generations,
         seed=seed,
     )
-    components = connected_components(g)
-    result = explore(g, cfg, components)
-    # the edge ids of each component, ascending: the order its induced
-    # subgraph numbers them in
-    edge_labels = np.empty(g.edge_count, dtype=np.int64)
-    edge_labels[g.edge_ids] = np.repeat(components.community_of, np.diff(g.indptr))
-    component_edges = np.split(
-        np.argsort(edge_labels, kind="stable"),
-        np.cumsum(np.bincount(edge_labels, minlength=components.community_count))[:-1],
-    )
+    result = explore(g, cfg)
     labels: list[int] = [-1] * g.node_count
     offset = 0
     details = []
     removed = 0
-    for c, comp in enumerate(components.members()):
+    for c, comp in enumerate(result.components.members()):
         if len(comp) == 1:
             labels[comp[0]] = offset
             offset += 1
             details.append(ComponentDetail(1, 0, 0, 0, 0, False, 1))
             continue
-        sub, orig_ids = induced_subgraph(g, comp)
-        weights = result.weights[component_edges[c]]
+        sub, orig_ids, edge_ids = induced_subgraph(g, comp)
+        weights = result.weights[edge_ids]
         split = best_split(sub, weights, sweep(sub, weights))
         for sub_id, orig_id in enumerate(orig_ids):
             labels[orig_id] = offset + split.partition.community_of[sub_id]

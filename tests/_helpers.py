@@ -15,7 +15,6 @@ from commwalker import (
     Partition,
     connected_components,
     edge_removal_order,
-    is_connected,
     load_edge_list,
     load_labels,
     modularity,
@@ -118,7 +117,7 @@ def connected_planted(blocks: int, size: int, p_in: float, p_out: float, seed: i
     """Planted-partition sample, redrawing deterministically until connected."""
     for attempt in range(100):
         g, truth = planted_partition(blocks, size, p_in, p_out, seed + 100_000 * attempt)
-        if is_connected(g):
+        if connected_components(g).community_count == 1:
             return g, truth
     raise RuntimeError("no connected planted sample found")
 
@@ -176,7 +175,7 @@ def flood_fill_sweep(g: Graph, w: np.ndarray) -> list[FloodFillRecord]:
     """Reference for sweep(): remove edges one at a time in removal order,
     flood-fill after every cut, and record the partition and its float
     modularity whenever the component count grows. O(m·(n+m))."""
-    if not is_connected(g):
+    if connected_components(g).community_count != 1:
         raise NotConnectedError("sweep needs a connected graph")
     cut = np.zeros(g.edge_count, dtype=bool)
     baseline = connected_components(g, cut)

@@ -255,12 +255,27 @@ def test_eval_tsv_result_non_integer_label(tmp_path, capsys):
 
 def test_eval_json_communities_not_a_map(tmp_path, capsys):
     result_path = tmp_path / "result.json"
-    result_path.write_text(json.dumps({"communities": [0, 1]}))
     truth_path = tmp_path / "truth.labels"
     truth_path.write_text("0 0\n1 1\n")
-    code, _, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
-    assert code == 1
-    assert "error:" in err and "'communities' map" in err
+    # JSON booleans load as Python bools, which are ints: still not labels
+    for communities in ([0, 1], {"0": 0, "1": True}):
+        result_path.write_text(json.dumps({"communities": communities}))
+        code, _, err = run_cli(
+            capsys, "eval", "--result", str(result_path), "--truth", str(truth_path)
+        )
+        assert code == 1
+        assert "error:" in err and "'communities' map" in err
+
+
+@pytest.mark.parametrize("result_text", ["", json.dumps({"communities": {}})], ids=["tsv", "json"])
+def test_eval_no_nodes_is_input_error(tmp_path, capsys, result_text):
+    result_path = tmp_path / "result"
+    result_path.write_text(result_text)
+    truth_path = tmp_path / "truth.labels"
+    truth_path.write_text("")
+    code, out, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert (code, out) == (1, "")
+    assert "error:" in err and "name no nodes" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""explore() over a component partition pinned to explore() on each
+"""explore() on a disconnected graph pinned to explore() on each
 component's induced subgraph.
 
 One batched generation loop must give every component exactly what a
@@ -14,7 +14,6 @@ import pytest
 
 from commwalker import ExplorationConfig, connected_components, explore, induced_subgraph
 from commwalker import exploration
-from commwalker.errors import NotConnectedError
 
 from _helpers import pairs_graph
 
@@ -53,14 +52,15 @@ configs = st.builds(
 
 def assert_matches_each_component(g, cfg, result):
     components = connected_components(g)
+    assert result.components.community_of == components.community_of
+    assert result.components.community_count == components.community_count
     for c, members in enumerate(components.members()):
         if len(members) == 1:
             assert result.hits[members[0]] == 0
             assert (result.component_generations[c], result.component_cap_hit[c]) == (0, False)
             continue
-        sub, _ = induced_subgraph(g, members)
+        sub, _, edges = induced_subgraph(g, members)
         alone = explore(sub, cfg)
-        edges = [e for e, (u, _) in enumerate(g.edges) if components.community_of[u] == c]
         assert result.weights[edges].tolist() == alone.weights.tolist()
         assert [result.hits[v] for v in members] == alone.hits
         assert result.component_generations[c] == alone.generations_run
@@ -72,7 +72,7 @@ def assert_matches_each_component(g, cfg, result):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(disconnected_graphs(), configs)
 def test_batched_explore_matches_each_induced_subgraph(g, cfg):
-    result = explore(g, cfg, connected_components(g))
+    result = explore(g, cfg)
     assert_matches_each_component(g, cfg, result)
 
 
@@ -88,7 +88,7 @@ def two_speed_graph():
 def test_cap_hit_by_some_components_only():
     g = two_speed_graph()
     cfg = ExplorationConfig(agent_count=6, memory_size=3, seed=3, max_generations=4)
-    result = explore(g, cfg, connected_components(g))
+    result = explore(g, cfg)
     stopped = [
         gens for gens, cap in zip(result.component_generations, result.component_cap_hit)
         if gens and not cap
@@ -96,20 +96,6 @@ def test_cap_hit_by_some_components_only():
     assert stopped and max(stopped) < cfg.max_generations
     assert 0 < sum(result.component_cap_hit) < sum(gens > 0 for gens in result.component_generations)
     assert_matches_each_component(g, cfg, result)
-
-
-def test_connected_graph_without_partition_is_one_component():
-    g = two_speed_graph()
-    sub, _ = induced_subgraph(g, [2, 3, 4, 7, 10, 11, 12, 13, 14])
-    cfg = ExplorationConfig(agent_count=5, memory_size=4, seed=8)
-    alone = explore(sub, cfg)
-    batched = explore(sub, cfg, connected_components(sub))
-    assert batched.weights.tolist() == alone.weights.tolist()
-    assert (batched.hits, batched.generations_run, batched.cap_hit) == (
-        alone.hits, alone.generations_run, alone.cap_hit
-    )
-    assert alone.component_generations == (alone.generations_run,)
-    assert alone.component_cap_hit == (alone.cap_hit,)
 
 
 @pytest.mark.parametrize("per_group", [1, 2, 3])
@@ -123,7 +109,7 @@ def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group)
          (12, 13), (13, 14), (14, 12), (12, 15), (16, 17), (17, 18)],
     )  # node 19 isolated; 6 components with edges
     cfg = ExplorationConfig(agent_count=7, memory_size=4, seed=11, max_generations=30)
-    expected = explore(g, cfg, connected_components(g))
+    expected = explore(g, cfg)
 
     budget = per_group * cfg.agent_count * cfg.memory_size**2
     monkeypatch.setattr(exploration, "MAX_GENERATION_CELLS", budget)
@@ -135,7 +121,7 @@ def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group)
         return kernel(graph, weights, starts, memory_size, uniforms)
 
     monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
-    result = explore(g, cfg, connected_components(g))
+    result = explore(g, cfg)
     assert max(sizes) <= budget
     assert max(sizes) == budget  # the groups are full at the start
     assert len(sizes) >= -(-6 // per_group)  # at least one generation per group
@@ -144,15 +130,3 @@ def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group)
     assert result.component_generations == expected.component_generations
     assert result.component_cap_hit == expected.component_cap_hit
     assert_matches_each_component(g, cfg, result)
-
-
-def test_partition_must_follow_the_edges():
-    g = pairs_graph(4, [(0, 1), (2, 3)])
-    cfg = ExplorationConfig(agent_count=2, memory_size=2)
-    joined = connected_components(pairs_graph(4, [(0, 1), (1, 2), (2, 3)]))
-    result = explore(g, cfg, connected_components(g))
-    assert result.component_generations == (1, 1)
-    with pytest.raises(NotConnectedError):
-        explore(pairs_graph(4, [(0, 1), (1, 2), (2, 3)]), cfg, connected_components(g))
-    with pytest.raises(NotConnectedError):  # node 3 has no edge inside its part
-        explore(pairs_graph(4, [(0, 1), (1, 2)]), cfg, joined)

@@ -1,6 +1,7 @@
 """The package imports only the standard library and its declared
 dependencies: numpy and scipy. networkx and the other dev tools are test
-references only, never imported by src/."""
+references only, never imported by src/. Every name the package exports
+exists."""
 
 import ast
 import sys
@@ -33,3 +34,11 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
                 continue
             for module in modules:
                 assert module.split(".")[0] in ALLOWED, f"{path.name} imports {module}"
+
+
+def test_every_exported_name_exists():
+    # a stale __all__ entry makes `from commwalker import *` fail
+    import commwalker
+
+    missing = [name for name in commwalker.__all__ if not hasattr(commwalker, name)]
+    assert missing == []

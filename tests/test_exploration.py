@@ -12,7 +12,7 @@ from commwalker import (
     run_walk,
     select_start_nodes,
 )
-from commwalker.errors import ConfigInvalidError, IsolatedNodeError, NotConnectedError
+from commwalker.errors import ConfigInvalidError, IsolatedNodeError
 from commwalker.exploration import MAX_GENERATION_CELLS, _walk_uniforms
 from commwalker.graph import Graph
 
@@ -353,14 +353,13 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
     assert cap_hit == expected.cap_hit
 
 
-def test_explore_rejects_disconnected_or_trivial():
-    g = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
-    cfg = ExplorationConfig(agent_count=2, memory_size=2)
-    with pytest.raises(NotConnectedError):
-        explore(g, cfg)
+def test_explore_single_node_runs_no_generation():
     single = Graph.from_edges(["a"], [])
-    with pytest.raises(NotConnectedError):
-        explore(single, ExplorationConfig(agent_count=2, memory_size=2))
+    result = explore(single, ExplorationConfig(agent_count=2, memory_size=2))
+    assert result.hits == [0]
+    assert (result.generations_run, result.cap_hit) == (0, False)
+    assert (result.component_generations, result.component_cap_hit) == ((0,), (False,))
+    assert result.weights.tolist() == []
 
 
 def test_explore_cap_hit_flag():

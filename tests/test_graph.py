@@ -9,7 +9,6 @@ from commwalker import (
     Partition,
     connected_components,
     induced_subgraph,
-    is_connected,
     load_edge_list,
     load_gml,
     load_labels,
@@ -294,11 +293,15 @@ def test_mask_monotonicity_properties():
 
 def test_induced_subgraph():
     g = barbell6()
-    sub, orig = induced_subgraph(g, [3, 4, 5])
+    sub, orig, edge_ids = induced_subgraph(g, [3, 4, 5])
     assert orig == [3, 4, 5]
     assert sub.node_count == 3
     assert sub.edge_count == 3
     assert sub.nodes == [g.nodes[3], g.nodes[4], g.nodes[5]]
-    assert is_connected(sub)
-    whole, orig = induced_subgraph(g, range(6))
+    assert connected_components(sub).community_count == 1
+    assert len(edge_ids) == sub.edge_count
+    for (u, v), e in zip(sub.edges, edge_ids):
+        assert g.edges[e] == (orig[u], orig[v])
+    whole, orig, edge_ids = induced_subgraph(g, range(6))
     assert whole is g and orig == list(range(6))
+    assert edge_ids == list(range(g.edge_count))
