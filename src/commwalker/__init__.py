@@ -28,7 +28,6 @@ from .graph import (
     Graph,
     Partition,
     connected_components,
-    induced_subgraph,
     load_edge_list,
     load_gml,
     load_labels,
@@ -66,7 +65,6 @@ __all__ = [
     "errors",
     "exploration_done",
     "explore",
-    "induced_subgraph",
     "load_edge_list",
     "load_gml",
     "load_labels",

@@ -1,20 +1,27 @@
 """Edge-removal sweep: cut edges in ascending weight order, score every
-component split by modularity on the original graph, keep the best.
+component split by modularity, keep the best.
+
+Walkers never cross a connected component, so every component is cut and
+scored on its own: its edges go in its own removal order (the graph's
+order restricted to them), and its candidates are scored with its own edge
+count m. One pass over the whole graph does this for every component,
+since the union-find below never merges across components.
 
 The sweep walks the removal order backwards over a union-find: it starts
 from singletons and adds the edges from last to first, so every merge of
-two components is, read forwards, the cut that splits them. Each component
-carries its degree sum, and a merge moves the smaller component's members
-into the larger one while counting their neighbours already there: those
-are the original edges that become internal (the merge bookkeeping of
-Clauset, Newman & Moore 2004). That is O(m log n) neighbour visits for the
-whole sweep, plus one flood fill to materialise the winner.
+two sets is, read forwards, the cut that splits them. Each set carries its
+degree sum, and a merge moves the smaller set's members into the larger
+one while counting their neighbours already there: those are the original
+edges that become internal (the merge bookkeeping of Clauset, Newman &
+Moore 2004). That is O(m log n) neighbour visits for the whole sweep, plus
+one flood fill to materialise the winners.
 
-Each candidate is scored by the exact integer 4m·Σintra − Σdeg², which is
-Q·4m², so exact ties stay ties: the highest score wins, and a tie goes to
-the candidate with fewer removed edges. The sweep runs to exhaustion
-because modularity along the removal sequence is not unimodal; stopping at
-the first decline could miss the optimum.
+Each candidate is scored by the exact integer 4m·Σintra − Σdeg² of its
+component, which is Q·4m² on that component alone, so exact ties stay
+ties: the highest score wins, and a tie goes to the candidate with fewer
+removed edges. The sweep runs to exhaustion because modularity along the
+removal sequence is not unimodal; stopping at the first decline could miss
+the optimum.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEdgesError, NotConnectedError
 from .exploration import EdgeWeights
 from .graph import Graph, Partition, connected_components
 from .modularity import modularity
@@ -31,10 +37,10 @@ from .modularity import modularity
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One candidate community structure met during the sweep: the
-    components left once the first removed_edge_count edges of the removal
-    order are cut, and their modularity on the original graph as the exact
-    integer q_scaled = Q·4m²."""
+    """One candidate community structure of a connected component met
+    during the sweep: the parts left once the first removed_edge_count of
+    its edges in removal order are cut, and their modularity on the
+    component as the exact integer q_scaled = Q·4m², m its edge count."""
 
     removed_edge_count: int
     community_count: int
@@ -43,7 +49,9 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class Split:
-    """The winning candidate, materialised; q is modularity(g, partition)."""
+    """Every component's winning candidate, materialised as one partition of
+    the graph; removed_edge_count is their total and q is
+    modularity(g, partition)."""
 
     removed_edge_count: int
     partition: Partition
@@ -55,50 +63,60 @@ def edge_removal_order(w: EdgeWeights) -> np.ndarray:
     return np.argsort(w, kind="stable")
 
 
-def sweep(g: Graph, w: EdgeWeights) -> list[CandidateRecord]:
-    """Every candidate met while removing edges in removal order, one per
-    increase of the component count, in order of removed edges.
+def sweep(g: Graph, w: EdgeWeights) -> list[list[CandidateRecord]]:
+    """Every candidate of every connected component of g, one list per
+    component in connected_components(g) order.
 
-    The first record is the baseline single-community partition (Q = 0);
-    the last is all singletons.
+    A component's list has one record per increase of its community count
+    as its edges are cut in removal order, in order of removed edges: the
+    first is the whole component as one community (Q = 0), the last is all
+    singletons. A lone node's only record is CandidateRecord(0, 1, 0).
     """
-    m = g.edge_count
-    order = edge_removal_order(w).tolist()
+    components = connected_components(g)
+    of = components.community_of
     indptr = g.indptr.tolist()
     neighbors = g.neighbors.tolist()
+    degsum = g.degrees()
+    # per component: communities left, 2m, Σdeg² and intra-community edges
+    k = components.sizes()
+    two_m = [0] * len(k)
+    square_sum = [0] * len(k)
+    for u, d in enumerate(degsum):
+        two_m[of[u]] += d
+        square_sum[of[u]] += d * d
+    intra = [0] * len(k)
+    left = [twice // 2 for twice in two_m]  # edges not yet added back
     component = list(range(g.node_count))
     members = [[u] for u in range(g.node_count)]
-    degsum = g.degrees()
-    square_sum = sum(d * d for d in degsum)
-    intra = 0
-    k = g.node_count
-    records = []
-    for removed in range(m, 0, -1):
-        u, v = g.edges[order[removed - 1]]
+    records: list[list[CandidateRecord]] = [[] for _ in k]
+    for e in reversed(edge_removal_order(w).tolist()):
+        u, v = g.edges[e]
+        c = of[u]
+        removed = left[c]
+        left[c] = removed - 1
         a, b = component[u], component[v]
         if a == b:
             continue
-        records.append(CandidateRecord(removed, k, 4 * m * intra - square_sum))
+        records[c].append(CandidateRecord(removed, k[c], 2 * two_m[c] * intra[c] - square_sum[c]))
         if len(members[a]) > len(members[b]):
             a, b = b, a
         moved = members[a]
+        joined = 0
         for x in moved:
             for y in neighbors[indptr[x] : indptr[x + 1]]:
                 if component[y] == b:
-                    intra += 1
+                    joined += 1
         for x in moved:
             component[x] = b
         members[b].extend(moved)
         members[a] = []
-        square_sum += 2 * degsum[a] * degsum[b]
+        intra[c] += joined
+        square_sum[c] += 2 * degsum[a] * degsum[b]
         degsum[b] += degsum[a]
-        k -= 1
-    if k != 1:
-        raise NotConnectedError("sweep needs a connected graph")
-    if m == 0:
-        raise NoEdgesError("modularity is undefined on a graph with no edges")
-    records.append(CandidateRecord(0, 1, 4 * m * intra - square_sum))
-    records.reverse()
+        k[c] -= 1
+    for c, own in enumerate(records):
+        own.append(CandidateRecord(0, 1, 2 * two_m[c] * intra[c] - square_sum[c]))
+        own.reverse()
     return records
 
 
@@ -107,17 +125,27 @@ def best_partition(candidates: list[CandidateRecord]) -> CandidateRecord:
     return max(candidates, key=lambda r: (r.q_scaled, -r.removed_edge_count))
 
 
-def best_split(g: Graph, w: EdgeWeights, candidates: list[CandidateRecord]) -> Split:
-    """Materialise the best of sweep(g, w)'s candidates: the components of
-    g once the first k = removed_edge_count edges of the removal order are
-    cut. Those edges are selected, not sorted again: every edge lighter than
-    the k-th smallest weight, then the lowest-id edges of that weight."""
-    best = best_partition(candidates)
-    k = best.removed_edge_count
+def best_split(g: Graph, w: EdgeWeights, candidates: list[list[CandidateRecord]]) -> Split:
+    """Materialise the best of every component's candidates, as listed by
+    sweep(g, w): the components of g once the first removed_edge_count
+    edges of each component's removal order are cut.
+
+    Communities are numbered component by component, in
+    connected_components(g) order, and within a component by lowest node.
+    removed_edge_count is the total over the components.
+    """
+    of = connected_components(g).community_of
+    left = [best_partition(records).removed_edge_count for records in candidates]
+    total = sum(left)
     removed = np.zeros(g.edge_count, dtype=bool)
-    if k:
-        cut = np.partition(w, k - 1)[k - 1]
-        removed = w < cut
-        removed[np.flatnonzero(w == cut)[: k - removed.sum()]] = True
-    partition = connected_components(g, removed)
-    return Split(best.removed_edge_count, partition, modularity(g, partition))
+    for e in edge_removal_order(w).tolist():
+        c = of[g.edges[e][0]]
+        if left[c]:
+            left[c] -= 1
+            removed[e] = True
+    # the flood fill numbers the parts by lowest node over the whole graph;
+    # within a component that order is kept
+    keys = list(zip(of, connected_components(g, removed).community_of))
+    label = {key: i for i, key in enumerate(sorted(set(keys)))}
+    partition = Partition([label[key] for key in keys], len(label))
+    return Split(total, partition, modularity(g, partition))

@@ -65,9 +65,5 @@ class IsolatedNodeError(CommWalkerError):
     """A walk was asked to move from a node with no neighbors."""
 
 
-class NotConnectedError(CommWalkerError):
-    """An operation that requires a connected graph got a disconnected one."""
-
-
 class ConfigInvalidError(ConfigError):
     """A parameter value violates its documented constraints."""

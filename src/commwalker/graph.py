@@ -377,16 +377,20 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
 
 
 def parse_label_lines(text: str | Iterable[str]) -> dict[str, str]:
-    """Parse a "name label" file into a name -> label-token map."""
+    """Parse a "name label" file into a name -> label-token map.
+
+    The label is the last token of a line and the name is the rest of it,
+    so a name may contain whitespace, as GML labels can.
+    """
     lines = text.splitlines() if isinstance(text, str) else text
     labels: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = line.rsplit(None, 1)
         if len(tokens) != 2:
-            raise MalformedLineError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+            raise MalformedLineError(f"line {lineno}: expected a name and a label, got {line!r}")
         name, label = tokens
         if name in labels:
             raise MalformedLineError(f"line {lineno}: duplicate label for '{name}'")
@@ -438,22 +442,3 @@ def connected_components(g: Graph, removed: np.ndarray | None = None) -> Partiti
         count += 1
     return Partition(community_of=labels, community_count=count)
 
-
-def induced_subgraph(
-    g: Graph, node_ids: Iterable[int]
-) -> tuple[Graph, list[int], list[int]]:
-    """Subgraph induced by node_ids; returns (subgraph, sub-id -> original
-    id, sub edge id -> original edge id).
-
-    Node names are preserved; edges keep their original relative order, so
-    the edge ids ascend. A node set spanning the whole graph gives g itself,
-    uncopied.
-    """
-    kept = sorted(set(node_ids))
-    if len(kept) == g.node_count:
-        return g, kept, list(range(g.edge_count))
-    orig_to_sub = {orig: sub for sub, orig in enumerate(kept)}
-    names = [g.nodes[orig] for orig in kept]
-    edge_ids = [e for e, (u, v) in enumerate(g.edges) if u in orig_to_sub and v in orig_to_sub]
-    pairs = [(orig_to_sub[u], orig_to_sub[v]) for u, v in (g.edges[e] for e in edge_ids)]
-    return Graph.from_edges(names, pairs), kept, edge_ids

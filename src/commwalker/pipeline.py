@@ -4,24 +4,22 @@ Walkers can never cross components, and the visit-count stop rule would
 never fire on the full graph, so every connected component is explored and
 split on its own. One explore() call finds the components and runs them
 all in one generation loop over the whole graph, each with its own stop
-rule. Each component is then swept on its induced subgraph, whose edge ids
-map its weights back to the component's entries of the weight array. A
-connected input is the one-component case: its only component is the graph
-itself, used as is.
-Community labels are offset so components do not collide, and the reported
-modularity is always recomputed on the loaded graph. Per-component
-diagnostics are reported only when there is more than one component.
+rule. One sweep() over the whole graph then scores every component's
+candidates on their own, and one best_split() cuts each component at its
+best candidate, numbers the communities component by component and scores
+the whole partition on the loaded graph. A connected input is the
+one-component case. Per-component diagnostics are reported only when there
+is more than one component.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .analysis import best_split, sweep
+from .analysis import best_partition, best_split, sweep
 from .errors import NoEdgesError
 from .exploration import ExplorationConfig, explore
-from .graph import Graph, Partition, induced_subgraph
-from .modularity import modularity
+from .graph import Graph, Partition
 
 
 @dataclass(frozen=True)
@@ -95,40 +93,26 @@ def detect(
         seed=seed,
     )
     result = explore(g, cfg)
-    labels: list[int] = [-1] * g.node_count
-    offset = 0
+    candidates = sweep(g, result.weights)
+    split = best_split(g, result.weights, candidates)
     details = []
-    removed = 0
-    for c, comp in enumerate(result.components.members()):
-        if len(comp) == 1:
-            labels[comp[0]] = offset
-            offset += 1
-            details.append(ComponentDetail(1, 0, 0, 0, 0, False, 1))
-            continue
-        sub, orig_ids, edge_ids = induced_subgraph(g, comp)
-        weights = result.weights[edge_ids]
-        split = best_split(sub, weights, sweep(sub, weights))
-        for sub_id, orig_id in enumerate(orig_ids):
-            labels[orig_id] = offset + split.partition.community_of[sub_id]
-        offset += split.partition.community_count
-        removed += split.removed_edge_count
+    for c, (records, members) in enumerate(zip(candidates, result.components.members())):
+        best = best_partition(records)
         details.append(
             ComponentDetail(
-                node_count=sub.node_count,
-                edge_count=sub.edge_count,
+                node_count=len(members),
+                edge_count=records[-1].removed_edge_count,  # the last candidate cuts every edge
                 generations_run=result.component_generations[c],
-                total_hops=sum(result.hits[v] for v in comp),
-                removed_edges_at_best=split.removed_edge_count,
+                total_hops=sum(result.hits[v] for v in members),
+                removed_edges_at_best=best.removed_edge_count,
                 cap_hit=result.component_cap_hit[c],
-                community_count=split.partition.community_count,
+                community_count=best.community_count,
             )
         )
-    partition = Partition(community_of=labels, community_count=offset)
-    q = modularity(g, partition)
     diagnostics = Diagnostics(
         generations_run=result.generations_run,
         total_hops=result.total_hops,
-        removed_edges_at_best=removed,
+        removed_edges_at_best=split.removed_edge_count,
         cap_hit=result.cap_hit,
         seed=cfg.seed,
         agent_count=cfg.agent_count,
@@ -136,5 +120,7 @@ def detect(
         components=tuple(details) if len(details) > 1 else None,
     )
 
-    communities = {name: partition.community_of[i] for i, name in enumerate(g.nodes)}
-    return DetectionResult(communities=communities, q=q, partition=partition, diagnostics=diagnostics)
+    communities = {name: split.partition.community_of[i] for i, name in enumerate(g.nodes)}
+    return DetectionResult(
+        communities=communities, q=split.q, partition=split.partition, diagnostics=diagnostics
+    )

@@ -13,13 +13,15 @@ import numpy as np
 from commwalker import (
     Graph,
     Partition,
+    best_split,
     connected_components,
     edge_removal_order,
     load_edge_list,
     load_labels,
     modularity,
+    sweep,
 )
-from commwalker.errors import IsolatedNodeError, NotConnectedError
+from commwalker.errors import IsolatedNodeError
 from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -84,6 +86,45 @@ def random_partition(rng: random.Random, n: int) -> Partition:
     k = rng.randrange(1, n + 1)
     labels = [rng.randrange(k) for _ in range(n)]
     return Partition.from_labels(labels)
+
+
+def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, list[int], list[int]]:
+    """Subgraph induced by node_ids; returns (subgraph, sub-id -> original
+    id, sub edge id -> original edge id).
+
+    Node names are preserved; edges keep their original relative order, so
+    the edge ids ascend. A node set spanning the whole graph gives g itself,
+    uncopied.
+    """
+    kept = sorted(set(node_ids))
+    if len(kept) == g.node_count:
+        return g, kept, list(range(g.edge_count))
+    orig_to_sub = {orig: sub for sub, orig in enumerate(kept)}
+    names = [g.nodes[orig] for orig in kept]
+    edge_ids = [e for e, (u, v) in enumerate(g.edges) if u in orig_to_sub and v in orig_to_sub]
+    pairs = [(orig_to_sub[u], orig_to_sub[v]) for u, v in (g.edges[e] for e in edge_ids)]
+    return Graph.from_edges(names, pairs), kept, edge_ids
+
+
+def per_component_split(g: Graph, w: np.ndarray) -> Partition:
+    """Reference for best_split(g, w, sweep(g, w)).partition: every
+    component swept and split on its own induced subgraph, its community
+    labels offset by those of the components before it (components in
+    connected_components order; a lone node is one community)."""
+    labels = [-1] * g.node_count
+    offset = 0
+    for members in connected_components(g).members():
+        sub, orig_ids, edge_ids = induced_subgraph(g, members)
+        if sub.edge_count == 0:
+            labels[orig_ids[0]] = offset
+            offset += 1
+            continue
+        weights = w[edge_ids]
+        split = best_split(sub, weights, sweep(sub, weights))
+        for sub_id, orig_id in enumerate(orig_ids):
+            labels[orig_id] = offset + split.partition.community_of[sub_id]
+        offset += split.partition.community_count
+    return Partition(community_of=labels, community_count=offset)
 
 
 def reachability_components(g: Graph, removed: list[bool]) -> list[int]:
@@ -176,7 +217,7 @@ def flood_fill_sweep(g: Graph, w: np.ndarray) -> list[FloodFillRecord]:
     flood-fill after every cut, and record the partition and its float
     modularity whenever the component count grows. O(m·(n+m))."""
     if connected_components(g).community_count != 1:
-        raise NotConnectedError("sweep needs a connected graph")
+        raise ValueError("the reference sweeps a connected graph")
     cut = np.zeros(g.edge_count, dtype=bool)
     baseline = connected_components(g, cut)
     records = [FloodFillRecord(0, baseline, modularity(g, baseline))]

@@ -12,8 +12,6 @@ from commwalker import (
     modularity,
     sweep,
 )
-from commwalker.errors import NotConnectedError
-from commwalker.graph import Graph
 
 from _helpers import (
     barbell6,
@@ -50,7 +48,7 @@ def test_removal_order_ascending_weights():
 
 def test_sweep_single_edge_graph():
     g = pairs_graph(2, [(0, 1)])
-    records = sweep(g, edge_weights(g))
+    [records] = sweep(g, edge_weights(g))
     assert [r.community_count for r in records] == [1, 2]
     assert records[0].q_scaled == 0
     assert records[1].q_scaled == -2  # Q = -0.5 with 4m² = 4
@@ -60,12 +58,12 @@ def test_sweep_barbell_with_ideal_weights():
     g = barbell6()
     truth = Partition(community_of=[0, 0, 0, 1, 1, 1], community_count=2)
     w = ideal_weights(g, truth)
-    records = sweep(g, w)
+    [records] = sweep(g, w)
     assert flood_fill_sweep(g, w)[1].partition.community_of == truth.community_of
     assert records[1].q_scaled == 70  # Q = 5/14 with 4m² = 196
     assert records[1].removed_edge_count == 1
     assert best_partition(records) == records[1]
-    split = best_split(g, w, records)
+    split = best_split(g, w, [records])
     assert split.partition.community_of == truth.community_of
     assert split.q == pytest.approx(5 / 14, abs=1e-12)
 
@@ -75,7 +73,7 @@ def test_sweep_ends_with_singletons_and_counts_increase():
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         w = edge_weights(g, {edge: rng.randrange(5) for edge in g.edges})
-        records = sweep(g, w)
+        [records] = sweep(g, w)
         assert records[0].community_count == 1
         assert records[-1].community_count == g.node_count
         assert records[-1].removed_edge_count == g.edge_count
@@ -90,22 +88,36 @@ def test_sweep_q_matches_modularity_bitwise():
     rng = random.Random(4)
     for _ in range(5):
         w = edge_weights(g, {edge: rng.randrange(10) for edge in g.edges})
-        records = sweep(g, w)
+        [records] = sweep(g, w)
         oracle = flood_fill_sweep(g, w)
         assert len(records) == len(oracle)
         for record, reference in zip(records, oracle):
             assert record.q_scaled == scaled_modularity(g, reference.partition)
-        split = best_split(g, w, records)
+        split = best_split(g, w, [records])
         assert split.q == modularity(g, split.partition)
         at_best = next(r for r in oracle if r.removed_edge_count == split.removed_edge_count)
         assert split.partition == at_best.partition
         assert split.q == at_best.q
 
 
-def test_sweep_requires_connected_graph():
-    g = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
-    with pytest.raises(NotConnectedError):
-        sweep(g, edge_weights(g))
+def test_sweep_scores_each_component_on_its_own():
+    # Components {0, 2}, the path 1-3-4-6 and the lone node 5, in order of
+    # their lowest node. Each is cut in its own removal order and scored
+    # with its own m: the path's bridge (3, 4) is its first cut, although
+    # the lighter edge (0, 2) comes before it in the whole graph's order.
+    g = pairs_graph(7, [(1, 3), (0, 2), (3, 4), (4, 6)])
+    w = edge_weights(g, {(1, 3): 2, (0, 2): 0, (3, 4): 1, (4, 6): 2})
+    candidates = sweep(g, w)
+    assert candidates == [
+        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, -2)],
+        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, 6), CandidateRecord(2, 3, -2),
+         CandidateRecord(3, 4, -10)],
+        [CandidateRecord(0, 1, 0)],
+    ]
+    split = best_split(g, w, candidates)
+    assert split.removed_edge_count == 1
+    assert split.partition.community_of == [0, 1, 0, 1, 2, 3, 2]
+    assert split.q == modularity(g, split.partition)
 
 
 def test_best_partition_argmax():
@@ -120,11 +132,11 @@ def test_best_partition_argmax():
 
 def test_best_partition_baseline_wins_when_all_else_negative():
     g = pairs_graph(2, [(0, 1)])
-    records = sweep(g, edge_weights(g))
+    [records] = sweep(g, edge_weights(g))
     best = best_partition(records)
     assert best.community_count == 1
     assert best.q_scaled == 0
-    split = best_split(g, edge_weights(g), records)
+    split = best_split(g, edge_weights(g), [records])
     assert split.partition.community_count == 1
     assert split.q == 0.0
 
@@ -149,9 +161,9 @@ def test_best_partition_exact_tie_beats_float_rounding():
     oracle = {r.removed_edge_count: r for r in flood_fill_sweep(g, w)}
     assert oracle[4].q > oracle[2].q
     assert scaled_modularity(g, oracle[4].partition) == scaled_modularity(g, oracle[2].partition)
-    records = sweep(g, w)
+    [records] = sweep(g, w)
     assert best_partition(records).removed_edge_count == 2
-    split = best_split(g, w, records)
+    split = best_split(g, w, [records])
     assert split.partition == oracle[2].partition
     assert split.q == oracle[2].q
 
@@ -174,9 +186,9 @@ def test_sweep_recovers_oracle_optimum_when_achievable():
         if not achievable:
             continue
         w = ideal_weights(g, oracle_partition)
-        records = sweep(g, w)
+        [records] = sweep(g, w)
         assert best_partition(records).q_scaled == scaled_modularity(g, oracle_partition)
-        best = best_split(g, w, records)
+        best = best_split(g, w, [records])
         assert best.q == pytest.approx(oracle_q, abs=1e-12)
         checked += 1
     assert checked >= 5

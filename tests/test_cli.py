@@ -111,6 +111,28 @@ def test_eval_accepts_tsv_result(tmp_path, capsys):
     assert "accuracy: 1.000000" in out
 
 
+@pytest.mark.parametrize("result_format", ["tsv", "json"])
+def test_eval_reads_back_tsv_names_with_spaces(tmp_path, capsys, result_format):
+    # GML labels may contain spaces (polbooks' book titles do), and detect's
+    # TSV names each node by its label: eval reads it back as a result file
+    # and as a truth file
+    graph_path = tmp_path / "books.gml"
+    graph_path.write_text(
+        'graph [ node [ id 0 label "War on Terror" ] node [ id 1 label "Bush" ]'
+        " node [ id 2 label x ] edge [ source 0 target 1 ] edge [ source 1 target 2 ] ]"
+    )
+    _, tsv, _ = run_cli(capsys, "detect", "--input", str(graph_path), "--output", "tsv")
+    assert tsv.startswith("War on Terror\t")
+    truth_path = tmp_path / "truth.tsv"
+    truth_path.write_text(tsv)
+    result_path = tmp_path / f"result.{result_format}"
+    _, out, _ = run_cli(capsys, "detect", "--input", str(graph_path), "--output", result_format)
+    result_path.write_text(out)
+    code, out, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert (code, err) == (0, "")
+    assert "accuracy: 1.000000" in out
+
+
 def test_eval_karate_one_misplaced(tmp_path, capsys):
     truth_text = (DATA / "karate_truth.labels").read_text()
     result_path = tmp_path / "result.tsv"

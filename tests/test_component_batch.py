@@ -1,21 +1,31 @@
-"""explore() on a disconnected graph pinned to explore() on each
-component's induced subgraph.
+"""explore(), sweep() and best_split() on a disconnected graph pinned to
+the same calls on each component's induced subgraph.
 
 One batched generation loop must give every component exactly what a
 separate run on its induced subgraph gives: the same weights on its edges,
 hits on its nodes, generations run and cap flag. Components stop at
 different generations, and a low generation cap is hit by some of them
-only.
+only. One sweep over the whole graph must give every component the
+candidates of a sweep of its induced subgraph, and one best split the
+partition that splitting each component on its own and offsetting the
+labels gives.
 """
 
 from itertools import combinations
 
 import pytest
 
-from commwalker import ExplorationConfig, connected_components, explore, induced_subgraph
+from commwalker import (
+    ExplorationConfig,
+    best_split,
+    connected_components,
+    explore,
+    modularity,
+    sweep,
+)
 from commwalker import exploration
 
-from _helpers import pairs_graph
+from _helpers import edge_weights, induced_subgraph, pairs_graph, per_component_split
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -74,6 +84,27 @@ def assert_matches_each_component(g, cfg, result):
 def test_batched_explore_matches_each_induced_subgraph(g, cfg):
     result = explore(g, cfg)
     assert_matches_each_component(g, cfg, result)
+
+
+@st.composite
+def weighted_disconnected_graphs(draw):
+    g = draw(disconnected_graphs().filter(lambda g: g.edge_count))  # Q needs an edge
+    return g, edge_weights(g, {edge: draw(st.integers(0, 2)) for edge in g.edges})
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(weighted_disconnected_graphs())
+def test_whole_graph_sweep_matches_each_induced_subgraph(case):
+    g, w = case
+    candidates = sweep(g, w)
+    components = connected_components(g).members()
+    assert len(candidates) == len(components)
+    for records, members in zip(candidates, components):
+        sub, _, edges = induced_subgraph(g, members)
+        assert records == sweep(sub, w[edges])[0]
+    split = best_split(g, w, candidates)
+    assert split.partition == per_component_split(g, w)
+    assert split.q == modularity(g, split.partition)
 
 
 def two_speed_graph():

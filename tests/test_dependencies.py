@@ -1,7 +1,7 @@
 """The package imports only the standard library and its declared
 dependencies: numpy and scipy. networkx and the other dev tools are test
 references only, never imported by src/. Every name the package exports
-exists."""
+exists, and every error type it declares is raised by it."""
 
 import ast
 import sys
@@ -22,10 +22,8 @@ def test_declared_dependencies_match_pyproject():
 
 
 def test_src_imports_only_stdlib_and_declared_dependencies():
-    paths = sorted((ROOT / "src" / "commwalker").glob("*.py"))
-    assert paths
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in src_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -34,6 +32,29 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
                 continue
             for module in modules:
                 assert module.split(".")[0] in ALLOWED, f"{path.name} imports {module}"
+
+
+def src_trees():
+    paths = sorted((ROOT / "src" / "commwalker").glob("*.py"))
+    assert paths
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_every_leaf_error_is_raised():
+    # an error type nothing raises is dead API: callers catch what never comes
+    errors = ast.parse((ROOT / "src" / "commwalker" / "errors.py").read_text())
+    classes = [node for node in errors.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    leaves = {node.name for node in classes} - bases
+    raised = set()
+    for _, tree in src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(leaves) > 10
+    assert sorted(leaves - raised) == []
 
 
 def test_every_exported_name_exists():

@@ -8,7 +8,6 @@ import pytest
 from commwalker import (
     Partition,
     connected_components,
-    induced_subgraph,
     load_edge_list,
     load_gml,
     load_labels,
@@ -26,6 +25,7 @@ from commwalker.errors import (
 
 from _helpers import (
     barbell6,
+    induced_subgraph,
     neighbor_lists,
     pairs_graph,
     random_connected_graph,
@@ -217,6 +217,8 @@ def test_load_labels_and_errors():
         load_labels("a 0\nb 0\n", g)
     with pytest.raises(MalformedLineError):
         load_labels("a 0\na 1\nb 0\nc 1\n", g)
+    with pytest.raises(MalformedLineError):  # a name without a label
+        load_labels("a 0\nb\nc 1\n", g)
 
 
 def test_partition_validates_dense_labels():
@@ -292,6 +294,7 @@ def test_mask_monotonicity_properties():
 
 
 def test_induced_subgraph():
+    # the test oracle that the batched explore and sweep are pinned to
     g = barbell6()
     sub, orig, edge_ids = induced_subgraph(g, [3, 4, 5])
     assert orig == [3, 4, 5]

@@ -200,6 +200,7 @@ def test_modularity_matches_networkx():
     for g in [k] + [random_connected_graph(rng, rng.randrange(2, 12)) for _ in range(20)]:
         w = edge_weights(g, {edge: rng.randrange(4) for edge in g.edges})
         four_m_squared = 4 * g.edge_count**2
-        for record, reference in zip(sweep(g, w), flood_fill_sweep(g, w)):
+        [records] = sweep(g, w)
+        for record, reference in zip(records, flood_fill_sweep(g, w)):
             expected = nx_modularity(g, reference.partition)
             assert record.q_scaled / four_m_squared == pytest.approx(expected, abs=1e-12)

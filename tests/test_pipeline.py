@@ -4,7 +4,7 @@ from commwalker import detect, load_edge_list, load_gml, modularity, partition_a
 from commwalker.errors import NoEdgesError
 from commwalker.graph import Graph
 
-from _helpers import barbell6
+from _helpers import barbell6, pairs_graph
 
 
 def test_detect_barbell_finds_triangles():
@@ -81,6 +81,24 @@ def test_detect_disconnected_with_isolated_node():
     singleton = [c for c in result.diagnostics.components if c.node_count == 1]
     assert len(singleton) == 1
     assert singleton[0].generations_run == 0
+
+
+def test_detect_builds_no_graph(monkeypatch):
+    # Every component is swept and split in place. A subgraph built per
+    # component scans all m edges each time: O(components × m) in all.
+    g = pairs_graph(900, [(u, u + 1) for u in range(900) if u % 3 != 2])  # 300 paths
+    built = []
+    from_edges = Graph.from_edges.__func__
+
+    def counting_from_edges(cls, names, edge_pairs):
+        built.append(len(names))
+        return from_edges(cls, names, edge_pairs)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting_from_edges))
+    result = detect(g, agent_count=2, memory_size=2, max_generations=1)
+    assert built == []
+    assert len(result.diagnostics.components) == 300
+    assert result.q == modularity(g, result.partition)
 
 
 def test_detect_rejects_edgeless_graph():

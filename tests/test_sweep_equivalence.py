@@ -33,7 +33,7 @@ def weighted_connected_graphs(draw):
 @hypothesis.given(weighted_connected_graphs())
 def test_sweep_matches_flood_fill_reference(case):
     g, w = case
-    records = sweep(g, w)
+    [records] = sweep(g, w)
     oracle = flood_fill_sweep(g, w)
     assert [(r.removed_edge_count, r.community_count) for r in records] == [
         (o.removed_edge_count, o.partition.community_count) for o in oracle
@@ -41,7 +41,7 @@ def test_sweep_matches_flood_fill_reference(case):
     exact = [scaled_modularity(g, o.partition) for o in oracle]
     assert [r.q_scaled for r in records] == exact
     winner = oracle[exact.index(max(exact))]  # fewest removals among exact ties
-    split = best_split(g, w, records)
+    split = best_split(g, w, [records])
     assert split.removed_edge_count == winner.removed_edge_count
     assert split.partition == winner.partition
     assert split.q == modularity(g, split.partition) == winner.q
