@@ -21,7 +21,6 @@ from .exploration import (
     ExplorationResult,
     exploration_done,
     explore,
-    run_walk,
     select_start_nodes,
 )
 from .graph import (
@@ -34,7 +33,6 @@ from .graph import (
     to_edge_list,
 )
 from .modularity import (
-    brute_force_best_partition,
     confusion_matrix,
     modularity,
     partition_accuracy,
@@ -57,7 +55,6 @@ __all__ = [
     "TrialOutcome",
     "best_partition",
     "best_split",
-    "brute_force_best_partition",
     "confusion_matrix",
     "connected_components",
     "detect",
@@ -72,7 +69,6 @@ __all__ = [
     "partition_accuracy",
     "planted_partition",
     "run_bench",
-    "run_walk",
     "select_start_nodes",
     "sweep",
     "to_edge_list",

@@ -65,14 +65,14 @@ def edge_removal_order(w: EdgeWeights) -> np.ndarray:
 
 def sweep(g: Graph, w: EdgeWeights) -> list[list[CandidateRecord]]:
     """Every candidate of every connected component of g, one list per
-    component in connected_components(g) order.
+    component in g.components order.
 
     A component's list has one record per increase of its community count
     as its edges are cut in removal order, in order of removed edges: the
     first is the whole component as one community (Q = 0), the last is all
     singletons. A lone node's only record is CandidateRecord(0, 1, 0).
     """
-    components = connected_components(g)
+    components = g.components
     of = components.community_of
     indptr = g.indptr.tolist()
     neighbors = g.neighbors.tolist()
@@ -130,11 +130,11 @@ def best_split(g: Graph, w: EdgeWeights, candidates: list[list[CandidateRecord]]
     sweep(g, w): the components of g once the first removed_edge_count
     edges of each component's removal order are cut.
 
-    Communities are numbered component by component, in
-    connected_components(g) order, and within a component by lowest node.
+    Communities are numbered component by component, in g.components
+    order, and within a component by lowest node.
     removed_edge_count is the total over the components.
     """
-    of = connected_components(g).community_of
+    of = g.components.community_of
     left = [best_partition(records).removed_edge_count for records in candidates]
     total = sum(left)
     removed = np.zeros(g.edge_count, dtype=bool)

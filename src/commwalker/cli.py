@@ -138,6 +138,10 @@ def cmd_bench(args) -> int:
         "max_generations": args.max_generations,
     }
     if args.synthetic:
+        given = {"--input": args.input, "--truth": args.truth, "--format": args.format}
+        ignored = [flag for flag, value in given.items() if value is not None]
+        if ignored:
+            raise ConfigInvalidError(f"--synthetic generates its graphs; drop {', '.join(ignored)}")
         params = _parse_synthetic(args.synthetic)
 
         def source(seed: int):

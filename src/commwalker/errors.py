@@ -57,13 +57,5 @@ class PartitionMismatchError(CommWalkerError):
     """A partition is sized for a different graph."""
 
 
-class TooLargeError(CommWalkerError):
-    """The graph exceeds the size limit of an exhaustive operation."""
-
-
-class IsolatedNodeError(CommWalkerError):
-    """A walk was asked to move from a node with no neighbors."""
-
-
 class ConfigInvalidError(ConfigError):
     """A parameter value violates its documented constraints."""

@@ -13,15 +13,15 @@ words ahead. explore() moves all agents of a generation together, one step
 at a time, as arrays over the graph's CSR rows (_csr_walks): the
 generation's slot masses 1 + weight are summed once into a prefix, and each
 step picks by one integer search in it, so a step costs agents x memory
-whatever the degrees. run_walk() walks the same rows one agent at a time;
-it is the one reference this kernel is pinned to.
+whatever the degrees. The test suite pins this kernel to a scalar
+reference that walks the same rows one agent at a time.
 
-Walkers never cross components, so explore() finds the graph's connected
-components itself and explores each one as if it were the whole graph: its
-own agents, hits and stop rule, on the same draws. It runs them all in one
-generation loop over the whole graph's rows, and a component leaves the
-batch when its stop rule fires. A connected graph is the one-component
-case.
+Walkers never cross components, so explore() reads the graph's connected
+components (Graph.components) and explores each one as if it were the
+whole graph: its own agents, hits and stop rule, on the same draws. It
+runs them all in one generation loop over the whole graph's rows, and a
+component leaves the batch when its stop rule fires. A connected graph is
+the one-component case.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError, IsolatedNodeError
-from .graph import Graph, Partition, connected_components, search_in_order
+from .errors import ConfigInvalidError
+from .graph import Graph, search_in_order
 
-# Memories are plain ordered lists of node ids; hit counts are indexed by
-# node id (a list or an int array); weights are indexed by edge id.
-AgentMemory = list
+# Hit counts are indexed by node id (a list or an int array); weights are
+# indexed by edge id.
 HitCounts = list | np.ndarray
 EdgeWeights = np.ndarray
 
@@ -127,17 +126,16 @@ class ExplorationResult:
     """weights[e] is the co-visit count of the endpoints of edge e and
     hits[v] the visits of node v.
 
-    components is the graph's connected components, as connected_components
-    returns them. component_generations[c] and component_cap_hit[c] are the
-    generations component c ran and whether it hit the cap (0 and False for
-    a single node); generations_run is their sum and cap_hit their OR.
+    component_generations[c] and component_cap_hit[c] are the generations
+    component c of the graph (in Graph.components order) ran and whether it
+    hit the cap (0 and False for a single node); generations_run is their
+    sum and cap_hit their OR.
     """
 
     weights: EdgeWeights
     hits: list[int]
     generations_run: int
     cap_hit: bool
-    components: Partition
     component_generations: tuple[int, ...]
     component_cap_hit: tuple[bool, ...]
 
@@ -166,47 +164,6 @@ def _walk_uniforms(seed: int, generation: int, agent_count: int, draws: int) -> 
     """
     words = _philox(seed, generation).random_raw(agent_count * draws)
     return (words.reshape(agent_count, draws) >> 11) * _UNIT
-
-
-def run_walk(g: Graph, w: EdgeWeights, start: int, memory_size: int, rng) -> AgentMemory:
-    """One agent walk of exactly memory_size nodes starting at `start`.
-
-    Every node already in this walk's memory is tabu; the tabu is dropped
-    for a step when it would block every neighbor. A step moves to a
-    non-tabu neighbor with probability proportional to 1 + edge weight,
-    spending one uniform draw when there is more than one candidate. rng
-    needs only a .random() method returning floats in [0, 1).
-
-    This is the scalar reference for the CSR kernel in explore(): fed row k
-    of the generation's _walk_uniforms in order, with the generation's
-    weight snapshot, it returns the memory that agent k gets there (the
-    test suite pins the equivalence).
-    """
-    indptr = g.indptr.tolist()
-    if indptr[start] == indptr[start + 1]:
-        raise IsolatedNodeError(f"node {start} has no neighbors")
-    neighbors = g.neighbors.tolist()
-    mass = (1 + w[g.edge_ids]).tolist()  # move mass of each slot
-    uniform = rng.random
-    memory = [start]
-    visited = {start}
-    current = start
-    for _ in range(memory_size - 1):
-        row = range(indptr[current], indptr[current + 1])
-        candidates = [s for s in row if neighbors[s] not in visited] or row
-        if len(candidates) == 1:
-            slot = candidates[0]
-        else:
-            r = uniform() * sum(mass[s] for s in candidates)
-            acc = 0
-            for slot in candidates:
-                acc += mass[slot]
-                if r < acc:
-                    break
-        current = neighbors[slot]
-        memory.append(current)
-        visited.add(current)
-    return memory
 
 
 def select_start_nodes(hits: HitCounts, cfg: ExplorationConfig, generation: int) -> np.ndarray:
@@ -248,10 +205,13 @@ def _csr_walks(
     memory_size: int,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """run_walk for every agent of a generation, all taking step s together.
+    """The walks of every agent of a generation, all taking step s together.
 
-    Column k of the (memory_size, agents) memory is what run_walk returns
-    from starts[k] when its stream yields row k of `uniforms`; the mask
+    Column k of the (memory_size, agents) memory is agent k's walk from
+    starts[k]: every node already in its memory is tabu (the tabu is
+    dropped for a step when it would block every neighbor), and a step
+    moves to a non-tabu neighbor with probability proportional to
+    1 + edge weight, drawn with the uniforms of row k in order; the mask
     marks the first visit of each node in each column. Slot masses
     1 + weight are summed once into a prefix over all slots. At each step an
     agent's tabu slots are the twin of the slot it just took plus the slots
@@ -338,9 +298,8 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     of how the walks are scheduled; here they move in lockstep over CSR rows
     (_csr_walks).
 
-    g may be any graph. Its connected components are found once and
-    returned in the result; every component of two or more nodes is
-    explored as explore() would explore its induced subgraph:
+    g may be any graph. Every component of g.components of two or more
+    nodes is explored as explore() would explore its induced subgraph:
     cfg.agent_count agents per generation on lanes 0 .. agents - 1, its own
     start selection and its own stop rule. Single nodes are not explored,
     so a graph without an edge runs 0 generations. The components share one
@@ -349,8 +308,7 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     stop rule fires.
     """
     cfg.validate()
-    components = connected_components(g)
-    nodes = [np.array(members) for members in components.members()]
+    nodes = [np.array(members) for members in g.components.members()]
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
@@ -392,7 +350,6 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
         hits=hits.tolist(),
         generations_run=sum(generations),
         cap_hit=any(cap_hit),
-        components=components,
         component_generations=tuple(generations),
         component_cap_hit=tuple(cap_hit),
     )

@@ -4,14 +4,16 @@ Nodes carry external string names; internally everything runs on dense
 integer ids assigned in first-appearance order. Edges get dense ids in
 input order, stored as (u, v) with u < v. Each node's neighbours are
 stored once, in the CSR arrays that Graph.from_edges builds: the walk
-kernel, the walk reference, the sweep, the flood fill and modularity all
-read them.
+kernel, the sweep, the flood fill and modularity all read them. The
+connected components are found once per graph, on first use of
+Graph.components, and every phase of detection reads that one partition.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -38,9 +40,11 @@ class Graph:
     in edge-id order. A slot holds its neighbour and edge id; sorted_keys
     holds the directed keys u * n + v of all slots in ascending order, with
     the slot of each in slot_by_key, and twins[s] is the slot of the same
-    edge read from the other end. The arrays are read-only and nothing is
-    mutated after construction, so a graph is safe to share across any
-    number of concurrent readers.
+    edge read from the other end. The arrays are read-only. The one value
+    filled after construction is components, on first use; it depends only
+    on the arrays, so two concurrent first reads at worst flood the graph
+    twice and store equal partitions, and a graph is safe to share across
+    any number of concurrent readers.
     """
 
     nodes: list[str]
@@ -63,6 +67,14 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
+
+    @cached_property
+    def components(self) -> Partition:
+        """The connected components, as connected_components(self) returns
+        them: labelled in order of each component's lowest node id. Found
+        on first use and kept (cached_property writes the instance __dict__
+        directly, past the frozen dataclass's __setattr__)."""
+        return connected_components(self)
 
     def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, found) of directed keys u * n + v; slot is arbitrary
@@ -199,11 +211,15 @@ def to_edge_list(g: Graph) -> str:
     """Serialize a graph back to edge-list text (inverse of load_edge_list).
 
     An edge whose first name starts with '#' is written the other way
-    round, so that its line is not read back as a comment.
+    round, so that its line is not read back as a comment. An edge no line
+    can carry, because both names start with '#' or a name is empty or
+    holds whitespace, raises MalformedLineError.
     """
     lines = []
     for u, v in g.edges:
         a, b = g.nodes[u], g.nodes[v]
+        if a.startswith("#") and b.startswith("#") or a.split() != [a] or b.split() != [b]:
+            raise MalformedLineError(f"edge {a!r}-{b!r} cannot be written as an edge-list line")
         lines.append(f"{b} {a}\n" if a.startswith("#") else f"{a} {b}\n")
     return "".join(lines)
 

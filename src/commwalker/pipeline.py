@@ -2,12 +2,13 @@
 
 Walkers can never cross components, and the visit-count stop rule would
 never fire on the full graph, so every connected component is explored and
-split on its own. One explore() call finds the components and runs them
-all in one generation loop over the whole graph, each with its own stop
-rule. One sweep() over the whole graph then scores every component's
-candidates on their own, and one best_split() cuts each component at its
-best candidate, numbers the communities component by component and scores
-the whole partition on the loaded graph. A connected input is the
+split on its own. The graph finds its components once (Graph.components),
+and every phase reads them in that order. One explore() call runs them all
+in one generation loop over the whole graph, each with its own stop rule.
+One sweep() over the whole graph then scores every component's candidates
+on their own, and one best_split() cuts each component at its best
+candidate, numbers the communities component by component and scores the
+whole partition on the loaded graph. A connected input is the
 one-component case. Per-component diagnostics are reported only when there
 is more than one component.
 """
@@ -96,7 +97,7 @@ def detect(
     candidates = sweep(g, result.weights)
     split = best_split(g, result.weights, candidates)
     details = []
-    for c, (records, members) in enumerate(zip(candidates, result.components.members())):
+    for c, (records, members) in enumerate(zip(candidates, g.components.members())):
         best = best_partition(records)
         details.append(
             ComponentDetail(

@@ -21,7 +21,6 @@ from commwalker import (
     modularity,
     sweep,
 )
-from commwalker.errors import IsolatedNodeError
 from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -194,7 +193,7 @@ def move_probabilities(g: Graph, w: np.ndarray, current: int, tabu: set[int]) ->
     row = slice(g.indptr[current], g.indptr[current + 1])
     neighbors, edge_ids = g.neighbors[row].tolist(), g.edge_ids[row].tolist()
     if not neighbors:
-        raise IsolatedNodeError(f"node {current} has no neighbors")
+        raise ValueError(f"node {current} has no neighbors")
     allowed = [i for i, v in enumerate(neighbors) if v not in tabu]
     if not allowed:
         allowed = list(range(len(neighbors)))
@@ -204,6 +203,114 @@ def move_probabilities(g: Graph, w: np.ndarray, current: int, tabu: set[int]) ->
     for i, wt in zip(allowed, weights):
         probs[i] = wt / total
     return probs
+
+
+def run_walk(g: Graph, w: np.ndarray, start: int, memory_size: int, rng) -> list[int]:
+    """Scalar reference for the lockstep walk kernel: one agent walk of
+    exactly memory_size nodes starting at `start`.
+
+    Every node already in this walk's memory is tabu; the tabu is dropped
+    for a step when it would block every neighbor. A step moves to a
+    non-tabu neighbor with probability proportional to 1 + edge weight,
+    spending one uniform draw when there is more than one candidate. rng
+    needs only a .random() method returning floats in [0, 1).
+
+    Fed row k of the generation's _walk_uniforms in order, with the
+    generation's weight snapshot, it returns the memory that agent k gets
+    in explore().
+    """
+    indptr = g.indptr.tolist()
+    if indptr[start] == indptr[start + 1]:
+        raise ValueError(f"node {start} has no neighbors")
+    neighbors = g.neighbors.tolist()
+    mass = (1 + w[g.edge_ids]).tolist()  # move mass of each slot
+    uniform = rng.random
+    memory = [start]
+    visited = {start}
+    current = start
+    for _ in range(memory_size - 1):
+        row = range(indptr[current], indptr[current + 1])
+        candidates = [s for s in row if neighbors[s] not in visited] or row
+        if len(candidates) == 1:
+            slot = candidates[0]
+        else:
+            r = uniform() * sum(mass[s] for s in candidates)
+            acc = 0
+            for slot in candidates:
+                acc += mass[slot]
+                if r < acc:
+                    break
+        current = neighbors[slot]
+        memory.append(current)
+        visited.add(current)
+    return memory
+
+
+# Exhaustive partition enumeration explodes with the Bell numbers; 12 nodes
+# (4.2M partitions) is the practical ceiling.
+BRUTE_FORCE_NODE_LIMIT = 12
+
+
+def _set_partitions(n: int):
+    """Yield every set partition of range(n) as (labels, k), lexicographically.
+
+    Labels are restricted growth strings (canonical dense labelings). The
+    yielded list is reused between iterations; copy it before storing.
+    """
+    labels = [0] * n
+    prefix_max = [0] * n  # prefix_max[i] = max(labels[:i]), safe at 0 since labels[0] == 0
+    while True:
+        yield labels, max(prefix_max[n - 1], labels[n - 1]) + 1
+        i = n - 1
+        while i > 0 and labels[i] > prefix_max[i]:
+            i -= 1
+        if i == 0:
+            return
+        labels[i] += 1
+        for j in range(i + 1, n):
+            labels[j] = 0
+            prefix_max[j] = max(prefix_max[j - 1], labels[j - 1])
+
+
+def brute_force_best_partition(g: Graph) -> tuple[Partition, float]:
+    """Oracle for the best split: enumerate all set partitions of the nodes
+    and return a max-Q one, for small graphs only.
+
+    Ties break toward fewer communities, then the lexicographically smallest
+    label vector, so the result is deterministic.
+    """
+    n = g.node_count
+    if n > BRUTE_FORCE_NODE_LIMIT:
+        raise ValueError(f"{n} nodes exceeds the exhaustive limit of {BRUTE_FORCE_NODE_LIMIT}")
+    m = g.edge_count
+    if m == 0:
+        raise ValueError("modularity is undefined on a graph with no edges")
+    edges = g.edges
+    deg = g.degrees()
+    two_m = 2 * m
+
+    best_labels: list[int] = []
+    best_k = 0
+    best_q = -float("inf")
+    for labels, k in _set_partitions(n):
+        # same operation order as modularity(), so scores compare bit-for-bit
+        intra = [0] * k
+        degsum = [0] * k
+        for u, v in edges:
+            if labels[u] == labels[v]:
+                intra[labels[u]] += 1
+        for u in range(n):
+            degsum[labels[u]] += deg[u]
+        q = 0.0
+        for i in range(k):
+            q += intra[i] / m - (degsum[i] / two_m) ** 2
+        if q > best_q or (
+            q == best_q and (k < best_k or (k == best_k and labels < best_labels))
+        ):
+            best_labels = list(labels)
+            best_k = k
+            best_q = q
+    return Partition(community_of=best_labels, community_count=best_k), best_q
 
 
 class FloodFillRecord(NamedTuple):

@@ -17,7 +17,6 @@ import pytest
 from commwalker import (
     ExplorationConfig,
     Partition,
-    brute_force_best_partition,
     connected_components,
     detect,
     edge_removal_order,
@@ -32,6 +31,7 @@ from commwalker.graph import load_gml
 from _helpers import (
     BARBELL_BRIDGE,
     barbell6,
+    brute_force_best_partition,
     connected_planted,
     edge_weights,
     karate,

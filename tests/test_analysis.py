@@ -7,7 +7,6 @@ from commwalker import (
     Partition,
     best_partition,
     best_split,
-    brute_force_best_partition,
     edge_removal_order,
     modularity,
     sweep,
@@ -15,6 +14,7 @@ from commwalker import (
 
 from _helpers import (
     barbell6,
+    brute_force_best_partition,
     edge_weights,
     flood_fill_sweep,
     neighbor_lists,

@@ -221,6 +221,27 @@ def test_bench_requires_truth_or_synthetic(capsys, barbell_file):
     assert code == 2
 
 
+def test_bench_synthetic_refuses_file_flags(capsys, monkeypatch):
+    # --synthetic makes its own graphs: a file flag beside it is refused, not
+    # ignored, and named, before any file is read or trial run
+    def no_detect(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("commwalker.bench.detect", no_detect)
+    code, out, err = run_cli(
+        capsys, "bench", "--synthetic", "blocks=2,size=5,pin=0.9,pout=0.1",
+        "--input", "missing.edges", "--truth", "missing.labels", "--trials", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--input, --truth" in err
+    code, _, err = run_cli(
+        capsys, "bench", "--synthetic", "blocks=2,size=5,pin=0.9,pout=0.1", "--format", "gml",
+    )
+    assert code == 2
+    assert "--format" in err
+
+
 def test_bench_synthetic_flag_validation(capsys):
     code, _, err = run_cli(capsys, "bench", "--synthetic", "blocks=2,size=8", "--trials", "1")
     assert code == 2

@@ -62,8 +62,9 @@ configs = st.builds(
 
 def assert_matches_each_component(g, cfg, result):
     components = connected_components(g)
-    assert result.components.community_of == components.community_of
-    assert result.components.community_count == components.community_count
+    assert g.components is g.components
+    assert g.components.community_of == components.community_of
+    assert g.components.community_count == components.community_count
     for c, members in enumerate(components.members()):
         if len(members) == 1:
             assert result.hits[members[0]] == 0

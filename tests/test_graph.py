@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commwalker import (
+    Graph,
     Partition,
     connected_components,
     load_edge_list,
@@ -117,6 +118,25 @@ def test_edge_list_round_trip():
         gr.nodes[u]: sorted(gr.nodes[v] for v in row) for u, row in enumerate(neighbor_lists(gr))
     }
     assert neighbor_names(h) == neighbor_names(g)
+
+
+def gml_edge(a: str, b: str) -> Graph:
+    g, _ = load_gml(f'graph [ node [ id 0 label "{a}" ] node [ id 1 label "{b}" ] '
+                    "edge [ source 0 target 1 ] ]")
+    return g
+
+
+def test_edge_list_rejects_an_edge_read_back_as_a_comment():
+    # one '#' name is written second; with two, the line would be a comment
+    assert load_edge_list(to_edge_list(gml_edge("#a", "b"))).edges == [(0, 1)]
+    with pytest.raises(MalformedLineError, match="'#a'-'#b'"):
+        to_edge_list(gml_edge("#a", "#b"))
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", " a"])
+def test_edge_list_rejects_a_name_that_is_not_one_token(name):
+    with pytest.raises(MalformedLineError, match="cannot be written"):
+        to_edge_list(gml_edge(name, "c"))
 
 
 def test_load_gml_minimal():

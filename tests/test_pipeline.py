@@ -101,6 +101,27 @@ def test_detect_builds_no_graph(monkeypatch):
     assert result.q == modularity(g, result.partition)
 
 
+def test_detect_floods_the_unmasked_graph_once(monkeypatch):
+    # The graph finds its components once and every phase reads them;
+    # best_split adds one flood over the cut edges.
+    from commwalker import analysis, exploration, graph
+
+    calls = []
+    flood = graph.connected_components
+
+    def counting_flood(g, removed=None):
+        calls.append("unmasked" if removed is None else "masked")
+        return flood(g, removed)
+
+    for module in (graph, exploration, analysis):
+        if hasattr(module, "connected_components"):
+            monkeypatch.setattr(module, "connected_components", counting_flood)
+    g = load_edge_list("a b\nb c\na c\nc d\nx y\ny z\nx z\n")
+    result = detect(g, seed=0)
+    assert len(result.diagnostics.components) == 2
+    assert sorted(calls) == ["masked", "unmasked"]
+
+
 def test_detect_rejects_edgeless_graph():
     g = Graph.from_edges(["a", "b"], [])
     with pytest.raises(NoEdgesError):

@@ -1,4 +1,5 @@
-"""The lockstep CSR walk kernel pinned to run_walk, agent by agent.
+"""The lockstep CSR walk kernel pinned to run_walk, agent by agent, and
+its two hand-tuned numpy stand-ins pinned to the numpy calls they replace.
 
 Weight snapshots reach values (up to 2**40) that explore() never produces,
 so the integer search for floor(r) + 1 in the slot-mass prefix is checked
@@ -11,10 +12,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from commwalker import run_walk
-from commwalker.exploration import _csr_walks, _walk_uniforms
+from commwalker.exploration import _csr_walks, _sort_columns, _walk_uniforms
+from commwalker.graph import search_in_order
 
-from _helpers import edge_weights, neighbor_lists, pairs_graph, replay
+from _helpers import edge_weights, neighbor_lists, pairs_graph, replay, run_walk
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -126,3 +127,29 @@ def test_walk_uniforms_keep_every_seed_bit():
     rows = [_walk_uniforms(seed, 0, 1, 8)[0] for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
     assert len({row.tobytes() for row in rows}) == 4
     assert all(((0 <= row) & (row < 1)).all() for row in rows)
+
+
+@pytest.mark.parametrize("table_size", [0, 1, 7, 40])
+@pytest.mark.parametrize("shape", [(), (1,), (13,), (0,), (3, 5), (2, 0)])
+def test_search_in_order_is_searchsorted(table_size, shape):
+    rng = np.random.default_rng(table_size * 31 + len(shape))
+    for _ in range(20):
+        # few distinct keys, so the table repeats them; queries fall below,
+        # between, on and above them
+        table = np.sort(rng.integers(0, 6, size=table_size))
+        queries = rng.integers(-1, 8, size=shape)
+        got = search_in_order(table, queries)
+        assert np.shape(got) == shape
+        assert np.array_equal(got, np.searchsorted(table, queries))
+
+
+@pytest.mark.parametrize("rows", range(7))
+def test_sort_columns_is_sort_along_axis_0(rows):
+    rng = np.random.default_rng(rows)
+    no_slot = 9  # the kernel's empty entry, larger than every slot
+    for _ in range(20):
+        a = rng.integers(0, 4, size=(rows, 11))
+        a[rng.random(a.shape) < 0.3] = no_slot
+        expected = np.sort(a, axis=0)
+        _sort_columns(a)
+        assert np.array_equal(a, expected)
