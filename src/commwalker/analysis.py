@@ -135,17 +135,22 @@ def best_split(g: Graph, w: EdgeWeights, candidates: list[list[CandidateRecord]]
     removed_edge_count is the total over the components.
     """
     of = g.components.community_of
-    left = [best_partition(records).removed_edge_count for records in candidates]
-    total = sum(left)
+    cuts = np.array([best_partition(records).removed_edge_count for records in candidates])
+    # an edge's component is that of the node owning either of its slots
+    component_of_edge = np.empty(g.edge_count, dtype=np.intp)
+    component_of_edge[g.edge_ids] = np.repeat(of, np.diff(g.indptr))
+    # the removal order grouped by component, each group still in that order,
+    # and every edge's rank within its group
+    order = edge_removal_order(w)
+    grouped = order[np.argsort(component_of_edge[order], kind="stable")]
+    component = component_of_edge[grouped]
+    edge_counts = np.bincount(component_of_edge, minlength=len(cuts))
+    rank = np.arange(g.edge_count) - (np.cumsum(edge_counts) - edge_counts)[component]
     removed = np.zeros(g.edge_count, dtype=bool)
-    for e in edge_removal_order(w).tolist():
-        c = of[g.edges[e][0]]
-        if left[c]:
-            left[c] -= 1
-            removed[e] = True
+    removed[grouped[rank < cuts[component]]] = True
     # the flood fill numbers the parts by lowest node over the whole graph;
     # within a component that order is kept
     keys = list(zip(of, connected_components(g, removed).community_of))
     label = {key: i for i, key in enumerate(sorted(set(keys)))}
     partition = Partition([label[key] for key in keys], len(label))
-    return Split(total, partition, modularity(g, partition))
+    return Split(int(cuts.sum()), partition, modularity(g, partition))

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_bench
-from .errors import ConfigError, ConfigInvalidError, InputError, UnknownNodeError
+from .errors import ConfigError, ConfigInvalidError, InputError, MalformedLineError, UnknownNodeError
 from .graph import Graph, Partition, load_edge_list, load_gml, load_labels, parse_label_lines
 from .modularity import confusion_matrix, partition_accuracy
 from .pipeline import detect
@@ -40,8 +40,24 @@ def _result_json(result) -> str:
     return json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
 
 
+def _check_tsv_names(g: Graph) -> None:
+    """Refuse a graph whose node names a tsv line cannot carry, so that eval
+    reads back what detect writes: an empty name, one starting with '#'
+    (read as a comment), one holding a line break or with whitespace at
+    either end."""
+    for name in g.nodes:
+        try:
+            read_back = parse_label_lines(f"{name}\t0")
+        except MalformedLineError:
+            read_back = None
+        if read_back != {name: "0"}:
+            raise MalformedLineError(f"node {name!r} cannot be written as a tsv line")
+
+
 def cmd_detect(args) -> int:
     g, _ = _load_graph(args.input, args.format)
+    if args.output == "tsv":
+        _check_tsv_names(g)
     result = detect(
         g,
         seed=args.seed,

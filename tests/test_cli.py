@@ -133,6 +133,23 @@ def test_eval_reads_back_tsv_names_with_spaces(tmp_path, capsys, result_format):
     assert "accuracy: 1.000000" in out
 
 
+@pytest.mark.parametrize("label", ["", "#a", "x\ny", " a"], ids=["empty", "hash", "newline", "space"])
+def test_detect_tsv_refuses_a_name_eval_reads_back_wrong(tmp_path, capsys, label):
+    # read back, these tsv lines give an unreadable line, a comment, two
+    # lines and the name 'a'
+    graph_path = tmp_path / "triangle.gml"
+    graph_path.write_text(
+        f'graph [ node [ id 0 label "{label}" ] node [ id 1 label "b" ] node [ id 2 label "c" ]'
+        " edge [ source 0 target 1 ] edge [ source 1 target 2 ] edge [ source 0 target 2 ] ]"
+    )
+    code, out, err = run_cli(capsys, "detect", "--input", str(graph_path), "--output", "tsv")
+    assert (code, out) == (1, "")
+    assert repr(label) in err
+    code, out, _ = run_cli(capsys, "detect", "--input", str(graph_path))
+    assert code == 0
+    assert label in json.loads(out)["communities"]
+
+
 def test_eval_karate_one_misplaced(tmp_path, capsys):
     truth_text = (DATA / "karate_truth.labels").read_text()
     result_path = tmp_path / "result.tsv"

@@ -1,9 +1,13 @@
 """The package imports only the standard library and its declared
 dependencies: numpy and scipy. networkx and the other dev tools are test
-references only, never imported by src/. Every name the package exports
+references only, never imported by src/. scipy is imported only when
+accuracy is scored (eval, bench, partition_accuracy): importing the
+package and running detect never loads it. Every name the package exports
 exists, and every error type it declares is raised by it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +67,36 @@ def test_every_exported_name_exists():
 
     missing = [name for name in commwalker.__all__ if not hasattr(commwalker, name)]
     assert missing == []
+
+
+DETECT_WITHOUT_SCIPY = """
+import sys
+from importlib.resources import files
+
+from commwalker.cli import main
+from commwalker.graph import Partition
+
+karate = str(files("commwalker") / "data" / "karate.edges")
+assert main(["detect", "--input", karate]) == 0
+loaded = sorted(key for key in sys.modules if key == "scipy" or key.startswith("scipy."))
+assert not loaded, f"detect loaded {len(loaded)} scipy modules: {loaded[:3]} ..."
+
+from commwalker import partition_accuracy
+
+predicted = Partition([0, 0, 1, 1, 2], 3)
+truth = Partition([1, 1, 1, 0, 0], 2)
+print(partition_accuracy(predicted, truth), file=sys.stderr)
+"""
+
+
+def test_detect_does_not_load_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", DETECT_WITHOUT_SCIPY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # predicted 0 -> truth 1 (2 nodes), 1 or 2 -> truth 0 (1 node): 3 of 5
+    assert float(done.stderr) == 0.6
