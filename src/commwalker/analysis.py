@@ -14,7 +14,8 @@ degree sum, and a merge moves the smaller set's members into the larger
 one while counting their neighbours already there: those are the original
 edges that become internal (the merge bookkeeping of Clauset, Newman &
 Moore 2004). That is O(m log n) neighbour visits for the whole sweep, plus
-one flood fill to materialise the winners.
+one flood fill over the merges recorded before each winner to materialise
+the winners; only sweep orders the edges.
 
 Each candidate is scored by the exact integer 4m·Σintra − Σdeg² of its
 component, which is Q·4m² on that component alone, so exact ties stay
@@ -40,11 +41,13 @@ class CandidateRecord:
     """One candidate community structure of a connected component met
     during the sweep: the parts left once the first removed_edge_count of
     its edges in removal order are cut, and their modularity on the
-    component as the exact integer q_scaled = Q·4m², m its edge count."""
+    component as the exact integer q_scaled = Q·4m², m its edge count.
+    cut_edge is the edge whose cut made it (None on the first record)."""
 
     removed_edge_count: int
     community_count: int
     q_scaled: int
+    cut_edge: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def sweep(g: Graph, w: EdgeWeights) -> list[list[CandidateRecord]]:
         a, b = component[u], component[v]
         if a == b:
             continue
-        records[c].append(CandidateRecord(removed, k[c], 2 * two_m[c] * intra[c] - square_sum[c]))
+        records[c].append(CandidateRecord(removed, k[c], 2 * two_m[c] * intra[c] - square_sum[c], e))
         if len(members[a]) > len(members[b]):
             a, b = b, a
         moved = members[a]
@@ -125,32 +128,26 @@ def best_partition(candidates: list[CandidateRecord]) -> CandidateRecord:
     return max(candidates, key=lambda r: (r.q_scaled, -r.removed_edge_count))
 
 
-def best_split(g: Graph, w: EdgeWeights, candidates: list[list[CandidateRecord]]) -> Split:
+def best_split(g: Graph, candidates: list[list[CandidateRecord]]) -> Split:
     """Materialise the best of every component's candidates, as listed by
-    sweep(g, w): the components of g once the first removed_edge_count
-    edges of each component's removal order are cut.
+    sweep(g, w): the components of g over the cut_edges of the records
+    after each winner, the merges the sweep made before reaching it.
 
     Communities are numbered component by component, in g.components
     order, and within a component by lowest node.
     removed_edge_count is the total over the components.
     """
-    of = g.components.community_of
-    cuts = np.array([best_partition(records).removed_edge_count for records in candidates])
-    # an edge's component is that of the node owning either of its slots
-    component_of_edge = np.empty(g.edge_count, dtype=np.intp)
-    component_of_edge[g.edge_ids] = np.repeat(of, np.diff(g.indptr))
-    # the removal order grouped by component, each group still in that order,
-    # and every edge's rank within its group
-    order = edge_removal_order(w)
-    grouped = order[np.argsort(component_of_edge[order], kind="stable")]
-    component = component_of_edge[grouped]
-    edge_counts = np.bincount(component_of_edge, minlength=len(cuts))
-    rank = np.arange(g.edge_count) - (np.cumsum(edge_counts) - edge_counts)[component]
-    removed = np.zeros(g.edge_count, dtype=bool)
-    removed[grouped[rank < cuts[component]]] = True
+    if len(candidates) != g.components.community_count:
+        raise ValueError(f"{len(candidates)} candidate lists for {g.components.community_count} components")
+    removed = np.ones(g.edge_count, dtype=bool)
+    cut = 0
+    for records in candidates:
+        best = best_partition(records)
+        cut += best.removed_edge_count
+        removed[[r.cut_edge for r in records[records.index(best) + 1 :]]] = False
     # the flood fill numbers the parts by lowest node over the whole graph;
     # within a component that order is kept
-    keys = list(zip(of, connected_components(g, removed).community_of))
+    keys = list(zip(g.components.community_of, connected_components(g, removed).community_of))
     label = {key: i for i, key in enumerate(sorted(set(keys)))}
     partition = Partition([label[key] for key in keys], len(label))
-    return Split(int(cuts.sum()), partition, modularity(g, partition))
+    return Split(cut, partition, modularity(g, partition))

@@ -131,6 +131,8 @@ def _parse_synthetic(text: str) -> dict:
         key, _, value = item.partition("=")
         if not value:
             raise ConfigInvalidError(f"--synthetic entries must be key=value, got {item!r}")
+        if key.strip() in fields:
+            raise ConfigInvalidError(f"--synthetic repeats {key.strip()!r}")
         fields[key.strip()] = value.strip()
     expected = {"blocks", "size", "pin", "pout"}
     if set(fields) != expected:

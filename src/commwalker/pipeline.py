@@ -95,7 +95,7 @@ def detect(
     )
     result = explore(g, cfg)
     candidates = sweep(g, result.weights)
-    split = best_split(g, result.weights, candidates)
+    split = best_split(g, candidates)
     details = []
     for c, (records, members) in enumerate(zip(candidates, g.components.members())):
         best = best_partition(records)

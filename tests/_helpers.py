@@ -106,7 +106,7 @@ def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, list[int], list[int]]:
 
 
 def per_component_split(g: Graph, w: np.ndarray) -> Partition:
-    """Reference for best_split(g, w, sweep(g, w)).partition: every
+    """Reference for best_split(g, sweep(g, w)).partition: every
     component swept and split on its own induced subgraph, its community
     labels offset by those of the components before it (components in
     connected_components order; a lone node is one community)."""
@@ -119,7 +119,7 @@ def per_component_split(g: Graph, w: np.ndarray) -> Partition:
             offset += 1
             continue
         weights = w[edge_ids]
-        split = best_split(sub, weights, sweep(sub, weights))
+        split = best_split(sub, sweep(sub, weights))
         for sub_id, orig_id in enumerate(orig_ids):
             labels[orig_id] = offset + split.partition.community_of[sub_id]
         offset += split.partition.community_count

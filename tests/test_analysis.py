@@ -63,7 +63,7 @@ def test_sweep_barbell_with_ideal_weights():
     assert records[1].q_scaled == 70  # Q = 5/14 with 4m² = 196
     assert records[1].removed_edge_count == 1
     assert best_partition(records) == records[1]
-    split = best_split(g, w, [records])
+    split = best_split(g, [records])
     assert split.partition.community_of == truth.community_of
     assert split.q == pytest.approx(5 / 14, abs=1e-12)
 
@@ -93,7 +93,7 @@ def test_sweep_q_matches_modularity_bitwise():
         assert len(records) == len(oracle)
         for record, reference in zip(records, oracle):
             assert record.q_scaled == scaled_modularity(g, reference.partition)
-        split = best_split(g, w, [records])
+        split = best_split(g, [records])
         assert split.q == modularity(g, split.partition)
         at_best = next(r for r in oracle if r.removed_edge_count == split.removed_edge_count)
         assert split.partition == at_best.partition
@@ -107,17 +107,27 @@ def test_sweep_scores_each_component_on_its_own():
     # the lighter edge (0, 2) comes before it in the whole graph's order.
     g = pairs_graph(7, [(1, 3), (0, 2), (3, 4), (4, 6)])
     w = edge_weights(g, {(1, 3): 2, (0, 2): 0, (3, 4): 1, (4, 6): 2})
+    # edge ids: (1, 3) 0, (0, 2) 1, (3, 4) 2, (4, 6) 3
     candidates = sweep(g, w)
     assert candidates == [
-        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, -2)],
-        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, 6), CandidateRecord(2, 3, -2),
-         CandidateRecord(3, 4, -10)],
+        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, -2, 1)],
+        [CandidateRecord(0, 1, 0), CandidateRecord(1, 2, 6, 2), CandidateRecord(2, 3, -2, 0),
+         CandidateRecord(3, 4, -10, 3)],
         [CandidateRecord(0, 1, 0)],
     ]
-    split = best_split(g, w, candidates)
+    split = best_split(g, candidates)
     assert split.removed_edge_count == 1
     assert split.partition.community_of == [0, 1, 0, 1, 2, 3, 2]
     assert split.q == modularity(g, split.partition)
+
+
+def test_best_split_needs_one_list_per_component():
+    g = pairs_graph(4, [(0, 1), (2, 3)])
+    candidates = sweep(g, edge_weights(g))
+    assert len(candidates) == 2
+    for wrong in (candidates[:1], candidates + [candidates[0]]):
+        with pytest.raises(ValueError, match="2 components"):
+            best_split(g, wrong)
 
 
 def test_best_partition_argmax():
@@ -136,7 +146,7 @@ def test_best_partition_baseline_wins_when_all_else_negative():
     best = best_partition(records)
     assert best.community_count == 1
     assert best.q_scaled == 0
-    split = best_split(g, edge_weights(g), [records])
+    split = best_split(g, [records])
     assert split.partition.community_count == 1
     assert split.q == 0.0
 
@@ -163,7 +173,7 @@ def test_best_partition_exact_tie_beats_float_rounding():
     assert scaled_modularity(g, oracle[4].partition) == scaled_modularity(g, oracle[2].partition)
     [records] = sweep(g, w)
     assert best_partition(records).removed_edge_count == 2
-    split = best_split(g, w, [records])
+    split = best_split(g, [records])
     assert split.partition == oracle[2].partition
     assert split.q == oracle[2].q
 
@@ -188,7 +198,7 @@ def test_sweep_recovers_oracle_optimum_when_achievable():
         w = ideal_weights(g, oracle_partition)
         [records] = sweep(g, w)
         assert best_partition(records).q_scaled == scaled_modularity(g, oracle_partition)
-        best = best_split(g, w, [records])
+        best = best_split(g, [records])
         assert best.q == pytest.approx(oracle_q, abs=1e-12)
         checked += 1
     assert checked >= 5

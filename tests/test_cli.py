@@ -260,9 +260,15 @@ def test_bench_synthetic_refuses_file_flags(capsys, monkeypatch):
 
 
 def test_bench_synthetic_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "bench", "--synthetic", "blocks=2,size=8", "--trials", "1")
-    assert code == 2
-    assert "error:" in err
+    # a missing key, and a repeated one that would otherwise win silently
+    for spec, named in [
+        ("blocks=2,size=8", "pin"),
+        ("blocks=2,blocks=3,size=6,pin=0.9,pout=0.1", "'blocks'"),
+    ]:
+        code, out, err = run_cli(capsys, "bench", "--synthetic", spec, "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

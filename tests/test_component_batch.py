@@ -102,8 +102,14 @@ def test_whole_graph_sweep_matches_each_induced_subgraph(case):
     assert len(candidates) == len(components)
     for records, members in zip(candidates, components):
         sub, _, edges = induced_subgraph(g, members)
-        assert records == sweep(sub, w[edges])[0]
-    split = best_split(g, w, candidates)
+        alone = sweep(sub, w[edges])[0]
+        fields = [(r.removed_edge_count, r.community_count, r.q_scaled) for r in records]
+        assert fields == [(r.removed_edge_count, r.community_count, r.q_scaled) for r in alone]
+        # the subgraph's edge ids map back to the whole graph's through edges
+        assert [r.cut_edge for r in records] == [
+            None if r.cut_edge is None else edges[r.cut_edge] for r in alone
+        ]
+    split = best_split(g, candidates)
     assert split.partition == per_component_split(g, w)
     assert split.q == modularity(g, split.partition)
 

@@ -122,6 +122,25 @@ def test_detect_floods_the_unmasked_graph_once(monkeypatch):
     assert sorted(calls) == ["masked", "unmasked"]
 
 
+def test_detect_orders_the_edges_once(monkeypatch):
+    # sweep sorts the weights once; best_split reads the cut order from its
+    # records instead of sorting again
+    from commwalker import analysis
+
+    calls = []
+    order = analysis.edge_removal_order
+
+    def counting_order(w):
+        calls.append(len(w))
+        return order(w)
+
+    monkeypatch.setattr(analysis, "edge_removal_order", counting_order)
+    g = load_edge_list("a b\nb c\na c\nc d\nx y\ny z\nx z\n")
+    result = detect(g, seed=0)
+    assert len(result.diagnostics.components) == 2
+    assert calls == [g.edge_count]
+
+
 def test_detect_rejects_edgeless_graph():
     g = Graph.from_edges(["a", "b"], [])
     with pytest.raises(NoEdgesError):

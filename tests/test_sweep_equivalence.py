@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from commwalker import best_split, modularity, sweep
+from commwalker import best_split, edge_removal_order, modularity, sweep
 
 from _helpers import edge_weights, flood_fill_sweep, pairs_graph, scaled_modularity
 
@@ -40,8 +40,11 @@ def test_sweep_matches_flood_fill_reference(case):
     ]
     exact = [scaled_modularity(g, o.partition) for o in oracle]
     assert [r.q_scaled for r in records] == exact
+    order = edge_removal_order(w).tolist()
+    assert records[0].cut_edge is None
+    assert [r.cut_edge for r in records[1:]] == [order[r.removed_edge_count - 1] for r in records[1:]]
     winner = oracle[exact.index(max(exact))]  # fewest removals among exact ties
-    split = best_split(g, w, [records])
+    split = best_split(g, [records])
     assert split.removed_edge_count == winner.removed_edge_count
     assert split.partition == winner.partition
     assert split.q == modularity(g, split.partition) == winner.q
