@@ -52,13 +52,18 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class Split:
-    """Every component's winning candidate, materialised as one partition of
-    the graph; removed_edge_count is their total and q is
+    """Every component's winning candidate, in g.components order,
+    materialised as one partition of the graph; q is
     modularity(g, partition)."""
 
-    removed_edge_count: int
+    winners: tuple[CandidateRecord, ...]
     partition: Partition
     q: float
+
+    @property
+    def removed_edge_count(self) -> int:
+        """The edges cut over all components."""
+        return sum(best.removed_edge_count for best in self.winners)
 
 
 def edge_removal_order(w: EdgeWeights) -> np.ndarray:
@@ -135,19 +140,16 @@ def best_split(g: Graph, candidates: list[list[CandidateRecord]]) -> Split:
 
     Communities are numbered component by component, in g.components
     order, and within a component by lowest node.
-    removed_edge_count is the total over the components.
     """
     if len(candidates) != g.components.community_count:
         raise ValueError(f"{len(candidates)} candidate lists for {g.components.community_count} components")
     removed = np.ones(g.edge_count, dtype=bool)
-    cut = 0
-    for records in candidates:
-        best = best_partition(records)
-        cut += best.removed_edge_count
+    winners = tuple(best_partition(records) for records in candidates)
+    for records, best in zip(candidates, winners):
         removed[[r.cut_edge for r in records[records.index(best) + 1 :]]] = False
     # the flood fill numbers the parts by lowest node over the whole graph;
     # within a component that order is kept
     keys = list(zip(g.components.community_of, connected_components(g, removed).community_of))
     label = {key: i for i, key in enumerate(sorted(set(keys)))}
     partition = Partition([label[key] for key in keys], len(label))
-    return Split(cut, partition, modularity(g, partition))
+    return Split(winners, partition, modularity(g, partition))

@@ -9,11 +9,15 @@ scheduled. All randomness comes from one counter-based generator, numpy's
 Philox (Salmon et al., SC 2011), keyed by (seed, generation): lane k of
 generation t is row k of the stream read as (agents, draws), and generation
 0's random node order is read from the same key's stream jumped 2**128
-words ahead. explore() moves all agents of a generation together, one step
-at a time, as arrays over the graph's CSR rows (_csr_walks): the
-generation's slot masses 1 + weight are summed once into a prefix, and each
+words ahead. One explore() call builds one Philox for its walk draws and
+re-keys it each generation by assigning its state, which costs a fraction
+of building a generator. explore() moves all agents of a generation
+together, one step at a time, as arrays over the graph's CSR rows
+(_csr_walks): explore() keeps every slot's mass 1 + weight from one
+generation to the next, the kernel sums them once into a prefix, and each
 step picks by one integer search in it, so a step costs agents x memory
-whatever the degrees. The test suite pins this kernel to a scalar
+whatever the degrees. The first step has no tabu and the second only the
+slot back to the start. The test suite pins this kernel to a scalar
 reference that walks the same rows one agent at a time.
 
 Walkers never cross components, so explore() reads the graph's connected
@@ -25,12 +29,15 @@ the one-component case.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
-stored: the walk, the edge sweep and the output read nothing else.
+stored: the walk, the edge sweep and the output read nothing else. During
+the run they live in the slot masses, both slots of an edge alike, and are
+read back per edge id at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,15 +161,33 @@ def _philox(seed: int, generation: int) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed, generation], dtype=np.uint64))
 
 
-def _walk_uniforms(seed: int, generation: int, agent_count: int, draws: int) -> np.ndarray:
-    """The walk uniforms of one generation, one row of `draws` per agent.
+def _generation_streams(seed: int) -> Callable[[int], np.random.Philox]:
+    """One Philox for every generation of a run: the returned function
+    re-keys it and returns it in the state _philox(seed, generation) starts
+    in (counter 0, no buffered words, key (seed, generation)). Assigning a
+    state costs a fraction of building a generator. Each call builds its
+    own generator, so runs on other threads never share one."""
+    philox = _philox(seed, 0)
+    fresh = philox.state
 
-    Row k is lane k: words k * draws to (k + 1) * draws - 1 of the
-    generation's Philox stream, each u = (word >> 11) * 2**-53, so a row
-    depends on k and draws but never on the agent count. Only random_raw()
-    is read: numpy keeps bit-generator streams stable, not Generator methods.
+    def keyed(generation: int) -> np.random.Philox:
+        fresh["state"]["key"] = np.array([seed, generation], dtype=np.uint64)
+        philox.state = fresh
+        return philox
+
+    return keyed
+
+
+def _walk_uniforms(philox: np.random.Philox, agent_count: int, draws: int) -> np.ndarray:
+    """The walk uniforms of one generation, one row of `draws` per agent,
+    read from philox at the start of its generation's stream.
+
+    Row k is lane k: words k * draws to (k + 1) * draws - 1 of the stream,
+    each u = (word >> 11) * 2**-53, so a row depends on k and draws but
+    never on the agent count. Only random_raw() is read: numpy keeps
+    bit-generator streams stable, not Generator methods.
     """
-    words = _philox(seed, generation).random_raw(agent_count * draws)
+    words = philox.random_raw(agent_count * draws)
     return (words.reshape(agent_count, draws) >> 11) * _UNIT
 
 
@@ -198,9 +223,17 @@ def exploration_done(hits: HitCounts, cfg: ExplorationConfig) -> bool:
     return bool(np.asarray(hits).min() >= (cfg.agent_count - 1) * cfg.memory_size)
 
 
+def _slot_masses(g: Graph, edge_weights: EdgeWeights) -> np.ndarray:
+    """The move mass 1 + weight of every slot, in slot order, plus a
+    trailing 0 at index 2m, the kernel's empty tabu entry."""
+    mass = np.zeros(len(g.neighbors) + 1, dtype=np.int64)
+    mass[:-1] = 1 + edge_weights[g.edge_ids]
+    return mass
+
+
 def _csr_walks(
     g: Graph,
-    edge_weights: EdgeWeights,
+    mass: np.ndarray,
     starts: np.ndarray,
     memory_size: int,
     uniforms: np.ndarray,
@@ -212,13 +245,16 @@ def _csr_walks(
     dropped for a step when it would block every neighbor), and a step
     moves to a non-tabu neighbor with probability proportional to
     1 + edge weight, drawn with the uniforms of row k in order; the mask
-    marks the first visit of each node in each column. Slot masses
-    1 + weight are summed once into a prefix over all slots. At each step an
-    agent's tabu slots are the twin of the slot it just took plus the slots
-    of its older memory nodes in the current row (all dropped when they
-    cover the row, which is exactly when the step revisits a node). With T
-    the allowed mass and r = u * T, the pick is the first slot whose allowed
-    running mass exceeds r, that is, reaches floor(r) + 1. A tabu slot lies
+    marks the first visit of each node in each column. mass holds the slot
+    masses 1 + weight (_slot_masses), which explore() keeps from one
+    generation to the next; they are summed once into a prefix over all
+    slots. With T the allowed mass and r = u * T, the pick is the first
+    slot whose allowed running mass exceeds r, that is, reaches
+    floor(r) + 1. The first step has no tabu: its pick is one search in the
+    prefix. At a later step an agent's tabu slots are the twin of the slot
+    it just took plus, from the third node on, the slots of its older
+    memory nodes in the current row (all dropped when they cover the row,
+    which is exactly when the step revisits a node). A tabu slot lies
     before the pick exactly when the allowed mass before it is below
     floor(r) + 1, so adding the masses of those slots to the target leaves
     one search in the prefix, which finds the pick. A forced step's only
@@ -230,8 +266,6 @@ def _csr_walks(
     indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
     n = g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
-    mass = np.zeros(no_slot + 1, dtype=np.int64)
-    mass[:-1] = 1 + edge_weights[g.edge_ids]
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     np.cumsum(mass[:-1], out=before[1:])
     agents = len(starts)
@@ -240,40 +274,47 @@ def _csr_walks(
     first = np.ones((memory_size, agents), dtype=bool)
     draws = uniforms.T.ravel()  # agent k's d-th uniform at d * agents + k
     next_draw = np.arange(agents)
-    tabu = np.empty((0, agents), dtype=np.int64)
     for step in range(1, memory_size):
         current = memory[step - 1]
         row_start, row_end = indptr[current], indptr[current + 1]
         degree = row_end - row_start
         lo = before[row_start]
         row_mass = before[row_end] - lo
-        if step > 1:
-            # tabu: the twin of the slot just taken, and the slots of older
-            # memory nodes (the current node is never its own neighbor, so
-            # nodes equal to it find no slot)
-            older, found = g.slots_of(current * n + memory[: step - 2])
-            tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
-            _sort_columns(tabu)
-            tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
-        candidates = degree - (tabu < no_slot).sum(axis=0)
-        blocked = candidates == 0
-        if blocked.any():
-            tabu[:, blocked] = no_slot
-            candidates[blocked] = degree[blocked]
-        tabu_mass = mass[tabu]
         # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
         # below T, so floor(r) + 1 <= T: some slot is always reached.
-        r = draws[next_draw] * (row_mass - tabu_mass.sum(axis=0))
-        next_draw += (candidates > 1) * agents
-        target = lo + np.floor(r).astype(np.int64) + 1
-        # a tabu slot's prefix position less the tabu mass before it is lo
-        # plus the allowed mass before it (no_slot, even between two slots,
-        # weighs nothing and lies past the row, so it is never skipped)
-        skipped = before[tabu] - (np.cumsum(tabu_mass, axis=0) - tabu_mass) < target
-        target += (tabu_mass * skipped).sum(axis=0)
+        if step == 1:
+            r = draws[next_draw] * row_mass
+            next_draw += (degree > 1) * agents
+            target = lo + np.floor(r).astype(np.int64) + 1
+        else:
+            if step == 2:
+                tabu = twins[pick][None]
+            else:
+                # tabu: the twin of the slot just taken, and the slots of
+                # older memory nodes (the current node is never its own
+                # neighbor, so nodes equal to it find no slot)
+                older, found = g.slots_of(current * n + memory[: step - 2])
+                tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
+                _sort_columns(tabu)
+                tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
+            candidates = degree - (tabu < no_slot).sum(axis=0)
+            blocked = candidates == 0
+            if blocked.any():
+                tabu[:, blocked] = no_slot
+                candidates[blocked] = degree[blocked]
+            tabu_mass = mass[tabu]
+            r = draws[next_draw] * (row_mass - tabu_mass.sum(axis=0))
+            next_draw += (candidates > 1) * agents
+            target = lo + np.floor(r).astype(np.int64) + 1
+            # a tabu slot's prefix position less the tabu mass before it is
+            # lo plus the allowed mass before it (no_slot, even between two
+            # slots, weighs nothing and lies past the row, so it is never
+            # skipped)
+            skipped = before[tabu] - (np.cumsum(tabu_mass, axis=0) - tabu_mass) < target
+            target += (tabu_mass * skipped).sum(axis=0)
+            first[step] = ~blocked
         pick = search_in_order(before, target) - 1
         memory[step] = neighbors[pick]
-        first[step] = ~blocked
     return memory, first
 
 
@@ -296,7 +337,11 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     together afterwards. Agent k of generation t reads only lane k of the
     Philox stream keyed by (seed, t), so results are reproducible regardless
     of how the walks are scheduled; here they move in lockstep over CSR rows
-    (_csr_walks).
+    (_csr_walks). The call builds one Philox for the walk draws and re-keys
+    it each generation (_generation_streams), and keeps the slot masses
+    1 + weight from one generation to the next, adding each generation's
+    pair counts to both slots of their edge; the weights are read back
+    from them once, at the end.
 
     g may be any graph. Every component of g.components of two or more
     nodes is explored as explore() would explore its induced subgraph:
@@ -312,8 +357,10 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
-    weights = np.zeros(m, dtype=np.int64)
+    sorted_keys, slot_by_key, twins = g.sorted_keys, g.slot_by_key, g.twins
+    mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
+    streams = _generation_streams(cfg.seed)
     generations = [0] * len(nodes)
     cap_hit = [False] * len(nodes)
     walked = [c for c, members in enumerate(nodes) if len(members) > 1]
@@ -325,18 +372,26 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
                 [nodes[c][select_start_nodes(hits[nodes[c]], cfg, generation)] for c in running]
             )
             # every component's agents read the same lanes 0 .. agents - 1
-            lanes = _walk_uniforms(cfg.seed, generation, agents, memory_size - 1)
-            memory, first = _csr_walks(
-                g, weights, starts, memory_size, np.tile(lanes, (len(running), 1))
-            )
+            lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)
+            if len(running) > 1:
+                lanes = np.tile(lanes, (len(running), 1))
+            memory, first = _csr_walks(g, mass, starts, memory_size, lanes)
             # every pair of distinct memory nodes, each once per agent (first
-            # visits only); the pairs that are edges add 1 to their edge.
-            # Equal keys are one pair, looked up once and added as a count.
+            # visits only); the pairs that are edges add 1 to both slots of
+            # their edge. Equal keys are one pair, looked up once and added
+            # as a count; distinct keys have distinct slots and distinct
+            # twins, so each fancy += below adds at most once per slot.
             keep = first[left] & first[right]
-            keys = np.sort(memory[left][keep] * n + memory[right][keep])
+            keys = (memory[left] * n + memory[right])[keep]
+            keys.sort()
             runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-            slots, is_edge = g.slots_of(keys[runs[:-1]])
-            np.add.at(weights, g.edge_ids[slots[is_edge]], np.diff(runs)[is_edge])
+            unique = keys[runs[:-1]]
+            at_key = np.minimum(np.searchsorted(sorted_keys, unique), len(sorted_keys) - 1)
+            is_edge = sorted_keys[at_key] == unique
+            slots = slot_by_key[at_key[is_edge]]
+            counts = np.diff(runs)[is_edge]
+            mass[slots] += counts
+            mass[twins[slots]] += counts
             hits += np.bincount(memory.ravel(), minlength=n)
             for c in running:
                 generations[c] = generation + 1
@@ -345,6 +400,8 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
                 break
         for c in running:
             cap_hit[c] = True
+    weights = np.zeros(m, dtype=np.int64)
+    weights[g.edge_ids] = mass[:-1] - 1
     return ExplorationResult(
         weights=weights,
         hits=hits.tolist(),

@@ -9,15 +9,16 @@ One sweep() over the whole graph then scores every component's candidates
 on their own, and one best_split() cuts each component at its best
 candidate, numbers the communities component by component and scores the
 whole partition on the loaded graph. A connected input is the
-one-component case. Per-component diagnostics are reported only when there
-is more than one component.
+one-component case. Per-component diagnostics, read from the winners
+best_split() returns, are reported only when there is more than one
+component.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .analysis import best_partition, best_split, sweep
+from .analysis import best_split, sweep
 from .errors import NoEdgesError
 from .exploration import ExplorationConfig, explore
 from .graph import Graph, Partition
@@ -97,8 +98,8 @@ def detect(
     candidates = sweep(g, result.weights)
     split = best_split(g, candidates)
     details = []
-    for c, (records, members) in enumerate(zip(candidates, g.components.members())):
-        best = best_partition(records)
+    members_of = g.components.members()
+    for c, (records, best, members) in enumerate(zip(candidates, split.winners, members_of)):
         details.append(
             ComponentDetail(
                 node_count=len(members),

@@ -116,6 +116,7 @@ def test_sweep_scores_each_component_on_its_own():
         [CandidateRecord(0, 1, 0)],
     ]
     split = best_split(g, candidates)
+    assert split.winners == (candidates[0][0], candidates[1][1], candidates[2][0])
     assert split.removed_edge_count == 1
     assert split.partition.community_of == [0, 1, 0, 1, 2, 3, 2]
     assert split.q == modularity(g, split.partition)

@@ -13,6 +13,7 @@ labels gives.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from commwalker import (
@@ -168,3 +169,33 @@ def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group)
     assert result.component_generations == expected.component_generations
     assert result.component_cap_hit == expected.component_cap_hit
     assert_matches_each_component(g, cfg, result)
+
+
+def test_slot_masses_stay_equal_on_both_slots_of_an_edge(monkeypatch):
+    # explore() keeps one slot-mass array for the whole run and adds every
+    # pair count to a slot and to its twin, so both slots of an edge hold
+    # 1 + its weight at every generation, and the empty entry weighs 0.
+    g = pairs_graph(
+        14,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (5, 7), (9, 10),
+         (10, 11), (11, 9), (9, 12)],
+    )  # node 13 isolated; 4 components with edges
+    cfg = ExplorationConfig(agent_count=6, memory_size=4, seed=3, max_generations=40)
+    masses = []
+    kernel = exploration._csr_walks
+
+    def recording_kernel(graph, mass, starts, memory_size, uniforms):
+        masses.append(mass)
+        assert np.array_equal(mass[:-1], mass[graph.twins])
+        assert mass[-1] == 0
+        return kernel(graph, mass, starts, memory_size, uniforms)
+
+    monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
+    result = explore(g, cfg)
+    assert len(masses) > 1
+    assert all(mass is masses[0] for mass in masses)
+    mass = masses[0]
+    assert np.array_equal(mass[:-1], mass[g.twins])
+    assert np.array_equal(mass[:-1], 1 + result.weights[g.edge_ids])
+    assert mass[-1] == 0
+    assert result.weights.min() > 0

@@ -12,7 +12,7 @@ from commwalker import (
     select_start_nodes,
 )
 from commwalker.errors import ConfigInvalidError
-from commwalker.exploration import MAX_GENERATION_CELLS, _walk_uniforms
+from commwalker.exploration import MAX_GENERATION_CELLS, _philox, _walk_uniforms
 from commwalker.graph import Graph
 
 from _helpers import (
@@ -110,7 +110,7 @@ def test_run_walk_barbell_stays_local_from_bridge_endpoint():
     start = 2
     triangle_nodes = {0, 1, 2}
     stayed = crossed = 0
-    for row in _walk_uniforms(0, 0, 10_000, 3):
+    for row in _walk_uniforms(_philox(0, 0), 10_000, 3):
         mem = run_walk(g, edge_weights(g), start, 4, replay(row))
         if set(mem) <= triangle_nodes:
             stayed += 1
@@ -332,7 +332,7 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
         w = edge_weights(g, counts)
         memories = []
         for k, start in enumerate(starts):
-            lane = _walk_uniforms(cfg.seed, generation, k + 1, cfg.memory_size - 1)[k]
+            lane = _walk_uniforms(_philox(cfg.seed, generation), k + 1, cfg.memory_size - 1)[k]
             memories.append(run_walk(g, w, start, cfg.memory_size, replay(lane)))
         mass_before = sum(counts.values())
         pair_count = 0

@@ -45,6 +45,7 @@ def test_sweep_matches_flood_fill_reference(case):
     assert [r.cut_edge for r in records[1:]] == [order[r.removed_edge_count - 1] for r in records[1:]]
     winner = oracle[exact.index(max(exact))]  # fewest removals among exact ties
     split = best_split(g, [records])
+    assert split.winners == (records[exact.index(max(exact))],)
     assert split.removed_edge_count == winner.removed_edge_count
     assert split.partition == winner.partition
     assert split.q == modularity(g, split.partition) == winner.q

@@ -12,10 +12,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from commwalker.exploration import _csr_walks, _sort_columns, _walk_uniforms
+from commwalker import ExplorationConfig, exploration, explore
+from commwalker.exploration import (
+    _csr_walks,
+    _generation_streams,
+    _philox,
+    _slot_masses,
+    _sort_columns,
+    _walk_uniforms,
+)
 from commwalker.graph import search_in_order
 
-from _helpers import edge_weights, neighbor_lists, pairs_graph, replay, run_walk
+from _helpers import edge_weights, karate, neighbor_lists, pairs_graph, path_graph, replay, run_walk
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,8 +51,9 @@ def walk_cases(draw):
 def test_csr_walks_match_run_walk(case):
     g, w, memory_size, starts, seed, generation = case
     agents = len(starts)
-    uniforms = _walk_uniforms(seed, generation, agents, memory_size - 1)
-    memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), memory_size, uniforms)
+    uniforms = _walk_uniforms(_philox(seed, generation), agents, memory_size - 1)
+    mass = _slot_masses(g, w)
+    memory, first = _csr_walks(g, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
     for k, start in enumerate(starts):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
         assert memory[:, k].tolist() == expected
@@ -76,7 +85,7 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
                 starts.append(start)
                 rows.append([first_u, second_u])
     assert sum(u > 0 for row in rows for u in row) > 100
-    memory, first = _csr_walks(g, w, np.array(starts, dtype=np.int64), 3, np.array(rows))
+    memory, first = _csr_walks(g, _slot_masses(g, w), np.array(starts, dtype=np.int64), 3, np.array(rows))
     for k, (start, row) in enumerate(zip(starts, rows)):
         expected = run_walk(g, w, start, 3, replay(row))
         assert memory[:, k].tolist() == expected
@@ -100,7 +109,7 @@ def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
     total = 5
     last = [j / total for j in range(total)] + [(j + 0.5) / total for j in range(total)]
     rows = np.array([[0.0, 0.0, u] for u in last])
-    memory, first = _csr_walks(g, w, np.full(len(rows), x), 6, rows)
+    memory, first = _csr_walks(g, _slot_masses(g, w), np.full(len(rows), x), 6, rows)
     picks = set()
     for k, row in enumerate(rows):
         expected = run_walk(g, w, x, 6, replay(row))
@@ -111,20 +120,75 @@ def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
     assert picks == {f, g_, e}
 
 
+@pytest.mark.parametrize("memory_size", [2, 3])
+@pytest.mark.parametrize(
+    "g",
+    [pairs_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), path_graph(5)],
+    ids=["star", "path"],
+)
+def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
+    # Step 1 searches the row with no tabu; step 2's only tabu is the slot
+    # back to the start. From a leaf (an end of the path) step 1 is forced
+    # and spends no uniform; a step 2 at a leaf is blocked and revisits.
+    w = np.array([3, 0, 7, 1], dtype=np.int64)
+    grid = [0.0, 0.2, 0.5, 0.8, 1 - 2**-53]
+    rows = [[u, v] for u in grid for v in grid]
+    starts = np.repeat(np.arange(g.node_count), len(rows))
+    uniforms = np.array(rows * g.node_count)[:, : memory_size - 1]
+    memory, first = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
+    for k, start in enumerate(starts.tolist()):
+        expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+    assert len(set(memory[-1].tolist())) > 2  # the draws reach several slots
+    if memory_size == 3:
+        assert not first[2].all()  # some step 2 was blocked
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_rekeyed_generator_is_a_fresh_one(seed):
+    # explore() re-keys one generator per run; every generation must read
+    # the stream a Philox built for (seed, generation) reads, whatever the
+    # generations before it left in the counter and the word buffer.
+    streams = _generation_streams(seed)
+    for generation in (0, 1, 999, 1, 0):
+        fresh = np.random.Philox(key=np.array([seed, generation], dtype=np.uint64))
+        philox = streams(generation)
+        assert np.array_equal(philox.random_raw(7), fresh.random_raw(7))
+        philox.random_raw(2)  # 9 words: the buffer still holds 3
+
+
+def test_explore_builds_at_most_two_generators(monkeypatch):
+    # One for the walk draws, re-keyed every generation, and one for
+    # generation 0's start order (karate has one component).
+    built = []
+    philox = exploration._philox
+
+    def counting_philox(seed, generation):
+        built.append((seed, generation))
+        return philox(seed, generation)
+
+    monkeypatch.setattr(exploration, "_philox", counting_philox)
+    g, _ = karate()
+    result = explore(g, ExplorationConfig.for_graph(g, seed=5))
+    assert result.generations_run > 10
+    assert len(built) <= 2
+
+
 def test_walk_uniforms_layout():
     # Lane k of generation t is row k of Philox(key=[seed, t]) read as
     # (agents, draws), u = (word >> 11) * 2**-53: the row does not depend on
     # the agent count.
     words = np.random.Philox(key=[7, 3]).random_raw(5 * 4).reshape(5, 4)
-    assert (_walk_uniforms(7, 3, 5, 4) == (words >> 11) * 2.0**-53).all()
-    assert (_walk_uniforms(7, 3, 2, 4) == _walk_uniforms(7, 3, 5, 4)[:2]).all()
-    assert not (_walk_uniforms(7, 4, 5, 4) == _walk_uniforms(7, 3, 5, 4)).any()
+    assert (_walk_uniforms(_philox(7, 3), 5, 4) == (words >> 11) * 2.0**-53).all()
+    assert (_walk_uniforms(_philox(7, 3), 2, 4) == _walk_uniforms(_philox(7, 3), 5, 4)[:2]).all()
+    assert not (_walk_uniforms(_philox(7, 4), 5, 4) == _walk_uniforms(_philox(7, 3), 5, 4)).any()
 
 
 def test_walk_uniforms_keep_every_seed_bit():
     # A key given as a Python list passes words at or above 2**63 through
     # float64, which maps 2**63 + 1 to 2**63 and 2**64 - 1 to 0.
-    rows = [_walk_uniforms(seed, 0, 1, 8)[0] for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    rows = [_walk_uniforms(_philox(seed, 0), 1, 8)[0] for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
     assert len({row.tobytes() for row in rows}) == 4
     assert all(((0 <= row) & (row < 1)).all() for row in rows)
 
