@@ -19,8 +19,9 @@ from .synthetic import planted_partition
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -29,7 +30,7 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str, fmt: str | None) -> tuple[Graph, Partition | None]:
     if fmt is None:
-        fmt = "gml" if path.endswith(".gml") else "edgelist"
+        fmt = "gml" if path.lower().endswith(".gml") else "edgelist"
     text = _read_text(path)
     if fmt == "gml":
         return load_gml(text)

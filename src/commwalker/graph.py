@@ -12,6 +12,7 @@ Graph.components, and every phase of detection reads that one partition.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -228,48 +229,38 @@ def to_edge_list(g: Graph) -> str:
 #
 # Only the structure needed for the benchmark datasets: a graph [ ... ]
 # block with node [ id .. (label ..) (value ..) ] and
-# edge [ source .. target .. ] entries. Anything else is skipped, including
-# blocks nested inside node/edge entries (e.g. graphics [...]).
+# edge [ source .. target .. ] entries. Text before `graph [` and after its
+# closing ']' is ignored. A token is a "string" (it may span lines; the
+# quotes are dropped), a bracket, or a word: a run of anything but
+# whitespace, brackets and '"'. A '#' that starts a token comments out the
+# rest of its line; inside a word it is part of the word. A block is read
+# as `key value` pairs, where the value is any one token, a ']' included;
+# each entry keeps the first value of each key, and ids are matched as
+# text. Any other nested block (e.g. graphics [...]) is skipped.
 
-_LBR = ("bracket", "[")
-_RBR = ("bracket", "]")
+# group 1 holds a token; whitespace and comments match with it empty
+_GML_TOKEN = re.compile(r'\s+|#[^\n]*|("[^"]*"|[][]|[^\s[\]"]+|")')
 
 
-def _tokenize_gml(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j == -1:
-                raise GmlParseError("unterminated string literal")
-            tokens.append(("string", text[i + 1 : j]))
-            i = j + 1
-        elif c in "[]":
-            tokens.append(("bracket", c))
-            i += 1
-        elif c == "#":
-            j = text.find("\n", i)
-            i = n if j == -1 else j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '[]"':
-                j += 1
-            tokens.append(("word", text[i:j]))
-            i = j
+def _tokenize_gml(text: str) -> list[str]:
+    """The tokens of text as written: strings keep their quotes."""
+    tokens = [token for token in _GML_TOKEN.findall(text) if token]
+    if '"' in tokens:
+        raise GmlParseError("unterminated string literal")
     return tokens
 
 
-def _skip_block(tokens: list[tuple[str, str]], i: int) -> int:
+def _unquote(token: str) -> str:
+    return token[1:-1] if token[0] == '"' else token
+
+
+def _skip_block(tokens: list[str], i: int) -> int:
     """Advance past a balanced [ ... ] block; i points at the opening '['."""
     depth = 0
     while i < len(tokens):
-        if tokens[i] == _LBR:
+        if tokens[i] == "[":
             depth += 1
-        elif tokens[i] == _RBR:
+        elif tokens[i] == "]":
             depth -= 1
             if depth == 0:
                 return i + 1
@@ -277,29 +268,37 @@ def _skip_block(tokens: list[tuple[str, str]], i: int) -> int:
     raise GmlParseError("unbalanced brackets")
 
 
-def _parse_entry(tokens: list[tuple[str, str]], i: int) -> tuple[dict[str, str], int]:
-    """Parse one node/edge block into key -> raw value; nested blocks ignored."""
-    if i >= len(tokens) or tokens[i] != _LBR:
-        raise GmlParseError("expected '[' after node/edge")
+def _read_block(
+    tokens: list[str], i: int, where: str, entries: tuple[str, ...] = ()
+) -> tuple[dict[str, str], dict[str, list[dict[str, str]]], int]:
+    """Read the block whose '[' is tokens[i] as `key value` pairs up to its
+    ']'. Returns (fields, blocks, i past the block): fields maps each key to
+    its first scalar value, blocks maps each key in entries to the fields
+    of its blocks, in order. Any other nested block is skipped."""
+    if i >= len(tokens) or tokens[i] != "[":
+        raise GmlParseError(f"expected '[' after {where}")
     fields: dict[str, str] = {}
+    blocks: dict[str, list[dict[str, str]]] = {key: [] for key in entries}
     i += 1
     while i < len(tokens):
-        kind, value = tokens[i]
-        if (kind, value) == _RBR:
-            return fields, i + 1
-        if kind != "word":
-            raise GmlParseError(f"unexpected token {value!r} in node/edge block")
-        key = value
+        key = tokens[i]
+        if key == "]":
+            return fields, blocks, i + 1
+        if key == "[" or key[0] == '"':
+            raise GmlParseError(f"unexpected token {_unquote(key)!r} in {where} block")
         i += 1
-        if i >= len(tokens):
+        if key in blocks:
+            entry, _, i = _read_block(tokens, i, "/".join(entries))
+            blocks[key].append(entry)
+        elif i >= len(tokens):
             break
-        if tokens[i] == _LBR:
+        elif tokens[i] == "[":
             i = _skip_block(tokens, i)
         else:
             if key not in fields:  # first occurrence wins
-                fields[key] = tokens[i][1]
+                fields[key] = _unquote(tokens[i])
             i += 1
-    raise GmlParseError("unbalanced brackets in node/edge block")
+    raise GmlParseError(f"unbalanced brackets: {where} block never closed")
 
 
 def load_gml(text: str) -> tuple[Graph, Partition | None]:
@@ -312,34 +311,12 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     """
     tokens = _tokenize_gml(text)
     i = 0
-    while i < len(tokens) and not (tokens[i] == ("word", "graph") and i + 1 < len(tokens) and tokens[i + 1] == _LBR):
+    while i + 1 < len(tokens) and not (tokens[i] == "graph" and tokens[i + 1] == "["):
         i += 1
-    if i >= len(tokens):
+    if i + 1 >= len(tokens):
         raise GmlParseError("no 'graph [' block found")
-    i += 2
-
-    raw_nodes: list[dict[str, str]] = []
-    raw_edges: list[dict[str, str]] = []
-    while True:
-        if i >= len(tokens):
-            raise GmlParseError("unbalanced brackets: graph block never closed")
-        kind, value = tokens[i]
-        if (kind, value) == _RBR:
-            break
-        if kind != "word":
-            raise GmlParseError(f"unexpected token {value!r} in graph block")
-        if value == "node":
-            entry, i = _parse_entry(tokens, i + 1)
-            raw_nodes.append(entry)
-        elif value == "edge":
-            entry, i = _parse_entry(tokens, i + 1)
-            raw_edges.append(entry)
-        else:
-            i += 1
-            if i < len(tokens) and tokens[i] == _LBR:
-                i = _skip_block(tokens, i)
-            else:
-                i += 1  # scalar graph attribute, e.g. "directed 0"
+    _, blocks, _ = _read_block(tokens, i + 1, "graph", ("node", "edge"))
+    raw_nodes, raw_edges = blocks["node"], blocks["edge"]
 
     names: list[str] = []
     name_set: set[str] = set()

@@ -364,3 +364,53 @@ def test_detect_oversized_generation_is_config_error(tmp_path, capsys, flags):
     assert out == ""
     assert err.startswith("error:") and "memory_size" in err
     assert peak < 2**22
+
+
+def without_wall_times(bench_out: str) -> dict:
+    report = json.loads(bench_out)
+    for run in report["per_run"]:
+        del run["wall_time_s"]
+    return report
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # a BOM must neither hide a GML block nor turn a leading '#' comment
+    # or the first node name into something else
+    paths = {}
+    for name in ("karate.gml", "karate.edges", "karate_truth.labels"):
+        original = DATA / name
+        copy = tmp_path / name
+        copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        paths[name] = (str(original), str(copy))
+    small = ("--agents", "32", "--memory", "3", "--seed", "0")
+
+    def outputs(gml, edges, truth):
+        runs = []
+        for graph in (gml, edges):
+            code, out, _ = run_cli(capsys, "detect", "--input", graph, *small)
+            assert code == 0
+            runs.append(out)
+        result = tmp_path / "result.tsv"
+        code, out, _ = run_cli(capsys, "detect", "--input", edges, "--output", "tsv", *small)
+        assert code == 0
+        result.write_text(out)
+        code, out, _ = run_cli(capsys, "eval", "--result", str(result), "--truth", truth)
+        assert code == 0
+        runs.append(out)
+        for graph in ((gml,), (edges, "--truth", truth)):
+            code, out, _ = run_cli(capsys, "bench", "--input", *graph, "--trials", "1", *small)
+            assert code == 0
+            runs.append(without_wall_times(out))
+        return runs
+
+    originals, copies = zip(*paths.values())
+    assert outputs(*copies) == outputs(*originals)
+
+
+def test_gml_inferred_from_extension_in_any_case(tmp_path, capsys):
+    upper = tmp_path / "KARATE.GML"
+    upper.write_bytes((DATA / "karate.gml").read_bytes())
+    runs = [run_cli(capsys, "detect", "--input", path, "--agents", "32", "--memory", "3")
+            for path in (str(DATA / "karate.gml"), str(upper))]
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]

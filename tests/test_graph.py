@@ -227,6 +227,31 @@ def test_load_gml_string_values_accepted():
     assert truth.community_of == [0, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("graph [ node [ id a#b ] ]", ["a#b"]),
+        ('graph [ node [ id 0 #label "x" ]\n ] ]', ["0"]),
+        ('graph [ node [ id 0 ]# node [ id 1 ]\n ]', ["0"]),
+        ('graph [ node [ id 0 label "a\nb" ] ]', ["a\nb"]),
+        ('graph [ node [ id 0 label "" ] ]', [""]),
+        ('graph [ node [ id 0 label "a ]', GmlParseError),
+        ('graph [ node [ id\u20030\x85label "x" ] ]', ["x"]),
+        ("graph [ node [ id 0 graphics [ x ] label y ] ]", ["y"]),
+        ('Creator "c" node [ id 9 ] graph [ node [ id 0 ] ] node [ id 1 ] [', ["0"]),
+    ],
+    ids=["hash-inside-word", "hash-starts-comment", "comment-after-bracket",
+         "string-spans-lines", "empty-label", "lone-quote", "unicode-space",
+         "nested-block-skipped", "outside-graph-ignored"],
+)
+def test_gml_token_rules(text, names):
+    if names is GmlParseError:
+        with pytest.raises(GmlParseError, match="unterminated string"):
+            load_gml(text)
+    else:
+        assert load_gml(text)[0].nodes == names
+
+
 def test_load_labels_and_errors():
     g = load_edge_list("a b\nb c\n")
     truth = load_labels("a 0\nb 0\nc 1\n", g)

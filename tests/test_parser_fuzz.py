@@ -1,11 +1,12 @@
 """Fuzz tests for the text parsers: arbitrary input either parses or raises
 an InputError subclass (exit status 1 at the CLI), never another exception;
-a parsed edge list survives a to_edge_list round trip."""
+a parsed edge list survives a to_edge_list round trip; a random graph
+rendered as GML reads back as that graph."""
 
 import pytest
 
 from commwalker.errors import InputError
-from commwalker.graph import load_edge_list, load_gml, parse_label_lines, to_edge_list
+from commwalker.graph import Partition, load_edge_list, load_gml, parse_label_lines, to_edge_list
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,12 +36,68 @@ simple_edge_lists = st.lists(
 
 gml_tokens = st.sampled_from(
     ["graph", "[", "]", "node", "edge", "id", "label", "value", "source", "target",
-     "directed", "graphics", '"a"', '"a b"', '"', "0", "1", "2", "#", "\n"]
+     "directed", "graphics", '"a"', '"a b"', '""', '"', "a#b", "0", "1", "2", "#", "\n", "\t", "\u2003"]
 )
 gml_texts = st.one_of(
     st.lists(gml_tokens, max_size=40).map(" ".join),
     st.text(max_size=60),
 )
+
+# Every token is followed by one of these; a comment starts after a space,
+# since a '#' inside a word is part of the word.
+gml_separators = st.sampled_from([" ", "\n", "\r\n", "\t", "\u2003", ' # comment [ " ]\n'])
+
+
+@st.composite
+def gml_documents(draw):
+    """A random graph rendered as GML, with the nodes, edges and truth that
+    load_gml should read from it. Node and edge blocks are interleaved, ids
+    are written quoted or bare, entries carry graphics blocks and repeat a
+    key with a later value that must be ignored."""
+    n = draw(st.integers(1, 6))
+    ids = [str(i) for i in draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))]
+    labels = draw(st.lists(st.text(alphabet="ab #", max_size=4), min_size=n, max_size=n, unique=True))
+    labelled = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([None, "0", "1", "c d"]), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+
+    def scalar(text):
+        return f'"{text}"' if " " in text or draw(st.booleans()) else text
+
+    def entry(kind, fields, decoys):
+        fields = draw(st.permutations(fields))
+        if draw(st.booleans()):
+            fields.insert(draw(st.integers(0, len(fields))), ("graphics", ["[", "x", "1", "]"]))
+        if draw(st.booleans()):  # a repeated key: the first value wins
+            key, _ = draw(st.sampled_from([f for f in fields if f[0] != "graphics"]))
+            fields.append((key, [decoys[key]]))
+        return [kind, "["] + [tok for key, value in fields for tok in [key, *value]] + ["]"]
+
+    nodes = []
+    for k in range(n):
+        fields = [("id", [scalar(ids[k])])]
+        if labelled[k]:
+            fields.append(("label", [f'"{labels[k]}"']))
+        if values[k] is not None:
+            fields.append(("value", [scalar(values[k])]))
+        nodes.append(entry("node", fields, {"id": "100", "label": '"decoy"', "value": '"decoy"'}))
+    edges = [
+        entry("edge", [("source", [scalar(ids[u])]), ("target", [scalar(ids[v])])],
+              {"source": ids[v], "target": ids[u]})
+        for u, v in pairs
+    ]
+    order = draw(st.permutations([nodes] * len(nodes) + [edges] * len(edges)))
+    blocks = [tok for source in order for tok in source.pop(0)]
+    head = ['Creator', '"made by hand # not a comment"', "graph", "[", "directed", "0"]
+    text = "".join(tok + draw(gml_separators) for tok in head + blocks + ["]"])
+
+    names = [label if has else i for i, label, has in zip(ids, labels, labelled)]
+    seen = {}
+    for u, v in pairs:
+        if u != v:
+            seen.setdefault((min(u, v), max(u, v)), None)
+    truth = None if None in values else Partition.from_labels(values).community_of
+    return text, names, list(seen), truth
 
 
 def parses_or_input_error(parse, text):
@@ -75,6 +132,16 @@ def test_gml_parses_or_raises_input_error(text):
     if parsed is not None:
         g, truth = parsed
         assert truth is None or len(truth.community_of) == g.node_count
+
+
+@SETTINGS
+@hypothesis.given(gml_documents())
+def test_gml_reads_back_the_rendered_graph(document):
+    text, names, edges, truth = document
+    g, read_truth = load_gml(text)
+    assert g.nodes == names
+    assert g.edges == edges
+    assert (None if read_truth is None else read_truth.community_of) == truth
 
 
 @SETTINGS
