@@ -34,6 +34,7 @@ from .graph import (
 )
 from .modularity import (
     confusion_matrix,
+    matched_total,
     modularity,
     partition_accuracy,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "load_edge_list",
     "load_gml",
     "load_labels",
+    "matched_total",
     "modularity",
     "partition_accuracy",
     "planted_partition",

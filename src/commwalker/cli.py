@@ -13,7 +13,7 @@ from pathlib import Path
 from .bench import run_bench
 from .errors import ConfigError, ConfigInvalidError, InputError, MalformedLineError, UnknownNodeError
 from .graph import Graph, Partition, load_edge_list, load_gml, load_labels, parse_label_lines
-from .modularity import confusion_matrix, partition_accuracy
+from .modularity import confusion_matrix, matched_total
 from .pipeline import detect
 from .synthetic import planted_partition
 
@@ -72,6 +72,12 @@ def cmd_detect(args) -> int:
     else:
         for name in g.nodes:
             print(f"{name}\t{result.communities[name]}")
+    if result.diagnostics.cap_hit:
+        print(
+            f"warning: exploration stopped at --max-generations {args.max_generations} "
+            "before its stop rule fired; the edge weights may be undersampled",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -114,8 +120,8 @@ def cmd_eval(args) -> int:
     names = sorted(predicted_map)
     predicted = Partition.from_labels([predicted_map[n] for n in names])
     truth = Partition.from_labels([truth_map[n] for n in names])
-    accuracy = partition_accuracy(predicted, truth)
     counts = confusion_matrix(predicted, truth)
+    accuracy = matched_total(counts) / len(names)
 
     print(f"accuracy: {accuracy:.6f}")
     print(f"predicted communities: {predicted.community_count}")
@@ -195,6 +201,13 @@ def cmd_bench(args) -> int:
         f"community counts {histogram}",
         file=sys.stderr,
     )
+    capped = sum(o.cap_hit for o in report.outcomes)
+    if capped:
+        print(
+            f"warning: {capped} of {report.runs} trials stopped at --max-generations "
+            f"{args.max_generations} before their stop rule fired",
+            file=sys.stderr,
+        )
     return 0
 
 

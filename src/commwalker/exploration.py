@@ -11,7 +11,8 @@ generation t is row k of the stream read as (agents, draws), and generation
 0's random node order is read from the same key's stream jumped 2**128
 words ahead. One explore() call builds one Philox for its walk draws and
 re-keys it each generation by assigning its state, which costs a fraction
-of building a generator. explore() moves all agents of a generation
+of building a generator, and reads the jumped stream once, for every
+component's generation-0 order. explore() moves all agents of a generation
 together, one step at a time, as arrays over the graph's CSR rows
 (_csr_walks): explore() keeps every slot's mass 1 + weight from one
 generation to the next, the kernel sums them once into a prefix, and each
@@ -191,22 +192,37 @@ def _walk_uniforms(philox: np.random.Philox, agent_count: int, draws: int) -> np
     return (words.reshape(agent_count, draws) >> 11) * _UNIT
 
 
-def select_start_nodes(hits: HitCounts, cfg: ExplorationConfig, generation: int) -> np.ndarray:
+def _start_order_words(seed: int, count: int) -> np.ndarray:
+    """The first `count` words of the Philox stream keyed (seed, 0) jumped
+    2**128 words ahead, past every walk draw: generation 0's start order."""
+    return _philox(seed, 0).jumped().random_raw(count)
+
+
+def select_start_nodes(
+    hits: HitCounts,
+    cfg: ExplorationConfig,
+    generation: int,
+    order_words: np.ndarray | None = None,
+) -> np.ndarray:
     """Start nodes for one generation of agents, as indices into hits: the
     n = len(hits) nodes of one component, in node id order.
 
-    Generation 0 orders the nodes at random, by n words of the Philox
-    stream keyed (cfg.seed, 0) jumped past the walk draws, and ignores hits.
-    Later generations put ceil(hub_fraction * agents) on the most-hit nodes
-    and the rest on the least-hit ones, so hubs are reinforced while
-    neglected regions keep getting visits; hit ties break by node id. Each
-    order is cycled through, so start nodes repeat only when there are more
-    agents than nodes, and then every node gets floor or ceil(agents / n).
+    Generation 0 orders the nodes at random, by the stable argsort of the
+    first n words of _start_order_words(cfg.seed, ...), and ignores hits;
+    order_words, when given, holds at least n of those words, so a caller
+    placing many components reads the stream once. Later generations put
+    ceil(hub_fraction * agents) on the most-hit nodes and the rest on the
+    least-hit ones, so hubs are reinforced while neglected regions keep
+    getting visits; hit ties break by node id. Each order is cycled
+    through, so start nodes repeat only when there are more agents than
+    nodes, and then every node gets floor or ceil(agents / n).
     """
     n = len(hits)
     a = cfg.agent_count
     if generation == 0:
-        order = np.argsort(_philox(cfg.seed, 0).jumped().random_raw(n), kind="stable")
+        if order_words is None:
+            order_words = _start_order_words(cfg.seed, n)
+        order = np.argsort(order_words[:n], kind="stable")
         return order[np.arange(a) % n]
     hub_count = math.ceil(cfg.hub_fraction * a)
     hits = np.asarray(hits, dtype=np.int64)
@@ -338,7 +354,9 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     Philox stream keyed by (seed, t), so results are reproducible regardless
     of how the walks are scheduled; here they move in lockstep over CSR rows
     (_csr_walks). The call builds one Philox for the walk draws and re-keys
-    it each generation (_generation_streams), and keeps the slot masses
+    it each generation (_generation_streams), reads generation 0's start
+    order words once, as many as the largest explored component has nodes
+    (_start_order_words), and keeps the slot masses
     1 + weight from one generation to the next, adding each generation's
     pair counts to both slots of their edge; the weights are read back
     from them once, at the end.
@@ -365,11 +383,15 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     cap_hit = [False] * len(nodes)
     walked = [c for c, members in enumerate(nodes) if len(members) > 1]
     per_group = MAX_GENERATION_CELLS // (agents * memory_size**2)
+    order_words = _start_order_words(cfg.seed, max((len(nodes[c]) for c in walked), default=0))
     for at in range(0, len(walked), per_group):
         running = walked[at : at + per_group]
         for generation in range(cfg.max_generations):
             starts = np.concatenate(
-                [nodes[c][select_start_nodes(hits[nodes[c]], cfg, generation)] for c in running]
+                [
+                    nodes[c][select_start_nodes(hits[nodes[c]], cfg, generation, order_words)]
+                    for c in running
+                ]
             )
             # every component's agents read the same lanes 0 .. agents - 1
             lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)

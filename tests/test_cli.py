@@ -1,3 +1,4 @@
+import importlib
 import json
 import tracemalloc
 from importlib.resources import files
@@ -169,6 +170,29 @@ def test_eval_karate_one_misplaced(tmp_path, capsys):
     assert f"accuracy: {33/34:.6f}" in out
 
 
+def test_eval_builds_the_confusion_matrix_once(tmp_path, capsys, monkeypatch):
+    # the package's name `modularity` is the function; reach the module by path
+    scoring = importlib.import_module("commwalker.modularity")
+    cli = importlib.import_module("commwalker.cli")
+    built = []
+    confusion_matrix = scoring.confusion_matrix
+
+    def counting(predicted, truth):
+        built.append(1)
+        return confusion_matrix(predicted, truth)
+
+    monkeypatch.setattr(scoring, "confusion_matrix", counting)
+    monkeypatch.setattr(cli, "confusion_matrix", counting)
+    result_path = tmp_path / "result.tsv"
+    result_path.write_text("a\t0\nb\t0\nc\t1\nd\t2\n")
+    truth_path = tmp_path / "truth.labels"
+    truth_path.write_text("a x\nb x\nc y\nd y\n")
+    code, out, _ = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert code == 0
+    assert "accuracy: 0.750000" in out
+    assert len(built) == 1
+
+
 def test_eval_truth_missing_node(tmp_path, capsys):
     result_path = tmp_path / "result.tsv"
     result_path.write_text("a\t0\nb\t1\n")
@@ -194,6 +218,32 @@ def test_bench_on_karate_files(capsys):
     assert 0.0 <= report["min_accuracy"] <= report["mean_accuracy"] <= 1.0
     assert sum(report["community_count_histogram"].values()) == 2
     assert "mean accuracy" in err
+    assert "warning:" not in err  # no trial hit the generation cap
+
+
+def test_cap_hit_warns_on_stderr_only(capsys):
+    karate = str(DATA / "karate.edges")
+    code, out, err = run_cli(capsys, "detect", "--input", karate, "--max-generations", "1")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["cap_hit"] is True
+    [line] = err.splitlines()
+    assert line.startswith("warning:") and "--max-generations 1" in line
+    code, out, err = run_cli(capsys, "detect", "--input", karate)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["diagnostics"]["cap_hit"] is False
+
+
+def test_bench_counts_capped_trials(capsys):
+    code, out, err = run_cli(
+        capsys, "bench",
+        "--input", str(DATA / "karate.edges"),
+        "--truth", str(DATA / "karate_truth.labels"),
+        "--trials", "2", "--max-generations", "1",
+    )
+    assert code == 0
+    assert all(run["cap_hit"] for run in json.loads(out)["per_run"])
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "2 of 2 trials" in warnings[0]
 
 
 def test_bench_single_trial_mean_equals_min(capsys):

@@ -1,15 +1,19 @@
 import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from commwalker import (
     Partition,
     confusion_matrix,
+    matched_total,
     modularity,
     partition_accuracy,
     sweep,
 )
 from commwalker.errors import (
+    InputError,
     NoEdgesError,
     PartitionMismatchError,
     SizeMismatchError,
@@ -167,6 +171,52 @@ def test_accuracy_size_mismatch():
         partition_accuracy(
             Partition.from_labels([0, 1]), Partition.from_labels([0, 1, 1])
         )
+
+
+def test_accuracy_of_no_nodes_is_an_input_error():
+    empty = Partition([], 0)
+    with pytest.raises(InputError, match="no nodes"):
+        partition_accuracy(empty, empty)
+
+
+def brute_force_matched_total(counts):
+    # every way to give each row of the shorter side its own column; with
+    # non-negative entries a partial matching never totals more
+    counts = counts if counts.shape[0] <= counts.shape[1] else counts.T
+    k, wide = counts.shape
+    return max(sum(counts[r, c] for r, c in enumerate(cols)) for cols in permutations(range(wide), k))
+
+
+def test_matched_total_is_the_best_one_to_one_matching():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        if draw(st.booleans()):  # all entries equal, zero included
+            return np.full((rows, cols), draw(st.integers(0, 3)), dtype=np.int64)
+        top = draw(st.sampled_from([1, 3, 40]))
+        cells = draw(st.lists(st.integers(0, top), min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(matrices())
+    def check(counts):
+        assert matched_total(counts) == brute_force_matched_total(counts)
+        assert matched_total(counts.T) == matched_total(counts)
+
+    check()
+
+
+def test_matched_total_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 41, size=2)
+        counts = rng.integers(0, rng.choice([2, 10, 1000]), size=(rows, cols))
+        picked = optimize.linear_sum_assignment(counts, maximize=True)
+        assert matched_total(counts) == counts[picked].sum()
 
 
 def test_confusion_matrix_shape_and_sum():

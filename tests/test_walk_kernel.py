@@ -160,7 +160,7 @@ def test_rekeyed_generator_is_a_fresh_one(seed):
 
 def test_explore_builds_at_most_two_generators(monkeypatch):
     # One for the walk draws, re-keyed every generation, and one for
-    # generation 0's start order (karate has one component).
+    # generation 0's start orders, read once for all components.
     built = []
     philox = exploration._philox
 
@@ -173,6 +173,13 @@ def test_explore_builds_at_most_two_generators(monkeypatch):
     result = explore(g, ExplorationConfig.for_graph(g, seed=5))
     assert result.generations_run > 10
     assert len(built) <= 2
+    built.clear()
+    paths = [(v, v + 1) for v in range(0, 150) if v % 3 != 2]  # 50 three-node paths
+    g = pairs_graph(150, paths)
+    assert len(g.components.members()) == 50
+    result = explore(g, ExplorationConfig(agent_count=4, memory_size=3, seed=9))
+    assert min(result.component_generations) >= 1
+    assert built == [(9, 0), (9, 0)]
 
 
 def test_walk_uniforms_layout():
