@@ -26,7 +26,12 @@ components (Graph.components) and explores each one as if it were the
 whole graph: its own agents, hits and stop rule, on the same draws. It
 runs them all in one generation loop over the whole graph's rows, and a
 component leaves the batch when its stop rule fires. A connected graph is
-the one-component case.
+the one-component case. The running components' nodes are kept as one
+array with offsets (_Segments), so a generation places every component's
+starts with one sort per order and one gather, and applies every stop rule
+with one np.minimum.reduceat. Every component's agents read lanes
+0 .. agents - 1: the kernel reads agent k's uniforms from lane
+k % agents, so the lanes are drawn once and never copied per component.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -198,45 +203,92 @@ def _start_order_words(seed: int, count: int) -> np.ndarray:
     return _philox(seed, 0).jumped().random_raw(count)
 
 
+@dataclass(frozen=True)
+class _Segments:
+    """The nodes of several components as one array, component i at
+    positions offsets[i] .. offsets[i + 1] - 1 (label[p] is the component
+    of position p), and the gather indices that give each component
+    agent_count starts from one sorted order of all positions: cycled
+    cycles through each component's slice (generation 0), and split takes
+    the first hub_count from a most-hit order and the rest from a least-hit
+    order stacked after it. explore() builds one whenever its running set
+    of components changes."""
+
+    offsets: np.ndarray
+    label: np.ndarray
+    cycled: np.ndarray
+    split: np.ndarray
+
+    @classmethod
+    def of_sizes(cls, sizes: np.ndarray, cfg: ExplorationConfig) -> "_Segments":
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        first, size = offsets[:-1, None], sizes[:, None]
+        hub_count = math.ceil(cfg.hub_fraction * cfg.agent_count)
+        hubs = first + np.arange(hub_count) % size
+        rest = offsets[-1] + first + np.arange(cfg.agent_count - hub_count) % size
+        return cls(
+            offsets=offsets,
+            label=np.repeat(np.arange(len(sizes)), sizes),
+            cycled=(first + np.arange(cfg.agent_count) % size).ravel(),
+            split=np.concatenate((hubs, rest), axis=1).ravel(),
+        )
+
+
 def select_start_nodes(
     hits: HitCounts,
     cfg: ExplorationConfig,
     generation: int,
     order_words: np.ndarray | None = None,
+    segments: _Segments | None = None,
 ) -> np.ndarray:
     """Start nodes for one generation of agents, as indices into hits: the
-    n = len(hits) nodes of one component, in node id order.
+    n = len(hits) nodes of one component, in node id order, or, with
+    segments, the nodes of every component segments splits hits into, each
+    in node id order; then every component gets cfg.agent_count starts, one
+    component after the other.
 
-    Generation 0 orders the nodes at random, by the stable argsort of the
-    first n words of _start_order_words(cfg.seed, ...), and ignores hits;
-    order_words, when given, holds at least n of those words, so a caller
-    placing many components reads the stream once. Later generations put
+    Generation 0 orders a component's n nodes at random, by the stable
+    argsort of the first n words of _start_order_words(cfg.seed, ...), and
+    ignores hits; order_words, when given, holds at least as many of those
+    words as the largest component has nodes, so a caller placing many
+    components reads the stream once. Later generations put
     ceil(hub_fraction * agents) on the most-hit nodes and the rest on the
     least-hit ones, so hubs are reinforced while neglected regions keep
     getting visits; hit ties break by node id. Each order is cycled
     through, so start nodes repeat only when there are more agents than
-    nodes, and then every node gets floor or ceil(agents / n).
+    nodes, and then every node gets floor or ceil(agents / n). Every
+    component's order comes from one sort over all of hits, keyed first by
+    component.
     """
-    n = len(hits)
-    a = cfg.agent_count
-    if generation == 0:
-        if order_words is None:
-            order_words = _start_order_words(cfg.seed, n)
-        order = np.argsort(order_words[:n], kind="stable")
-        return order[np.arange(a) % n]
-    hub_count = math.ceil(cfg.hub_fraction * a)
     hits = np.asarray(hits, dtype=np.int64)
-    # stable sorts keep equal hit counts in node id order
-    by_most_hit = np.argsort(-hits, kind="stable")
-    by_least_hit = np.argsort(hits, kind="stable")
-    return np.concatenate(
-        (by_most_hit[np.arange(hub_count) % n], by_least_hit[np.arange(a - hub_count) % n])
-    )
+    if segments is None:
+        segments = _Segments.of_sizes(np.array([len(hits)]), cfg)
+    if generation == 0:
+        local = np.arange(len(hits)) - segments.offsets[segments.label]
+        if order_words is None:
+            order_words = _start_order_words(cfg.seed, int(local.max()) + 1)
+        # lexsort is stable: equal words keep node id order
+        return np.lexsort((order_words[local], segments.label))[segments.cycled]
+    # component * top + hits (or + the hits below the most) orders by
+    # component, then by hits; stable sorts keep ties in node id order
+    top = hits.max() + 1
+    by_component = segments.label * top
+    by_least_hit = np.argsort(by_component + hits, kind="stable")
+    by_most_hit = np.argsort(by_component + (top - 1 - hits), kind="stable")
+    return np.concatenate((by_most_hit, by_least_hit))[segments.split]
 
 
-def exploration_done(hits: HitCounts, cfg: ExplorationConfig) -> bool:
-    """Stop rule: every node visited at least (agents - 1) * memory_size times."""
-    return bool(np.asarray(hits).min() >= (cfg.agent_count - 1) * cfg.memory_size)
+def exploration_done(
+    hits: HitCounts, cfg: ExplorationConfig, segments: _Segments | None = None
+) -> bool | np.ndarray:
+    """Stop rule: every node visited at least (agents - 1) * memory_size
+    times. With segments (see select_start_nodes), one verdict per
+    component, as a bool array."""
+    floor = (cfg.agent_count - 1) * cfg.memory_size
+    if segments is None:
+        return bool(np.asarray(hits).min() >= floor)
+    return np.minimum.reduceat(hits, segments.offsets[:-1]) >= floor
 
 
 def _slot_masses(g: Graph, edge_weights: EdgeWeights) -> np.ndarray:
@@ -260,48 +312,48 @@ def _csr_walks(
     starts[k]: every node already in its memory is tabu (the tabu is
     dropped for a step when it would block every neighbor), and a step
     moves to a non-tabu neighbor with probability proportional to
-    1 + edge weight, drawn with the uniforms of row k in order; the mask
-    marks the first visit of each node in each column. mass holds the slot
-    masses 1 + weight (_slot_masses), which explore() keeps from one
-    generation to the next; they are summed once into a prefix over all
-    slots. With T the allowed mass and r = u * T, the pick is the first
-    slot whose allowed running mass exceeds r, that is, reaches
-    floor(r) + 1. The first step has no tabu: its pick is one search in the
-    prefix. At a later step an agent's tabu slots are the twin of the slot
-    it just took plus, from the third node on, the slots of its older
-    memory nodes in the current row (all dropped when they cover the row,
-    which is exactly when the step revisits a node). A tabu slot lies
-    before the pick exactly when the allowed mass before it is below
-    floor(r) + 1, so adding the masses of those slots to the target leaves
-    one search in the prefix, which finds the pick. A forced step's only
-    candidate is found for any u, and a uniform is consumed only on steps
-    with more than one candidate. Arrays are step-major, so every per-step
-    operation runs over whole rows of agents; work per step is agents x
-    memory, whatever the degrees.
+    1 + edge weight, drawn in order with the uniforms of lane
+    k % len(uniforms), so several components' agents can read the same
+    lanes; the mask marks the first visit of each node in each column.
+    mass holds the slot masses 1 + weight (_slot_masses), which explore()
+    keeps from one generation to the next; they are summed once into a
+    prefix over all slots, and each node's row start in it, row mass and
+    degree are read off once, so a step gathers three values per agent.
+    With T the allowed mass and r = u * T, the pick is the first slot whose
+    allowed running mass exceeds r, that is, reaches floor(r) + 1. The
+    first step has no tabu: its pick is one search in the prefix. At a
+    later step an agent's tabu slots are the twin of the slot it just took
+    plus, from the third node on, the slots of its older memory nodes in
+    the current row (all dropped when they cover the row, which is exactly
+    when the step revisits a node). A tabu slot lies before the pick
+    exactly when the allowed mass before it is below floor(r) + 1; a pass
+    over the sorted tabu slots that adds the mass of each one lying before
+    the target so far to the target leaves one search in the prefix, which
+    finds the pick. A forced step's only candidate is found for any u, and
+    a uniform is consumed only on steps with more than one candidate.
+    Arrays are step-major, so every per-step operation runs over whole
+    rows of agents; work per step is agents x memory, whatever the degrees.
     """
     indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
     n = g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     np.cumsum(mass[:-1], out=before[1:])
-    agents = len(starts)
+    row_target = before[indptr[:-1]] + 1  # the target of r = 0 in each node's row
+    row_mass = before[indptr[1:]] - before[indptr[:-1]]
+    row_degree = indptr[1:] - indptr[:-1]
+    agents, lanes = len(starts), len(uniforms)
     memory = np.empty((memory_size, agents), dtype=np.int64)
     memory[0] = starts
     first = np.ones((memory_size, agents), dtype=bool)
-    draws = uniforms.T.ravel()  # agent k's d-th uniform at d * agents + k
-    next_draw = np.arange(agents)
+    draws = uniforms.T.ravel()  # lane j's d-th uniform at d * lanes + j
+    next_draw = np.arange(agents) % lanes
     for step in range(1, memory_size):
         current = memory[step - 1]
-        row_start, row_end = indptr[current], indptr[current + 1]
-        degree = row_end - row_start
-        lo = before[row_start]
-        row_mass = before[row_end] - lo
-        # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
-        # below T, so floor(r) + 1 <= T: some slot is always reached.
+        degree = row_degree[current]
+        allowed = row_mass[current]
         if step == 1:
-            r = draws[next_draw] * row_mass
-            next_draw += (degree > 1) * agents
-            target = lo + np.floor(r).astype(np.int64) + 1
+            spends = degree > 1
         else:
             if step == 2:
                 tabu = twins[pick][None]
@@ -319,16 +371,21 @@ def _csr_walks(
                 tabu[:, blocked] = no_slot
                 candidates[blocked] = degree[blocked]
             tabu_mass = mass[tabu]
-            r = draws[next_draw] * (row_mass - tabu_mass.sum(axis=0))
-            next_draw += (candidates > 1) * agents
-            target = lo + np.floor(r).astype(np.int64) + 1
-            # a tabu slot's prefix position less the tabu mass before it is
-            # lo plus the allowed mass before it (no_slot, even between two
-            # slots, weighs nothing and lies past the row, so it is never
-            # skipped)
-            skipped = before[tabu] - (np.cumsum(tabu_mass, axis=0) - tabu_mass) < target
-            target += (tabu_mass * skipped).sum(axis=0)
+            allowed -= tabu_mass.sum(axis=0)
+            spends = candidates > 1
             first[step] = ~blocked
+        # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
+        # below T, so floor(r) + 1 <= T: some slot is always reached. r >= 0,
+        # so truncation is the floor.
+        target = row_target[current] + (draws[next_draw] * allowed).astype(np.int64)
+        next_draw += spends * lanes
+        if step > 1:
+            # The tabu slots ascend down each column, so a slot's prefix
+            # position is below the target raised by the tabu slots before
+            # it exactly when its allowed mass before is below floor(r) + 1
+            # (no_slot, even between two slots, weighs nothing).
+            for slot, slot_mass in zip(tabu, tabu_mass):
+                target += slot_mass * (before[slot] < target)
         pick = search_in_order(before, target) - 1
         memory[step] = neighbors[pick]
     return memory, first
@@ -368,10 +425,14 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     so a graph without an edge runs 0 generations. The components share one
     generation loop, in groups small enough that a generation's arrays stay
     within MAX_GENERATION_CELLS, and a component leaves its group when its
-    stop rule fires.
+    stop rule fires. Each generation calls select_start_nodes and
+    exploration_done once for all of a group's running components.
     """
     cfg.validate()
-    nodes = [np.array(members) for members in g.components.members()]
+    labels = np.asarray(g.components.community_of, dtype=np.int64)
+    sizes = np.bincount(labels, minlength=g.components.community_count)
+    grouped = np.argsort(labels, kind="stable")  # each component's nodes in id order
+    offset = np.cumsum(sizes) - sizes  # of each component in grouped
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
@@ -379,25 +440,23 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
     streams = _generation_streams(cfg.seed)
-    generations = [0] * len(nodes)
-    cap_hit = [False] * len(nodes)
-    walked = [c for c, members in enumerate(nodes) if len(members) > 1]
+    generations = np.zeros(len(sizes), dtype=np.int64)
+    cap_hit = np.zeros(len(sizes), dtype=bool)
+    walked = np.flatnonzero(sizes > 1)
     per_group = MAX_GENERATION_CELLS // (agents * memory_size**2)
-    order_words = _start_order_words(cfg.seed, max((len(nodes[c]) for c in walked), default=0))
+    order_words = _start_order_words(cfg.seed, int(sizes[walked].max(initial=0)))
     for at in range(0, len(walked), per_group):
         running = walked[at : at + per_group]
+        segments = None
         for generation in range(cfg.max_generations):
-            starts = np.concatenate(
-                [
-                    nodes[c][select_start_nodes(hits[nodes[c]], cfg, generation, order_words)]
-                    for c in running
-                ]
-            )
+            if segments is None:  # the running set changed
+                segments = _Segments.of_sizes(sizes[running], cfg)
+                shift = np.repeat(offset[running] - segments.offsets[:-1], sizes[running])
+                members = grouped[shift + np.arange(segments.offsets[-1])]
+            at_member = select_start_nodes(hits[members], cfg, generation, order_words, segments)
             # every component's agents read the same lanes 0 .. agents - 1
             lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)
-            if len(running) > 1:
-                lanes = np.tile(lanes, (len(running), 1))
-            memory, first = _csr_walks(g, mass, starts, memory_size, lanes)
+            memory, first = _csr_walks(g, mass, members[at_member], memory_size, lanes)
             # every pair of distinct memory nodes, each once per agent (first
             # visits only); the pairs that are edges add 1 to both slots of
             # their edge. Equal keys are one pair, looked up once and added
@@ -415,20 +474,20 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
             mass[slots] += counts
             mass[twins[slots]] += counts
             hits += np.bincount(memory.ravel(), minlength=n)
-            for c in running:
-                generations[c] = generation + 1
-            running = [c for c in running if not exploration_done(hits[nodes[c]], cfg)]
-            if not running:
-                break
-        for c in running:
-            cap_hit[c] = True
+            generations[running] = generation + 1
+            done = exploration_done(hits[members], cfg, segments)
+            if done.any():
+                running, segments = running[~done], None
+                if not len(running):
+                    break
+        cap_hit[running] = True
     weights = np.zeros(m, dtype=np.int64)
     weights[g.edge_ids] = mass[:-1] - 1
     return ExplorationResult(
         weights=weights,
         hits=hits.tolist(),
-        generations_run=sum(generations),
-        cap_hit=any(cap_hit),
-        component_generations=tuple(generations),
-        component_cap_hit=tuple(cap_hit),
+        generations_run=int(generations.sum()),
+        cap_hit=bool(cap_hit.any()),
+        component_generations=tuple(generations.tolist()),
+        component_cap_hit=tuple(cap_hit.tolist()),
     )

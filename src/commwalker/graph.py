@@ -123,14 +123,19 @@ class Graph:
 def search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted(table, queries) for queries of any shape, searched in
     ascending query order and scattered back. Consecutive sorted queries
-    follow nearly the same path through the binary search, so on thousands
-    of queries this is about twice as fast as searching them in scattered
-    order, argsort included."""
+    follow nearly the same path through the binary search, where scattered
+    ones mispredict its branches. With a fresh query array per call, as a
+    walk makes them (timeit, 2-core x86 Xeon VM, numpy 2.4): 272 queries
+    into 157 keys take 3.7 us to argsort plus 6.0 us to search, against
+    18.3 us for a plain search; 2,448 into 559 take 33 + 37 us against
+    180 us. Timing one query array over and over instead lets the branch
+    predictor learn it, and then the plain search looks faster. The array
+    methods skip numpy's Python-level wrappers."""
     queries = np.asarray(queries)
     flat = queries.ravel()
-    order = np.argsort(flat)
+    order = flat.argsort()
     at = np.empty(len(flat), dtype=np.intp)
-    at[order] = np.searchsorted(table, flat[order])
+    at[order] = table.searchsorted(flat[order])
     return at.reshape(queries.shape)
 
 

@@ -1,5 +1,6 @@
 """explore(), sweep() and best_split() on a disconnected graph pinned to
-the same calls on each component's induced subgraph.
+the same calls on each component's induced subgraph, and the segmented
+start selection and stop rule pinned to their one-component form.
 
 One batched generation loop must give every component exactly what a
 separate run on its induced subgraph gives: the same weights on its edges,
@@ -11,6 +12,7 @@ partition that splitting each component on its own and offsetting the
 labels gives.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +27,12 @@ from commwalker import (
     sweep,
 )
 from commwalker import exploration
+from commwalker.exploration import (
+    _Segments,
+    _start_order_words,
+    exploration_done,
+    select_start_nodes,
+)
 
 from _helpers import edge_weights, induced_subgraph, pairs_graph, per_component_split
 
@@ -199,3 +207,92 @@ def test_slot_masses_stay_equal_on_both_slots_of_an_edge(monkeypatch):
     assert np.array_equal(mass[:-1], 1 + result.weights[g.edge_ids])
     assert mass[-1] == 0
     assert result.weights.min() > 0
+
+
+def reference_start_nodes(hits, cfg, generation, order_words):
+    """One component's starts as the per-component loop placed them: one
+    stable argsort per order, each cycled through."""
+    n, a = len(hits), cfg.agent_count
+    if generation == 0:
+        return np.argsort(order_words[:n], kind="stable")[np.arange(a) % n]
+    hits = np.asarray(hits, dtype=np.int64)
+    hub_count = math.ceil(cfg.hub_fraction * a)
+    by_most_hit = np.argsort(-hits, kind="stable")
+    by_least_hit = np.argsort(hits, kind="stable")
+    return np.concatenate(
+        (by_most_hit[np.arange(hub_count) % n], by_least_hit[np.arange(a - hub_count) % n])
+    )
+
+
+@st.composite
+def segmented_hits(draw):
+    """Hit vectors of 1 to 6 components of 2 to 40 nodes. Hits are drawn
+    from a few values, so most orders have ties, around the stop floor."""
+    cfg = draw(
+        st.builds(
+            ExplorationConfig,
+            agent_count=st.integers(2, 90),  # below and above the sizes
+            memory_size=st.integers(2, 5),
+            hub_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            seed=st.integers(0, 2**64 - 1),
+        )
+    )
+    floor = (cfg.agent_count - 1) * cfg.memory_size
+    sizes = draw(st.lists(st.integers(2, 40), min_size=1, max_size=6))
+    values = st.sampled_from([0, floor - 1, floor, floor + 1, 3 * floor])
+    hits = [draw(st.lists(values, min_size=size, max_size=size)) for size in sizes]
+    generation = draw(st.sampled_from([0, 1, 2, 50]))
+    return cfg, hits, generation
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(segmented_hits())
+def test_segmented_pass_matches_each_component(case):
+    # One call over every component's hits gives each component the starts
+    # and the stop verdict of a call on its own hits; a hit tie broken by
+    # anything but node id (the position within the component) differs
+    # from the reference's stable sorts.
+    cfg, hits, generation = case
+    sizes = [len(h) for h in hits]
+    order_words = _start_order_words(cfg.seed, max(sizes))
+    segments = _Segments.of_sizes(np.array(sizes), cfg)
+    joined = np.concatenate(hits)
+    starts = select_start_nodes(joined, cfg, generation, order_words, segments)
+    done = exploration_done(joined, cfg, segments)
+    assert starts.shape == (len(hits) * cfg.agent_count,)
+    assert done.shape == (len(hits),)
+    at = 0
+    for c, own in enumerate(hits):
+        alone = select_start_nodes(own, cfg, generation, order_words)
+        expected = reference_start_nodes(own, cfg, generation, order_words)
+        assert alone.tolist() == expected.tolist()
+        mine = starts[c * cfg.agent_count : (c + 1) * cfg.agent_count] - at
+        assert mine.tolist() == expected.tolist()
+        assert done[c] == exploration_done(own, cfg)
+        if generation == 0:  # without the words, the call reads them itself
+            assert select_start_nodes(own, cfg, 0).tolist() == expected.tolist()
+        at += len(own)
+
+
+def test_explore_selects_starts_and_checks_stops_once_per_generation(monkeypatch):
+    # The running components share one start selection and one stop check
+    # per generation, however many of them run.
+    calls = {"starts": 0, "stops": 0}
+    select, done = exploration.select_start_nodes, exploration.exploration_done
+
+    def counting_select(*args):
+        calls["starts"] += 1
+        return select(*args)
+
+    def counting_done(*args):
+        calls["stops"] += 1
+        return done(*args)
+
+    monkeypatch.setattr(exploration, "select_start_nodes", counting_select)
+    monkeypatch.setattr(exploration, "exploration_done", counting_done)
+    g = two_speed_graph()
+    cfg = ExplorationConfig(agent_count=6, memory_size=3, seed=3)
+    result = explore(g, cfg)
+    assert len(set(result.component_generations) - {0}) > 1  # they stop apart
+    generations = max(result.component_generations)
+    assert calls == {"starts": generations, "stops": generations}

@@ -60,6 +60,69 @@ def test_csr_walks_match_run_walk(case):
         assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
 
 
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(walk_cases(), st.integers(2, 4))
+def test_csr_walks_read_lane_k_mod_lanes(case, copies):
+    # copies x lanes agents on lanes uniform rows: agent k reads lane
+    # k % lanes, as if the rows were tiled, as several components' agents
+    # do in explore().
+    g, w, memory_size, starts, seed, generation = case
+    lanes = len(starts)
+    uniforms = _walk_uniforms(_philox(seed, generation), lanes, memory_size - 1)
+    mass = _slot_masses(g, w)
+    all_starts = np.random.default_rng(seed).permutation(np.repeat(starts, copies))
+    memory, first = _csr_walks(g, mass, all_starts, memory_size, uniforms)
+    tiled = _csr_walks(g, mass, all_starts, memory_size, np.tile(uniforms, (copies, 1)))
+    assert np.array_equal(memory, tiled[0]) and np.array_equal(first, tiled[1])
+    for k, start in enumerate(all_starts.tolist()):
+        assert memory[:, k].tolist() == run_walk(g, w, start, memory_size, replay(uniforms[k % lanes]))
+
+
+def _gapped_tabu_steps(g, walk):
+    """The steps of a walk whose sorted tabu column, once deduplicated,
+    holds an empty entry between two real tabu slots: the current node's
+    slot to an older node seen twice, below another tabu slot, on a step
+    that is not blocked."""
+    rows = neighbor_lists(g)
+    gapped = []
+    for step in range(3, len(walk)):
+        current, row = walk[step - 1], rows[walk[step - 1]]
+        tabu = sorted([row.index(walk[step - 2])] + [row.index(v) for v in walk[: step - 2] if v in row])
+        repeated = [slot for i, slot in enumerate(tabu) if i and slot == tabu[i - 1]]
+        blocked = len(set(tabu)) == len(row)
+        if not blocked and repeated and min(repeated) < max(tabu):
+            gapped.append(step)
+    return gapped
+
+
+@pytest.mark.parametrize("memory_size", [5, 6])
+def test_csr_walks_match_run_walk_with_gaps_in_the_tabu(memory_size):
+    # Leaves and degree-2 nodes block steps, so walks revisit nodes, and a
+    # node in the tabu twice is deduplicated to an empty entry. From six
+    # nodes on (x, leaf, x, c, d, ...) that entry can lie between the real
+    # tabu slots of one column, and the pass over the tabu rows must weigh
+    # it 0; with five, a repeated entry is always the last real one.
+    g = pairs_graph(
+        10,
+        [(0, 1), (0, 2), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7), (7, 0), (7, 8), (2, 9)],
+    )  # 1, 8 and 9 are leaves; 2, 3, 4, 5 and 6 have degree 2
+    degrees = g.degrees()
+    assert 1 in degrees and 2 in degrees
+    rng = np.random.default_rng(memory_size)
+    w = rng.integers(0, 6, size=g.edge_count)
+    starts = np.repeat(np.arange(g.node_count), 300)
+    uniforms = rng.random((len(starts), memory_size - 1))
+    memory, first = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
+    gapped = 0
+    for k, start in enumerate(starts.tolist()):
+        expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+        gapped += len(_gapped_tabu_steps(g, expected))
+    assert not first.all()  # some step was blocked and revisited
+    assert gapped == 0 if memory_size == 5 else gapped > 10
+
+
 def _integer_points(total):
     """The uniforms j / total, j < total, whose product with total is j."""
     return [j / total for j in range(total) if j / total * total == j]
