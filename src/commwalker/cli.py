@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .bench import run_bench
 from .errors import ConfigError, ConfigInvalidError, InputError, MalformedLineError, UnknownNodeError
+from .exploration import ExplorationConfig
 from .graph import Graph, Partition, load_edge_list, load_gml, load_labels, parse_label_lines
 from .modularity import confusion_matrix, matched_total
 from .pipeline import detect
@@ -168,6 +169,10 @@ def cmd_bench(args) -> int:
         if ignored:
             raise ConfigInvalidError(f"--synthetic generates its graphs; drop {', '.join(ignored)}")
         params = _parse_synthetic(args.synthetic)
+        # Every planted graph has blocks x size nodes and a default memory
+        # of 3 or 4: a config refused at memory 3 is refused for every
+        # graph, so refuse it before the first (quadratic) draw.
+        ExplorationConfig.for_size(params["block_count"] * params["block_size"], 0, **overrides)
 
         def source(seed: int):
             return planted_partition(seed=seed, **params)

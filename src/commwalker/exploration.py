@@ -17,9 +17,10 @@ together, one step at a time, as arrays over the graph's CSR rows
 (_csr_walks): explore() keeps every slot's mass 1 + weight from one
 generation to the next, the kernel sums them once into a prefix, and each
 step picks by one integer search in it, so a step costs agents x memory
-whatever the degrees. The first step has no tabu and the second only the
-slot back to the start. The test suite pins this kernel to a scalar
-reference that walks the same rows one agent at a time.
+whatever the degrees. The first step has no tabu, and the second only the
+slot back to the start, which it weighs in closed form, with no tabu rows.
+The test suite pins this kernel to a scalar reference that walks the same
+rows one agent at a time.
 
 Walkers never cross components, so explore() reads the graph's connected
 components (Graph.components) and explores each one as if it were the
@@ -30,8 +31,8 @@ the one-component case. The running components' nodes are kept as one
 array with offsets (_Segments), so a generation places every component's
 starts with one sort per order and one gather, and applies every stop rule
 with one np.minimum.reduceat. Every component's agents read lanes
-0 .. agents - 1: the kernel reads agent k's uniforms from lane
-k % agents, so the lanes are drawn once and never copied per component.
+0 .. agents - 1: the kernel reads agent k's uniforms in place from lane
+k % agents, so the lanes are drawn once and never copied.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalidError
-from .graph import Graph, search_in_order
+from .graph import Graph
 
 # Hit counts are indexed by node id (a list or an int array); weights are
 # indexed by edge id.
@@ -109,19 +110,44 @@ class ExplorationConfig:
         max_generations: int = 1000,
         seed: int = 0,
     ) -> "ExplorationConfig":
-        """Fill unset parameters from graph shape.
+        """Fill unset parameters from graph shape (for_size of g's node
+        and edge counts)."""
+        return cls.for_size(
+            g.node_count,
+            g.edge_count,
+            agent_count=agent_count,
+            memory_size=memory_size,
+            hub_fraction=hub_fraction,
+            max_generations=max_generations,
+            seed=seed,
+        )
+
+    @classmethod
+    def for_size(
+        cls,
+        node_count: int,
+        edge_count: int,
+        *,
+        agent_count: int | None = None,
+        memory_size: int | None = None,
+        hub_fraction: float = 0.75,
+        max_generations: int = 1000,
+        seed: int = 0,
+    ) -> "ExplorationConfig":
+        """Fill unset parameters from the node and edge counts of a graph.
 
         Agents scale with node count: the visit-count stop rule makes total
         walk mass grow with the agent count, and cross-community edge
         weights plateau while intra weights keep growing, so more agents
         directly sharpen the weight ranking (calibrated on the bundled and
         synthetic benchmarks). Memories stay short, near one neighborhood
-        deep; longer windows blend adjacent communities.
+        deep; longer windows blend adjacent communities. The default memory
+        is 3 or 4, and 3 at edge_count 0.
         """
         if agent_count is None:
-            agent_count = max(16, 8 * g.node_count)
+            agent_count = max(16, 8 * node_count)
         if memory_size is None:
-            avg_degree = 2 * g.edge_count / g.node_count if g.node_count else 0.0
+            avg_degree = 2 * edge_count / node_count if node_count else 0.0
             memory_size = min(4, max(3, math.ceil(avg_degree)))
         cfg = cls(
             agent_count=agent_count,
@@ -315,61 +341,80 @@ def _csr_walks(
     1 + edge weight, drawn in order with the uniforms of lane
     k % len(uniforms), so several components' agents can read the same
     lanes; the mask marks the first visit of each node in each column.
-    mass holds the slot masses 1 + weight (_slot_masses), which explore()
-    keeps from one generation to the next; they are summed once into a
-    prefix over all slots, and each node's row start in it, row mass and
-    degree are read off once, so a step gathers three values per agent.
-    With T the allowed mass and r = u * T, the pick is the first slot whose
-    allowed running mass exceeds r, that is, reaches floor(r) + 1. The
-    first step has no tabu: its pick is one search in the prefix. At a
-    later step an agent's tabu slots are the twin of the slot it just took
-    plus, from the third node on, the slots of its older memory nodes in
-    the current row (all dropped when they cover the row, which is exactly
-    when the step revisits a node). A tabu slot lies before the pick
-    exactly when the allowed mass before it is below floor(r) + 1; a pass
-    over the sorted tabu slots that adds the mass of each one lying before
-    the target so far to the target leaves one search in the prefix, which
-    finds the pick. A forced step's only candidate is found for any u, and
-    a uniform is consumed only on steps with more than one candidate.
-    Arrays are step-major, so every per-step operation runs over whole
-    rows of agents; work per step is agents x memory, whatever the degrees.
+    Agent k reads its lane in place, through a pointer into the flattened
+    uniforms that starts at the lane's first uniform and moves on by one on
+    each step that spends one. mass holds the slot masses 1 + weight
+    (_slot_masses), which explore() keeps from one generation to the next;
+    they are summed once into a prefix over all slots, and each node's row
+    start in it (one gather), row mass and degree are read off once, so a
+    step gathers three values per agent. With T the allowed mass and
+    r = u * T, the pick is the first slot whose allowed running mass
+    exceeds r, that is, reaches floor(r) + 1. The first step has no tabu:
+    its pick is one search in the prefix. Step 2's only tabu is the twin of
+    the slot step 1 took, so it needs no tabu rows: the step has degree - 1
+    candidates, is blocked exactly at a leaf, where the twin is dropped, and
+    spends a uniform exactly when the degree is above 2. From step 3 on an
+    agent's tabu slots are that twin plus the slots of its older memory
+    nodes in the current row (all dropped when they cover the row, which is
+    exactly when the step revisits a node). A tabu slot lies before the
+    pick exactly when the allowed mass before it is below floor(r) + 1; a
+    pass over the sorted tabu slots that adds the mass of each one lying
+    before the target so far to the target (at step 2, one masked add)
+    leaves one search in the prefix, which finds the pick. The searches
+    take the targets in ascending order, as search_in_order does. A forced
+    step's only candidate is found for any u, and a uniform is consumed
+    only on steps with more than one candidate. Arrays are step-major, so
+    every per-step operation runs over whole rows of agents; work per step
+    is agents x memory, whatever the degrees.
     """
     indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
     n = g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
-    np.cumsum(mass[:-1], out=before[1:])
-    row_target = before[indptr[:-1]] + 1  # the target of r = 0 in each node's row
-    row_mass = before[indptr[1:]] - before[indptr[:-1]]
+    mass[:-1].cumsum(out=before[1:])
+    through = before[1:]  # mass of all slots up to and including each slot
+    row_start = before[indptr]
+    row_target = row_start[:-1] + 1  # the target of r = 0 in each node's row
+    row_mass = row_start[1:] - row_start[:-1]
     row_degree = indptr[1:] - indptr[:-1]
     agents, lanes = len(starts), len(uniforms)
     memory = np.empty((memory_size, agents), dtype=np.int64)
     memory[0] = starts
     first = np.ones((memory_size, agents), dtype=bool)
-    draws = uniforms.T.ravel()  # lane j's d-th uniform at d * lanes + j
-    next_draw = np.arange(agents) % lanes
+    # lane j's d-th uniform is draws[j * per_lane + d]; agent k starts at
+    # lane k % lanes and advances by one on each step that spends a uniform
+    draws, per_lane = uniforms.ravel(), uniforms.shape[1]
+    next_draw = np.arange(0, agents * per_lane, per_lane)
+    if agents > lanes:
+        next_draw %= lanes * per_lane
+    pick = np.empty(agents, dtype=np.intp)
     for step in range(1, memory_size):
         current = memory[step - 1]
         degree = row_degree[current]
         allowed = row_mass[current]
         if step == 1:
             spends = degree > 1
+        elif step == 2:
+            # the only tabu is the twin of the slot just taken; it blocks
+            # the step exactly at a leaf, where it is dropped (weighs 0)
+            free = np.greater(degree, 1, out=first[2])
+            tabu = twins[pick]
+            tabu_mass = mass[tabu] * free
+            allowed -= tabu_mass
+            spends = degree > 2
         else:
-            if step == 2:
-                tabu = twins[pick][None]
-            else:
-                # tabu: the twin of the slot just taken, and the slots of
-                # older memory nodes (the current node is never its own
-                # neighbor, so nodes equal to it find no slot)
-                older, found = g.slots_of(current * n + memory[: step - 2])
-                tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
-                _sort_columns(tabu)
-                tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
+            # tabu: the twin of the slot just taken, and the slots of older
+            # memory nodes (the current node is never its own neighbor, so
+            # nodes equal to it find no slot)
+            older, found = g.slots_of(current * n + memory[: step - 2])
+            tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
+            _sort_columns(tabu)
+            tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
             candidates = degree - (tabu < no_slot).sum(axis=0)
             blocked = candidates == 0
             if blocked.any():
-                tabu[:, blocked] = no_slot
-                candidates[blocked] = degree[blocked]
+                np.copyto(tabu, no_slot, where=blocked)
+                np.copyto(candidates, degree, where=blocked)
             tabu_mass = mass[tabu]
             allowed -= tabu_mass.sum(axis=0)
             spends = candidates > 1
@@ -378,15 +423,20 @@ def _csr_walks(
         # below T, so floor(r) + 1 <= T: some slot is always reached. r >= 0,
         # so truncation is the floor.
         target = row_target[current] + (draws[next_draw] * allowed).astype(np.int64)
-        next_draw += spends * lanes
-        if step > 1:
-            # The tabu slots ascend down each column, so a slot's prefix
-            # position is below the target raised by the tabu slots before
-            # it exactly when its allowed mass before is below floor(r) + 1
-            # (no_slot, even between two slots, weighs nothing).
+        next_draw += spends
+        # The tabu slots ascend down each column, so a slot's prefix
+        # position is below the target raised by the tabu slots before it
+        # exactly when its allowed mass before is below floor(r) + 1
+        # (no_slot, even between two slots, weighs nothing).
+        if step == 2:
+            target += tabu_mass * (before[tabu] < target)
+        elif step > 2:
             for slot, slot_mass in zip(tabu, tabu_mass):
                 target += slot_mass * (before[slot] < target)
-        pick = search_in_order(before, target) - 1
+        # the pick is the first slot whose mass through it reaches the
+        # target; targets are searched in ascending order (search_in_order)
+        order = target.argsort()
+        pick[order] = through.searchsorted(target[order])
         memory[step] = neighbors[pick]
     return memory, first
 
@@ -436,7 +486,10 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
-    sorted_keys, slot_by_key, twins = g.sorted_keys, g.slot_by_key, g.twins
+    slot_by_key, twins = g.slot_by_key, g.twins
+    # the sorted pair keys and, after them, n * n, above every key u * n + v:
+    # a search past the last key lands on it and finds no edge
+    key_table = np.append(g.sorted_keys, n * n)
     mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
     streams = _generation_streams(cfg.seed)
@@ -465,12 +518,16 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
             keep = first[left] & first[right]
             keys = (memory[left] * n + memory[right])[keep]
             keys.sort()
-            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+            # bound marks where a run of equal keys starts, and the end
+            bound = np.empty(len(keys) + 1, dtype=bool)
+            bound[0] = bound[-1] = True
+            np.not_equal(keys[1:], keys[:-1], out=bound[1:-1])
+            runs = bound.nonzero()[0]
             unique = keys[runs[:-1]]
-            at_key = np.minimum(np.searchsorted(sorted_keys, unique), len(sorted_keys) - 1)
-            is_edge = sorted_keys[at_key] == unique
+            at_key = key_table.searchsorted(unique)
+            is_edge = key_table[at_key] == unique
             slots = slot_by_key[at_key[is_edge]]
-            counts = np.diff(runs)[is_edge]
+            counts = (runs[1:] - runs[:-1])[is_edge]
             mass[slots] += counts
             mass[twins[slots]] += counts
             hits += np.bincount(memory.ravel(), minlength=n)

@@ -124,11 +124,13 @@ def search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted(table, queries) for queries of any shape, searched in
     ascending query order and scattered back. Consecutive sorted queries
     follow nearly the same path through the binary search, where scattered
-    ones mispredict its branches. With a fresh query array per call, as a
-    walk makes them (timeit, 2-core x86 Xeon VM, numpy 2.4): 272 queries
-    into 157 keys take 3.7 us to argsort plus 6.0 us to search, against
-    18.3 us for a plain search; 2,448 into 559 take 33 + 37 us against
-    180 us. Timing one query array over and over instead lets the branch
+    ones mispredict its branches. Graph.slots_of looks the walk's older
+    memory nodes up with it; the walk kernel's pick searches, over 1-D
+    targets, inline the same sort, search and scatter. With a fresh array
+    of 272 random pair keys per call (karate's agents) into karate's 156
+    sorted keys (2-core x86 VM, numpy 2.4), the sorted search takes
+    11-15 us, 4.5-6 us of it the argsort, against 17-19 us for a plain
+    search. Timing one query array over and over instead lets the branch
     predictor learn it, and then the plain search looks faster. The array
     methods skip numpy's Python-level wrappers."""
     queries = np.asarray(queries)

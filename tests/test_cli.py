@@ -321,6 +321,32 @@ def test_bench_synthetic_flag_validation(capsys):
         assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        ([], "memory_size**2"),
+        (["--memory", "3"], "memory_size**2"),
+        (["--agents", "16", "--memory", "4096"], "memory_size**2"),
+        (["--agents", "16", "--hub-fraction", "2"], "hub_fraction"),
+    ],
+)
+def test_bench_synthetic_checks_config_before_drawing(capsys, monkeypatch, flags, named):
+    # The planted size fixes the default agents (8 per node) and the default
+    # memory is at least 3, so a config refused at memory 3 is refused with
+    # exit 2 before the first planted graph, a quadratic draw, is made.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr("commwalker.cli.planted_partition", no_draw)
+    code, out, err = run_cli(
+        capsys, "bench", "--synthetic", "blocks=100000,size=100000,pin=0.5,pout=0.1",
+        "--trials", "1", *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_detect_seed_outside_key_range_is_config_error(barbell_file, capsys, seed):
     code, out, err = run_cli(capsys, "detect", "--input", barbell_file, "--seed", seed)

@@ -7,7 +7,7 @@ where float rounding of r would matter first. Uniforms u = j / T, with T
 the allowed mass of the step, check it where r = u * T is an integer.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -183,19 +183,26 @@ def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
     assert picks == {f, g_, e}
 
 
-@pytest.mark.parametrize("memory_size", [2, 3])
+@pytest.mark.parametrize("memory_size", [2, 3, 4])
 @pytest.mark.parametrize(
     "g",
-    [pairs_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), path_graph(5)],
-    ids=["star", "path"],
+    [
+        pairs_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        path_graph(5),
+        pairs_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+    ],
+    ids=["star", "path", "spider"],
 )
 def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
     # Step 1 searches the row with no tabu; step 2's only tabu is the slot
     # back to the start. From a leaf (an end of the path) step 1 is forced
-    # and spends no uniform; a step 2 at a leaf is blocked and revisits.
+    # and spends no uniform; a step 2 at a leaf is blocked and revisits,
+    # and one at a node of degree 2 is forced. Step 3 then reads the
+    # uniform step 2 left unspent: at the star's hub after a blocked step
+    # 2, and at the spider's hub after 4 -> 3 -> 0.
     w = np.array([3, 0, 7, 1], dtype=np.int64)
     grid = [0.0, 0.2, 0.5, 0.8, 1 - 2**-53]
-    rows = [[u, v] for u in grid for v in grid]
+    rows = [list(row) for row in product(grid, repeat=3)]
     starts = np.repeat(np.arange(g.node_count), len(rows))
     uniforms = np.array(rows * g.node_count)[:, : memory_size - 1]
     memory, first = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
@@ -204,7 +211,7 @@ def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
         assert memory[:, k].tolist() == expected
         assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
     assert len(set(memory[-1].tolist())) > 2  # the draws reach several slots
-    if memory_size == 3:
+    if memory_size >= 3:
         assert not first[2].all()  # some step 2 was blocked
 
 
