@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import EdgeWeights
 from .graph import Graph, Partition, connected_components
 from .modularity import modularity
 
@@ -66,12 +65,12 @@ class Split:
         return sum(best.removed_edge_count for best in self.winners)
 
 
-def edge_removal_order(w: EdgeWeights) -> np.ndarray:
+def edge_removal_order(w: np.ndarray) -> np.ndarray:
     """Edge ids sorted by ascending weight; ties by ascending edge id."""
     return np.argsort(w, kind="stable")
 
 
-def sweep(g: Graph, w: EdgeWeights) -> list[list[CandidateRecord]]:
+def sweep(g: Graph, w: np.ndarray) -> list[list[CandidateRecord]]:
     """Every candidate of every connected component of g, one list per
     component in g.components order.
 
@@ -79,7 +78,10 @@ def sweep(g: Graph, w: EdgeWeights) -> list[list[CandidateRecord]]:
     as its edges are cut in removal order, in order of removed edges: the
     first is the whole component as one community (Q = 0), the last is all
     singletons. A lone node's only record is CandidateRecord(0, 1, 0).
+    w holds one weight per edge id.
     """
+    if len(w) != g.edge_count:
+        raise ValueError(f"{len(w)} weights for {g.edge_count} edges")
     components = g.components
     of = components.community_of
     indptr = g.indptr.tolist()

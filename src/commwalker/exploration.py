@@ -36,7 +36,10 @@ k % agents, so the lanes are drawn once and never copied.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
-stored: the walk, the edge sweep and the output read nothing else. During
+stored: the walk, the edge sweep and the output read nothing else. Which
+pairs are edges, and which slots they have, is read from the graph's one
+pair-key table (Graph.sorted_keys and Graph.slot_by_key), which the
+kernel's tabu lookup searches too; its sentinel ends every search. During
 the run they live in the slot masses, both slots of an edge alike, and are
 read back per edge id at the end.
 """
@@ -98,29 +101,6 @@ class ExplorationConfig:
             raise ConfigInvalidError(f"max_generations must be >= 1, got {self.max_generations}")
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalidError(f"seed must be in [0, 2**64), got {self.seed}")
-
-    @classmethod
-    def for_graph(
-        cls,
-        g: Graph,
-        *,
-        agent_count: int | None = None,
-        memory_size: int | None = None,
-        hub_fraction: float = 0.75,
-        max_generations: int = 1000,
-        seed: int = 0,
-    ) -> "ExplorationConfig":
-        """Fill unset parameters from graph shape (for_size of g's node
-        and edge counts)."""
-        return cls.for_size(
-            g.node_count,
-            g.edge_count,
-            agent_count=agent_count,
-            memory_size=memory_size,
-            hub_fraction=hub_fraction,
-            max_generations=max_generations,
-            seed=seed,
-        )
 
     @classmethod
     def for_size(
@@ -355,20 +335,21 @@ def _csr_walks(
     candidates, is blocked exactly at a leaf, where the twin is dropped, and
     spends a uniform exactly when the degree is above 2. From step 3 on an
     agent's tabu slots are that twin plus the slots of its older memory
-    nodes in the current row (all dropped when they cover the row, which is
-    exactly when the step revisits a node). A tabu slot lies before the
-    pick exactly when the allowed mass before it is below floor(r) + 1; a
-    pass over the sorted tabu slots that adds the mass of each one lying
-    before the target so far to the target (at step 2, one masked add)
-    leaves one search in the prefix, which finds the pick. The searches
-    take the targets in ascending order, as search_in_order does. A forced
-    step's only candidate is found for any u, and a uniform is consumed
-    only on steps with more than one candidate. Arrays are step-major, so
-    every per-step operation runs over whole rows of agents; work per step
-    is agents x memory, whatever the degrees.
+    nodes in the current row, found in the graph's pair-key table (all
+    dropped when they cover the row, which is exactly when the step
+    revisits a node). A tabu slot lies before the pick exactly when the
+    allowed mass before it is below floor(r) + 1; a pass over the sorted
+    tabu slots that adds the mass of each one lying before the target so
+    far to the target (at step 2, one masked add) leaves one search in the
+    prefix, which finds the pick. Both searches, in the pair-key table and
+    in the prefix, take their queries in ascending order
+    (_search_in_order). A forced step's only candidate is found for any u,
+    and a uniform is consumed only on steps with more than one candidate.
+    Arrays are step-major, so every per-step operation runs over whole rows
+    of agents; work per step is agents x memory, whatever the degrees.
     """
     indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
-    n = g.node_count
+    sorted_keys, slot_by_key, n = g.sorted_keys, g.slot_by_key, g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     mass[:-1].cumsum(out=before[1:])
@@ -387,7 +368,6 @@ def _csr_walks(
     next_draw = np.arange(0, agents * per_lane, per_lane)
     if agents > lanes:
         next_draw %= lanes * per_lane
-    pick = np.empty(agents, dtype=np.intp)
     for step in range(1, memory_size):
         current = memory[step - 1]
         degree = row_degree[current]
@@ -406,8 +386,10 @@ def _csr_walks(
             # tabu: the twin of the slot just taken, and the slots of older
             # memory nodes (the current node is never its own neighbor, so
             # nodes equal to it find no slot)
-            older, found = g.slots_of(current * n + memory[: step - 2])
-            tabu = np.concatenate((twins[pick][None], np.where(found, older, no_slot)))
+            keys = (current * n + memory[: step - 2]).ravel()
+            at = _search_in_order(sorted_keys, keys)
+            older = np.where(sorted_keys[at] == keys, slot_by_key[at], no_slot)
+            tabu = np.concatenate((twins[pick], older)).reshape(step - 1, agents)
             _sort_columns(tabu)
             tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
             candidates = degree - (tabu < no_slot).sum(axis=0)
@@ -433,12 +415,28 @@ def _csr_walks(
         elif step > 2:
             for slot, slot_mass in zip(tabu, tabu_mass):
                 target += slot_mass * (before[slot] < target)
-        # the pick is the first slot whose mass through it reaches the
-        # target; targets are searched in ascending order (search_in_order)
-        order = target.argsort()
-        pick[order] = through.searchsorted(target[order])
+        # the pick is the first slot whose mass through it reaches the target
+        pick = _search_in_order(through, target)
         memory[step] = neighbors[pick]
     return memory, first
+
+
+def _search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """table.searchsorted(queries) for 1-D queries, searched in ascending
+    query order and scattered back. Consecutive sorted queries follow
+    nearly the same path through the binary search, where scattered ones
+    mispredict its branches. With a fresh array of 272 random pair keys per
+    call (karate's agents) into karate's 156 sorted keys (2-core x86 VM,
+    numpy 2.4), the sorted search takes 11-15 us, 4.5-6 us of it the
+    argsort, against 17-19 us for a plain search. Timing one query array
+    over and over instead lets the branch predictor learn it, and then the
+    plain search looks faster. The array methods skip numpy's Python-level
+    wrappers. _csr_walks searches with it twice: for the tabu's older
+    memory nodes in the pair-key table, and for the picks in the prefix."""
+    order = queries.argsort()
+    at = np.empty(len(queries), dtype=np.intp)
+    at[order] = table.searchsorted(queries[order])
+    return at
 
 
 def _sort_columns(a: np.ndarray) -> None:
@@ -486,10 +484,7 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
-    slot_by_key, twins = g.slot_by_key, g.twins
-    # the sorted pair keys and, after them, n * n, above every key u * n + v:
-    # a search past the last key lands on it and finds no edge
-    key_table = np.append(g.sorted_keys, n * n)
+    sorted_keys, slot_by_key, twins = g.sorted_keys, g.slot_by_key, g.twins
     mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
     streams = _generation_streams(cfg.seed)
@@ -524,8 +519,8 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
             np.not_equal(keys[1:], keys[:-1], out=bound[1:-1])
             runs = bound.nonzero()[0]
             unique = keys[runs[:-1]]
-            at_key = key_table.searchsorted(unique)
-            is_edge = key_table[at_key] == unique
+            at_key = sorted_keys.searchsorted(unique)  # the sentinel ends any miss
+            is_edge = sorted_keys[at_key] == unique
             slots = slot_by_key[at_key[is_edge]]
             counts = (runs[1:] - runs[:-1])[is_edge]
             mass[slots] += counts

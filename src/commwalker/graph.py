@@ -4,7 +4,9 @@ Nodes carry external string names; internally everything runs on dense
 integer ids assigned in first-appearance order. Edges get dense ids in
 input order, stored as (u, v) with u < v. Each node's neighbours are
 stored once, in the CSR arrays that Graph.from_edges builds: the walk
-kernel, the sweep, the flood fill and modularity all read them. The
+kernel, the sweep, the flood fill and modularity all read them. Which
+pairs of nodes are edges is looked up in one sorted table of pair keys,
+also built there: the walk's tabu and its co-visit counts search it. The
 connected components are found once per graph, on first use of
 Graph.components, and every phase of detection reads that one partition.
 """
@@ -12,6 +14,7 @@ Graph.components, and every phase of detection reads that one partition.
 from __future__ import annotations
 
 import logging
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +41,13 @@ class Graph:
 
     Neighbours are stored once, as compressed rows (CSR) with one slot per
     (node, incident edge): row u is slots indptr[u] .. indptr[u + 1] - 1,
-    in edge-id order. A slot holds its neighbour and edge id; sorted_keys
-    holds the directed keys u * n + v of all slots in ascending order, with
-    the slot of each in slot_by_key, and twins[s] is the slot of the same
-    edge read from the other end. The arrays are read-only. The one value
+    in edge-id order. A slot holds its neighbour and edge id, and twins[s]
+    is the slot of the same edge read from the other end. The pair-key
+    table sorted_keys holds the directed keys u * n + v of all slots in
+    ascending order, with the slot of each in slot_by_key; the two end in
+    a sentinel, n * n (above every key) and 2m (no slot), so a search for
+    any pair key lands on an entry, and a pair that is no edge finds a key
+    other than its own. The arrays are read-only. The one value
     filled after construction is components, on first use; it depends only
     on the arrays, so two concurrent first reads at worst flood the graph
     twice and store equal partitions, and a graph is safe to share across
@@ -77,24 +83,23 @@ class Graph:
         directly, past the frozen dataclass's __setattr__)."""
         return connected_components(self)
 
-    def slots_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slot, found) of directed keys u * n + v; slot is arbitrary
-        where the pair is not an edge."""
-        if not len(self.sorted_keys):  # no edges: nothing to search
-            found = np.zeros(np.shape(keys), dtype=bool)
-            return found.astype(np.int64), found
-        at = np.minimum(search_in_order(self.sorted_keys, keys), len(self.sorted_keys) - 1)
-        return self.slot_by_key[at], self.sorted_keys[at] == keys
-
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from node names and id pairs, enforcing simplicity."""
+        """Build a graph from node names and id pairs, enforcing simplicity;
+        every id is an integer in range(len(names))."""
         name_to_id = {name: i for i, name in enumerate(names)}
         if len(name_to_id) != len(names):
             raise MalformedLineError("node names are not unique")
+        n, ids = len(names), range(len(names))
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for u, v in edge_pairs:
+        for pair in edge_pairs:
+            try:
+                u, v = map(operator.index, pair)
+            except TypeError:
+                raise DanglingEdgeError(f"edge {pair!r} names a node id that is not an integer") from None
+            if u not in ids or v not in ids:
+                raise DanglingEdgeError(f"edge {pair!r} names a node id outside range({n})")
             if u == v:
                 raise SelfLoopError(f"self-loop on node '{names[u]}'")
             if u > v:
@@ -103,42 +108,22 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge '{names[u]}'-'{names[v]}'")
             seen.add((u, v))
             edges.append((u, v))
-        n, m = len(names), len(edges)
+        m = len(edges)
         # entry 2e reads edge e from its lower end, 2e + 1 from its upper
         # end; a stable sort by owner keeps every row in edge-id order
         ends = np.array(edges, dtype=np.int64).reshape(m, 2)
         entry = np.argsort(ends.ravel(), kind="stable")
         owner, neighbors = ends.ravel()[entry], ends[:, ::-1].ravel()[entry]
         keys = owner * n + neighbors
-        slot_by_key = np.argsort(keys)
-        sorted_keys = keys[slot_by_key]
-        twins = slot_by_key[np.searchsorted(sorted_keys, neighbors * n + owner)]
+        # the pair-key table and its sentinels n * n and 2m (no slot)
+        slot_by_key = np.append(np.argsort(keys), 2 * m)
+        sorted_keys = np.append(keys[slot_by_key[:-1]], n * n)
+        twins = slot_by_key[sorted_keys.searchsorted(neighbors * n + owner)]
         indptr = np.searchsorted(owner, np.arange(n + 1))
         csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins)
         for array in csr:
             array.flags.writeable = False
         return cls(list(names), edges, name_to_id, *csr)
-
-
-def search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """np.searchsorted(table, queries) for queries of any shape, searched in
-    ascending query order and scattered back. Consecutive sorted queries
-    follow nearly the same path through the binary search, where scattered
-    ones mispredict its branches. Graph.slots_of looks the walk's older
-    memory nodes up with it; the walk kernel's pick searches, over 1-D
-    targets, inline the same sort, search and scatter. With a fresh array
-    of 272 random pair keys per call (karate's agents) into karate's 156
-    sorted keys (2-core x86 VM, numpy 2.4), the sorted search takes
-    11-15 us, 4.5-6 us of it the argsort, against 17-19 us for a plain
-    search. Timing one query array over and over instead lets the branch
-    predictor learn it, and then the plain search looks faster. The array
-    methods skip numpy's Python-level wrappers."""
-    queries = np.asarray(queries)
-    flat = queries.ravel()
-    order = flat.argsort()
-    at = np.empty(len(flat), dtype=np.intp)
-    at[order] = table.searchsorted(flat[order])
-    return at.reshape(queries.shape)
 
 
 @dataclass(frozen=True)

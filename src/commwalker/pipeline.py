@@ -86,8 +86,9 @@ def detect(
     """
     if g.edge_count == 0:
         raise NoEdgesError("community detection needs at least one edge")
-    cfg = ExplorationConfig.for_graph(
-        g,
+    cfg = ExplorationConfig.for_size(
+        g.node_count,
+        g.edge_count,
         agent_count=agent_count,
         memory_size=memory_size,
         hub_fraction=hub_fraction,

@@ -204,7 +204,7 @@ def test_criterion_4a_barbell_bridge_removed_first():
     bridge_eid = g.edges.index(BARBELL_BRIDGE)
     first = 0
     for seed in range(100):
-        result = explore(g, ExplorationConfig.for_graph(g, seed=seed))
+        result = explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=seed))
         if edge_removal_order(result.weights)[0] == bridge_eid:
             first += 1
     ok = first >= 95
@@ -216,7 +216,7 @@ def test_criterion_4b_planted_weight_separation():
     diffs = []
     for seed in range(30):
         g, truth = connected_planted(2, 16, 0.5, 0.05, seed)
-        result = explore(g, ExplorationConfig.for_graph(g, seed=seed))
+        result = explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=seed))
         intra, inter = [], []
         for eid, (u, v) in enumerate(g.edges):
             bucket = intra if truth.community_of[u] == truth.community_of[v] else inter
@@ -311,7 +311,7 @@ def test_criterion_6_termination_within_budget():
         ("path-200", path_graph(200)),
     ]
     for label, g in cases:
-        cfg = ExplorationConfig.for_graph(g, seed=0)
+        cfg = ExplorationConfig.for_size(g.node_count, g.edge_count, seed=0)
         started = time.perf_counter()
         result = explore(g, cfg)
         elapsed = time.perf_counter() - started

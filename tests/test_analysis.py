@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from commwalker import (
@@ -129,6 +130,15 @@ def test_best_split_needs_one_list_per_component():
     for wrong in (candidates[:1], candidates + [candidates[0]]):
         with pytest.raises(ValueError, match="2 components"):
             best_split(g, wrong)
+
+
+@pytest.mark.parametrize("length", [3, 9])
+def test_sweep_needs_one_weight_per_edge(length):
+    # unchecked, 3 weights for 7 edges would leave 4 edges cut in every
+    # candidate, and 9 would index past the edges
+    g = barbell6()
+    with pytest.raises(ValueError, match="7 edges"):
+        sweep(g, np.arange(length))
 
 
 def test_best_partition_argmax():

@@ -2,12 +2,15 @@
 dependency, numpy. scipy, networkx and the other dev tools are test
 references only, never imported by src/: detecting communities and
 scoring their accuracy load no scipy module. Every name the package
-exports exists, and every error type it declares is raised by it."""
+exports exists, every error type it declares is raised by it, and every
+function, class and method it defines is named somewhere else in src/ or
+exported."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,38 @@ def test_detect_does_not_load_scipy():
     assert done.returncode == 0, done.stderr
     # predicted 0 -> truth 1 (2 nodes), 1 or 2 -> truth 0 (1 node): 3 of 5
     assert float(done.stderr) == 0.6
+
+
+def test_every_definition_is_used_or_exported():
+    # a module-level function or class, or a method, that nothing in src/
+    # names outside its own body and that the package does not export is
+    # dead code: only tests would keep it alive
+    import commwalker
+
+    trees = [tree for _, tree in src_trees()]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+                ]
+
+    def names(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    counts = Counter(name for tree in trees for name in names(tree))
+    unused = []
+    for qualified, node in definitions:
+        own = Counter(names(node))[node.name]
+        if counts[node.name] == own and qualified not in commwalker.__all__:
+            unused.append(qualified)
+    assert unused == []

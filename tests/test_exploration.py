@@ -266,7 +266,7 @@ def test_explore_generation_memory_does_not_grow_with_max_degree():
     # agents, memory 3). Per-step arrays must be agents x memory with no
     # max-degree term: one int64 array of agents x max degree is 9.7 MiB.
     g = star_graph(399)
-    cfg = ExplorationConfig.for_graph(g, max_generations=1)
+    cfg = ExplorationConfig.for_size(g.node_count, g.edge_count, max_generations=1)
     tracemalloc.start()
     try:
         explore(g, cfg)
@@ -375,7 +375,7 @@ def test_explore_barbell_bridge_below_median_intra():
     bridge = BARBELL_BRIDGE
     wins = 0
     for seed in range(10):
-        result = explore(g, ExplorationConfig.for_graph(g, seed=seed))
+        result = explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=seed))
         w = result.weights
         intra = sorted(w[e] for e, edge in enumerate(g.edges) if edge != bridge)
         median = intra[len(intra) // 2]

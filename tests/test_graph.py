@@ -81,6 +81,7 @@ def test_csr_rows_consistent_with_edges():
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(graphs())
+    @hypothesis.example(pairs_graph(3, []))  # m = 0: the table is its sentinels
     def check(g):
         n, m = g.node_count, g.edge_count
         assert g.indptr[0] == 0 and g.indptr[-1] == 2 * m
@@ -93,13 +94,32 @@ def test_csr_rows_consistent_with_edges():
         assert (g.edge_ids[g.twins] == g.edge_ids).all()
         assert (owner[g.twins] == g.neighbors).all() and (g.neighbors[g.twins] == owner).all()
         assert (g.twins[g.twins] == np.arange(2 * m)).all()
+        # the pair-key table: every slot's key once, ascending, then the
+        # sentinels n * n and 2m (no slot)
+        keys, slots = g.sorted_keys, g.slot_by_key
+        assert len(keys) == len(slots) == 2 * m + 1
+        assert (keys[1:] > keys[:-1]).all() and keys[-1] == n * n
+        assert sorted(slots[:-1].tolist()) == list(range(2 * m)) and slots[-1] == 2 * m
+        assert (keys[:-1] == (owner * n + g.neighbors)[slots[:-1]]).all()
+        # a search of every pair key lands on an entry and finds exactly the edges
         u, v = np.divmod(np.arange(n * n), n)
-        slot, found = g.slots_of(u * n + v)
+        at = keys.searchsorted(u * n + v)
+        found = keys[at] == u * n + v
         edge_set = set(g.edges)
         assert found.tolist() == [(min(a, b), max(a, b)) in edge_set for a, b in zip(u, v)]
-        assert (owner[slot[found]] == u[found]).all() and (g.neighbors[slot[found]] == v[found]).all()
+        slot = slots[at[found]]
+        assert (owner[slot] == u[found]).all() and (g.neighbors[slot] == v[found]).all()
 
     check()
+
+
+@pytest.mark.parametrize("pair", [(-1, 1), (0, 5), (0, 1.5)], ids=["negative", "past-the-end", "float"])
+def test_from_edges_rejects_a_node_id_outside_the_names(pair):
+    # unchecked, -1 would index the rows from the end, 5 past them, and
+    # 1.5 is no row at all
+    with pytest.raises(DanglingEdgeError):
+        Graph.from_edges(["a", "b"], [pair])
+    assert Graph.from_edges(["a", "b"], [(np.int64(0), 1)]).edges == [(0, 1)]
 
 
 def test_graph_arrays_are_read_only():

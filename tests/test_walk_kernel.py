@@ -17,11 +17,11 @@ from commwalker.exploration import (
     _csr_walks,
     _generation_streams,
     _philox,
+    _search_in_order,
     _slot_masses,
     _sort_columns,
     _walk_uniforms,
 )
-from commwalker.graph import search_in_order
 
 from _helpers import edge_weights, karate, neighbor_lists, pairs_graph, path_graph, replay, run_walk
 
@@ -240,7 +240,7 @@ def test_explore_builds_at_most_two_generators(monkeypatch):
 
     monkeypatch.setattr(exploration, "_philox", counting_philox)
     g, _ = karate()
-    result = explore(g, ExplorationConfig.for_graph(g, seed=5))
+    result = explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=5))
     assert result.generations_run > 10
     assert len(built) <= 2
     built.clear()
@@ -271,16 +271,16 @@ def test_walk_uniforms_keep_every_seed_bit():
 
 
 @pytest.mark.parametrize("table_size", [0, 1, 7, 40])
-@pytest.mark.parametrize("shape", [(), (1,), (13,), (0,), (3, 5), (2, 0)])
+@pytest.mark.parametrize("shape", [(0,), (1,), (2,), (13,), (40,), (272,)])
 def test_search_in_order_is_searchsorted(table_size, shape):
-    rng = np.random.default_rng(table_size * 31 + len(shape))
+    rng = np.random.default_rng(table_size * 31 + shape[0])
     for _ in range(20):
         # few distinct keys, so the table repeats them; queries fall below,
         # between, on and above them
         table = np.sort(rng.integers(0, 6, size=table_size))
         queries = rng.integers(-1, 8, size=shape)
-        got = search_in_order(table, queries)
-        assert np.shape(got) == shape
+        got = _search_in_order(table, queries)
+        assert got.shape == shape
         assert np.array_equal(got, np.searchsorted(table, queries))
 
 
