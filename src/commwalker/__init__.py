@@ -32,7 +32,7 @@ from .graph import (
     load_labels,
     to_edge_list,
 )
-from .modularity import (
+from .scoring import (
     confusion_matrix,
     matched_total,
     modularity,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, Partition, connected_components
-from .modularity import modularity
+from .scoring import modularity
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .errors import ConfigInvalidError
 from .graph import Graph, Partition
-from .modularity import partition_accuracy
+from .scoring import partition_accuracy
 from .pipeline import detect
 
 # A trial source maps a seed to the (graph, truth) pair for that trial.

@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import run_bench
 from .errors import ConfigError, ConfigInvalidError, InputError, MalformedLineError, UnknownNodeError
 from .exploration import ExplorationConfig
 from .graph import Graph, Partition, load_edge_list, load_gml, load_labels, parse_label_lines
-from .modularity import confusion_matrix, matched_total
+from .scoring import confusion_matrix, matched_total
 from .pipeline import detect
 from .synthetic import planted_partition
 
@@ -60,14 +61,7 @@ def cmd_detect(args) -> int:
     g, _ = _load_graph(args.input, args.format)
     if args.output == "tsv":
         _check_tsv_names(g)
-    result = detect(
-        g,
-        seed=args.seed,
-        agent_count=args.agents,
-        memory_size=args.memory,
-        hub_fraction=args.hub_fraction,
-        max_generations=args.max_generations,
-    )
+    result = detect(g, **_config_params(args))
     if args.output == "json":
         print(_result_json(result))
     else:
@@ -157,25 +151,21 @@ def _parse_synthetic(text: str) -> dict:
 
 
 def cmd_bench(args) -> int:
-    overrides = {
-        "agent_count": args.agents,
-        "memory_size": args.memory,
-        "hub_fraction": args.hub_fraction,
-        "max_generations": args.max_generations,
-    }
+    params = _config_params(args)
+    base_seed = params.pop("seed")  # trial t runs seed --seed + t
     if args.synthetic:
         given = {"--input": args.input, "--truth": args.truth, "--format": args.format}
         ignored = [flag for flag, value in given.items() if value is not None]
         if ignored:
             raise ConfigInvalidError(f"--synthetic generates its graphs; drop {', '.join(ignored)}")
-        params = _parse_synthetic(args.synthetic)
+        planted = _parse_synthetic(args.synthetic)
         # Every planted graph has blocks x size nodes and a default memory
         # of 3 or 4: a config refused at memory 3 is refused for every
         # graph, so refuse it before the first (quadratic) draw.
-        ExplorationConfig.for_size(params["block_count"] * params["block_size"], 0, **overrides)
+        ExplorationConfig.for_size(planted["block_count"] * planted["block_size"], 0, **params)
 
         def source(seed: int):
-            return planted_partition(seed=seed, **params)
+            return planted_partition(seed=seed, **planted)
 
     else:
         if not args.input:
@@ -191,7 +181,7 @@ def cmd_bench(args) -> int:
         def source(seed: int):
             return g, truth
 
-    report = run_bench(source, trials=args.trials, base_seed=args.seed, **overrides)
+    report = run_bench(source, trials=args.trials, base_seed=base_seed, **params)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
 
     histogram = report.community_count_histogram()
@@ -217,13 +207,22 @@ def cmd_bench(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--agents", type=int, default=None, help="walker agents per generation")
-    parser.add_argument("--memory", type=int, default=None, help="nodes per agent memory")
-    parser.add_argument("--hub-fraction", type=float, default=0.75, dest="hub_fraction",
+    """One flag per ExplorationConfig field, stored under the field's name."""
+    parser.add_argument("--agents", type=int, default=None, dest="agent_count", metavar="AGENTS",
+                        help="walker agents per generation")
+    parser.add_argument("--memory", type=int, default=None, dest="memory_size", metavar="MEMORY",
+                        help="nodes per agent memory")
+    parser.add_argument("--hub-fraction", type=float, default=ExplorationConfig.hub_fraction,
                         help="share of agents started on most-hit nodes")
-    parser.add_argument("--max-generations", type=int, default=1000, dest="max_generations",
+    parser.add_argument("--max-generations", type=int, default=ExplorationConfig.max_generations,
                         help="safety cap on generations")
-    parser.add_argument("--seed", type=int, default=0, help="random seed in [0, 2**64)")
+    parser.add_argument("--seed", type=int, default=ExplorationConfig.seed,
+                        help="random seed in [0, 2**64)")
+
+
+def _config_params(args) -> dict:
+    """The ExplorationConfig fields the config flags set, by name."""
+    return {f.name: getattr(args, f.name) for f in fields(ExplorationConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:

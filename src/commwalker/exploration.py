@@ -47,6 +47,8 @@ read back per edge id at the end.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -68,15 +70,19 @@ MAX_GENERATION_CELLS = 1 << 24
 
 @dataclass(frozen=True)
 class ExplorationConfig:
-    """Run parameters for the exploration phase.
+    """Run parameters for the exploration phase, checked on construction:
+    a bad value raises ConfigInvalidError, so every config explore() gets
+    is one it can run.
 
-    agent_count must be at least 2 (the stop threshold (agents - 1) * memory
-    would otherwise be zero) and memory_size at least 2 (a pair update needs
-    two nodes); agent_count * memory_size**2 may not exceed
-    MAX_GENERATION_CELLS, so one generation's arrays stay within memory.
-    max_generations is a safety cap: the visit-count stop rule can stall on
-    pathological topologies. seed must be in [0, 2**64), the range of a
-    Philox key word.
+    agent_count, memory_size, max_generations and seed are integers (read
+    through operator.index, stored as int) and hub_fraction a real number
+    in [0, 1]. agent_count must be at least 2 (the stop threshold
+    (agents - 1) * memory would otherwise be zero) and memory_size at least
+    2 (a pair update needs two nodes); agent_count * memory_size**2 may not
+    exceed MAX_GENERATION_CELLS, so one generation's arrays stay within
+    memory. max_generations is a safety cap: the visit-count stop rule can
+    stall on pathological topologies. seed must be in [0, 2**64), the range
+    of a Philox key word.
     """
 
     agent_count: int
@@ -85,7 +91,15 @@ class ExplorationConfig:
     max_generations: int = 1000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("agent_count", "memory_size", "max_generations", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.hub_fraction, numbers.Real):
+            raise ConfigInvalidError(f"hub_fraction must be a real number, got {self.hub_fraction!r}")
         if self.agent_count < 2:
             raise ConfigInvalidError(f"agent_count must be >= 2, got {self.agent_count}")
         if self.memory_size < 2:
@@ -110,11 +124,11 @@ class ExplorationConfig:
         *,
         agent_count: int | None = None,
         memory_size: int | None = None,
-        hub_fraction: float = 0.75,
-        max_generations: int = 1000,
-        seed: int = 0,
+        **fixed,
     ) -> "ExplorationConfig":
-        """Fill unset parameters from the node and edge counts of a graph.
+        """The config for a graph of these counts: agent_count and
+        memory_size, when None, are filled from the counts, and fixed names
+        any other field, which otherwise keeps its default.
 
         Agents scale with node count: the visit-count stop rule makes total
         walk mass grow with the agent count, and cross-community edge
@@ -129,15 +143,7 @@ class ExplorationConfig:
         if memory_size is None:
             avg_degree = 2 * edge_count / node_count if node_count else 0.0
             memory_size = min(4, max(3, math.ceil(avg_degree)))
-        cfg = cls(
-            agent_count=agent_count,
-            memory_size=memory_size,
-            hub_fraction=hub_fraction,
-            max_generations=max_generations,
-            seed=seed,
-        )
-        cfg.validate()
-        return cfg
+        return cls(agent_count, memory_size, **fixed)
 
 
 @dataclass(frozen=True)
@@ -153,10 +159,16 @@ class ExplorationResult:
 
     weights: EdgeWeights
     hits: list[int]
-    generations_run: int
-    cap_hit: bool
     component_generations: tuple[int, ...]
     component_cap_hit: tuple[bool, ...]
+
+    @property
+    def generations_run(self) -> int:
+        return sum(self.component_generations)
+
+    @property
+    def cap_hit(self) -> bool:
+        return any(self.component_cap_hit)
 
     @property
     def total_hops(self) -> int:
@@ -476,7 +488,6 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     stop rule fires. Each generation calls select_start_nodes and
     exploration_done once for all of a group's running components.
     """
-    cfg.validate()
     labels = np.asarray(g.components.community_of, dtype=np.int64)
     sizes = np.bincount(labels, minlength=g.components.community_count)
     grouped = np.argsort(labels, kind="stable")  # each component's nodes in id order
@@ -538,8 +549,6 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     return ExplorationResult(
         weights=weights,
         hits=hits.tolist(),
-        generations_run=int(generations.sum()),
-        cap_hit=bool(cap_hit.any()),
         component_generations=tuple(generations.tolist()),
         component_cap_hit=tuple(cap_hit.tolist()),
     )

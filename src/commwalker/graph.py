@@ -162,13 +162,12 @@ class Partition:
         return groups
 
 
-def load_edge_list(text: str | Iterable[str]) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse a "name_u name_v" edge list.
 
     Lines starting with '#' and blank lines are skipped. The format is
     strict: self-loops and duplicate edges are rejected as user error.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     names: list[str] = []
     ids: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
@@ -180,7 +179,7 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
             names.append(name)
         return ids[name]
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -361,15 +360,14 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
 # --- label files ------------------------------------------------------------
 
 
-def parse_label_lines(text: str | Iterable[str]) -> dict[str, str]:
+def parse_label_lines(text: str) -> dict[str, str]:
     """Parse a "name label" file into a name -> label-token map.
 
     The label is the last token of a line and the name is the rest of it,
     so a name may contain whitespace, as GML labels can.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     labels: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -383,7 +381,7 @@ def parse_label_lines(text: str | Iterable[str]) -> dict[str, str]:
     return labels
 
 
-def load_labels(text: str | Iterable[str], g: Graph) -> Partition:
+def load_labels(text: str, g: Graph) -> Partition:
     """Load a ground-truth partition for g from "name label" lines."""
     labels = parse_label_lines(text)
     for name in labels:

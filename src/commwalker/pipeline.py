@@ -69,32 +69,19 @@ class DetectionResult:
         return {"communities": self.communities, "q": self.q, "diagnostics": diag}
 
 
-def detect(
-    g: Graph,
-    *,
-    seed: int = 0,
-    agent_count: int | None = None,
-    memory_size: int | None = None,
-    hub_fraction: float = 0.75,
-    max_generations: int = 1000,
-) -> DetectionResult:
+def detect(g: Graph, **params) -> DetectionResult:
     """Detect the community structure of g.
 
-    Unset parameters default from the size of the loaded graph (not of the
-    individual components). Fixed (graph, parameters, seed) gives identical
-    results on every run.
+    params are ExplorationConfig fields by name: agent_count, memory_size,
+    hub_fraction, max_generations and seed. Unset ones take the defaults of
+    ExplorationConfig.for_size, for the size of the loaded graph (not of
+    the individual components). An unknown name raises TypeError and a bad
+    value ConfigInvalidError, on any graph. Fixed (graph, parameters, seed)
+    gives identical results on every run.
     """
+    cfg = ExplorationConfig.for_size(g.node_count, g.edge_count, **params)
     if g.edge_count == 0:
         raise NoEdgesError("community detection needs at least one edge")
-    cfg = ExplorationConfig.for_size(
-        g.node_count,
-        g.edge_count,
-        agent_count=agent_count,
-        memory_size=memory_size,
-        hub_fraction=hub_fraction,
-        max_generations=max_generations,
-        seed=seed,
-    )
     result = explore(g, cfg)
     candidates = sweep(g, result.weights)
     split = best_split(g, candidates)

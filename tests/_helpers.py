@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import commwalker.pipeline as pipeline
 from commwalker import (
     Graph,
     Partition,
@@ -25,6 +26,19 @@ from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
 BARBELL_BRIDGE = (2, 3)  # c-d
+
+
+def record_configs(monkeypatch) -> list:
+    """The list every later explore() call of detect appends its config to."""
+    configs = []
+    explore = pipeline.explore
+
+    def recording(g, cfg):
+        configs.append(cfg)
+        return explore(g, cfg)
+
+    monkeypatch.setattr(pipeline, "explore", recording)
+    return configs
 
 
 def pairs_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:

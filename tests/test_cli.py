@@ -1,15 +1,17 @@
-import importlib
 import json
 import tracemalloc
+from dataclasses import MISSING, fields
 from importlib.resources import files
 
 import pytest
 
-from commwalker import load_edge_list, modularity
-from commwalker.cli import main
+import commwalker.cli as cli
+import commwalker.scoring as scoring
+from commwalker import ExplorationConfig, load_edge_list, modularity
+from commwalker.cli import build_parser, main
 from commwalker.graph import Partition
 
-from _helpers import BARBELL_TEXT
+from _helpers import BARBELL_TEXT, record_configs
 
 DATA = files("commwalker") / "data"
 
@@ -171,9 +173,6 @@ def test_eval_karate_one_misplaced(tmp_path, capsys):
 
 
 def test_eval_builds_the_confusion_matrix_once(tmp_path, capsys, monkeypatch):
-    # the package's name `modularity` is the function; reach the module by path
-    scoring = importlib.import_module("commwalker.modularity")
-    cli = importlib.import_module("commwalker.cli")
     built = []
     confusion_matrix = scoring.confusion_matrix
 
@@ -201,6 +200,34 @@ def test_eval_truth_missing_node(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
     assert code == 1
     assert "error:" in err
+
+
+CONFIG_FLAGS = {
+    "agent_count": ("--agents", "6"),
+    "memory_size": ("--memory", "2"),
+    "hub_fraction": ("--hub-fraction", "0.5"),
+    "max_generations": ("--max-generations", "3"),
+    "seed": ("--seed", "7"),
+}
+KARATE_FILES = ["--input", str(DATA / "karate.edges"), "--truth", str(DATA / "karate_truth.labels")]
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_config_flags_set_every_config_field(capsys, monkeypatch, command):
+    assert set(CONFIG_FLAGS) == {f.name for f in fields(ExplorationConfig)}
+    explored = record_configs(monkeypatch)
+    inputs = {"detect": KARATE_FILES[:2], "bench": [*KARATE_FILES, "--trials", "1"]}[command]
+    flags = [token for pair in CONFIG_FLAGS.values() for token in pair]
+    assert run_cli(capsys, command, *inputs, *flags)[0] == 0
+    assert explored == [ExplorationConfig(6, 2, hub_fraction=0.5, max_generations=3, seed=7)]
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_config_flag_defaults_are_the_field_defaults(command):
+    args = build_parser().parse_args([command, "--input", "graph.edges"])
+    for f in fields(ExplorationConfig):
+        # a field without a default is filled from the graph's size
+        assert getattr(args, f.name) == (None if f.default is MISSING else f.default)
 
 
 def test_bench_on_karate_files(capsys):
@@ -426,7 +453,7 @@ def test_eval_no_nodes_is_input_error(tmp_path, capsys, result_text):
     ids=["memory", "agents"],
 )
 def test_detect_oversized_generation_is_config_error(tmp_path, capsys, flags):
-    # Rejected by ExplorationConfig.validate() before any per-generation
+    # Rejected when the ExplorationConfig is built, before any per-generation
     # array exists: the run allocates next to nothing.
     path = tmp_path / "path.edges"
     path.write_text("a b\nb c\n")

@@ -203,23 +203,44 @@ def test_exploration_done_threshold():
 
 
 def test_config_validation():
+    # a config is checked when it is built: there is no unchecked config
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=1, memory_size=4).validate()
+        ExplorationConfig(agent_count=1, memory_size=4)
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=4, memory_size=1).validate()
+        ExplorationConfig(agent_count=4, memory_size=1)
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=1.5).validate()
+        ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=1.5)
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=4, memory_size=4, max_generations=0).validate()
-    ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16, memory_size=4).validate()
+        ExplorationConfig(agent_count=4, memory_size=4, max_generations=0)
+    ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16, memory_size=4)
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16 + 1, memory_size=4).validate()
+        ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16 + 1, memory_size=4)
     with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=2, memory_size=10**8).validate()
-    ExplorationConfig(agent_count=2, memory_size=2, seed=2**64 - 1).validate()
+        ExplorationConfig(agent_count=2, memory_size=10**8)
+    ExplorationConfig(agent_count=2, memory_size=2, seed=2**64 - 1)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigInvalidError):
-            ExplorationConfig(agent_count=2, memory_size=2, seed=seed).validate()
+            ExplorationConfig(agent_count=2, memory_size=2, seed=seed)
+    with pytest.raises(ConfigInvalidError):
+        ExplorationConfig.for_size(10, 20, memory_size=1)
+    # integer fields take what operator.index takes, hub_fraction a real
+    for field, value in [
+        ("agent_count", 16.0),
+        ("memory_size", 3.0),
+        ("max_generations", 2.5),
+        ("seed", 1.7),
+        ("seed", "3"),
+        ("hub_fraction", "0.5"),
+        ("hub_fraction", None),
+        ("hub_fraction", float("nan")),
+    ]:
+        with pytest.raises(ConfigInvalidError, match=field):
+            ExplorationConfig(**{"agent_count": 4, "memory_size": 3, field: value})
+    cfg = ExplorationConfig(
+        np.int64(4), np.uint8(3), max_generations=np.int32(7), seed=np.uint64(2**64 - 1)
+    )
+    assert cfg == ExplorationConfig(4, 3, max_generations=7, seed=2**64 - 1)
+    assert {type(v) for v in (cfg.agent_count, cfg.memory_size, cfg.max_generations, cfg.seed)} == {int}
 
 
 def test_explore_two_node_graph_single_generation():

@@ -1,10 +1,21 @@
+import json
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from commwalker import detect, load_edge_list, load_gml, modularity, partition_accuracy
-from commwalker.errors import NoEdgesError
+from commwalker import (
+    ExplorationConfig,
+    detect,
+    load_edge_list,
+    load_gml,
+    modularity,
+    partition_accuracy,
+)
+from commwalker.errors import ConfigInvalidError, NoEdgesError
 from commwalker.graph import Graph
 
-from _helpers import barbell6, pairs_graph
+from _helpers import barbell6, pairs_graph, record_configs
 
 
 def test_detect_barbell_finds_triangles():
@@ -168,3 +179,43 @@ def test_detect_accuracy_against_planted_truth():
     g, truth = planted_partition(2, 12, 0.9, 0.05, seed=4)
     result = detect(g, seed=4)
     assert partition_accuracy(result.partition, truth) >= 0.9
+
+
+def test_detect_keywords_are_the_config_fields(monkeypatch):
+    explored = record_configs(monkeypatch)
+    params = {"agent_count": 6, "memory_size": 2, "hub_fraction": 0.5, "max_generations": 3, "seed": 7}
+    assert set(params) == {f.name for f in fields(ExplorationConfig)}
+    g = barbell6()
+    detect(g, **params)
+    detect(g)
+    assert explored == [
+        ExplorationConfig(**params),
+        ExplorationConfig.for_size(g.node_count, g.edge_count),
+    ]
+    for graph in (g, Graph.from_edges(["a", "b"], [])):  # checked before the edge count
+        with pytest.raises(TypeError):
+            detect(graph, agents=6)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"seed": 1.7},
+        {"agent_count": 16.0},
+        {"memory_size": 3.0},
+        {"max_generations": 2.5},
+        {"hub_fraction": "0.5"},
+    ],
+    ids=lambda params: next(iter(params)),
+)
+def test_detect_rejects_non_integer_parameters(params):
+    with pytest.raises(ConfigInvalidError, match=next(iter(params))):
+        detect(barbell6(), **params)
+
+
+def test_detect_reads_numpy_integers_as_int():
+    g = barbell6()
+    result = detect(g, seed=np.int64(3), agent_count=np.int32(16), memory_size=np.uint8(3))
+    assert type(result.diagnostics.seed) is int
+    expected = detect(g, seed=3, agent_count=16, memory_size=3)
+    assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
