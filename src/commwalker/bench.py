@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -79,8 +80,16 @@ def run_bench(
     **detect_kwargs,
 ) -> BenchReport:
     """Run `trials` detections with seeds base_seed..base_seed+trials-1 and
-    score each against its ground truth. Every trial seed is checked against
-    the seed range before the first trial runs."""
+    score each against its ground truth. trials and base_seed are integers
+    (read through operator.index, as ExplorationConfig reads its fields), and
+    every trial seed is checked against the seed range before the first
+    trial runs; a bad value raises ConfigInvalidError."""
+    try:
+        trials, base_seed = operator.index(trials), operator.index(base_seed)
+    except TypeError:
+        raise ConfigInvalidError(
+            f"trials and base_seed must be integers, got {trials!r} and {base_seed!r}"
+        ) from None
     if trials < 1:
         raise ConfigInvalidError(f"trials must be >= 1, got {trials}")
     if not 0 <= base_seed <= 2**64 - trials:

@@ -5,8 +5,11 @@ integer ids assigned in first-appearance order. Edges get dense ids in
 input order, stored as (u, v) with u < v. Each node's neighbours are
 stored once, in the CSR arrays that Graph.from_edges builds: the walk
 kernel, the sweep, the flood fill and modularity all read them. Which
-pairs of nodes are edges is looked up in one sorted table of pair keys,
-also built there: the walk's tabu and its co-visit counts search it. The
+pairs of nodes are edges, and at which slot, is looked up by pair key
+u * n + v, also built there: in a dense table of all n * n keys, read
+with one gather, when it has at most DENSE_PAIR_CELLS entries, and
+otherwise by a search in the sorted table of the 2m slot keys. The walk's
+tabu and its co-visit counts read whichever the graph has. The
 connected components are found once per graph, on first use of
 Graph.components, and every phase of detection reads that one partition.
 """
@@ -34,6 +37,10 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
+# A graph of n nodes gets the dense pair table slot_of_key when n * n is at
+# most this many entries (n <= 1024, at most 8 MB of int64).
+DENSE_PAIR_CELLS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -47,11 +54,14 @@ class Graph:
     ascending order, with the slot of each in slot_by_key; the two end in
     a sentinel, n * n (above every key) and 2m (no slot), so a search for
     any pair key lands on an entry, and a pair that is no edge finds a key
-    other than its own. The arrays are read-only. The one value
-    filled after construction is components, on first use; it depends only
-    on the arrays, so two concurrent first reads at worst flood the graph
-    twice and store equal partitions, and a graph is safe to share across
-    any number of concurrent readers.
+    other than its own. The sorted table builds twins and serves graphs
+    too large for the dense one: when n * n <= DENSE_PAIR_CELLS,
+    slot_of_key[u * n + v] is the slot of v in u's row, or 2m when u and v
+    are no edge, and otherwise slot_of_key is None. The arrays are
+    read-only. The one value filled after construction is components, on
+    first use; it depends only on the arrays, so two concurrent first reads
+    at worst flood the graph twice and store equal partitions, and a graph
+    is safe to share across any number of concurrent readers.
     """
 
     nodes: list[str]
@@ -63,6 +73,7 @@ class Graph:
     sorted_keys: np.ndarray
     slot_by_key: np.ndarray
     twins: np.ndarray
+    slot_of_key: np.ndarray | None
 
     @property
     def node_count(self) -> int:
@@ -120,9 +131,14 @@ class Graph:
         sorted_keys = np.append(keys[slot_by_key[:-1]], n * n)
         twins = slot_by_key[sorted_keys.searchsorted(neighbors * n + owner)]
         indptr = np.searchsorted(owner, np.arange(n + 1))
-        csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins)
+        slot_of_key = None
+        if n * n <= DENSE_PAIR_CELLS:
+            slot_of_key = np.full(n * n, 2 * m, dtype=np.int64)
+            slot_of_key[keys] = np.arange(2 * m)
+        csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins, slot_of_key)
         for array in csr:
-            array.flags.writeable = False
+            if array is not None:
+                array.flags.writeable = False
         return cls(list(names), edges, name_to_id, *csr)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from importlib.resources import files
 from itertools import combinations
@@ -43,6 +44,13 @@ def record_configs(monkeypatch) -> list:
 
 def pairs_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges([str(i) for i in range(n)], pairs)
+
+
+def sorted_pair_table(g: Graph) -> Graph:
+    """g without its dense pair table (slot_of_key None), so explore() and
+    the walk kernel look pairs up in the sorted pair-key table, as they do
+    on graphs above DENSE_PAIR_CELLS."""
+    return dataclasses.replace(g, slot_of_key=None)
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:

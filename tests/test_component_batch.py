@@ -34,7 +34,13 @@ from commwalker.exploration import (
     select_start_nodes,
 )
 
-from _helpers import edge_weights, induced_subgraph, pairs_graph, per_component_split
+from _helpers import (
+    edge_weights,
+    induced_subgraph,
+    pairs_graph,
+    per_component_split,
+    sorted_pair_table,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -94,6 +100,29 @@ def assert_matches_each_component(g, cfg, result):
 def test_batched_explore_matches_each_induced_subgraph(g, cfg):
     result = explore(g, cfg)
     assert_matches_each_component(g, cfg, result)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(
+    disconnected_graphs(),
+    st.builds(
+        ExplorationConfig,
+        agent_count=st.integers(2, 12),
+        memory_size=st.integers(2, 8),
+        max_generations=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    ),
+)
+@hypothesis.example(pairs_graph(3, []), ExplorationConfig(agent_count=4, memory_size=8))  # m = 0
+def test_explore_reads_both_pair_tables_alike(g, cfg):
+    # The dense table's gathers and the sorted table's searches find the
+    # same slots, in the kernel's tabu and in the pair fold.
+    assert g.slot_of_key is not None
+    result, expected = explore(g, cfg), explore(sorted_pair_table(g), cfg)
+    assert result.weights.tolist() == expected.weights.tolist()
+    assert result.hits == expected.hits
+    assert result.component_generations == expected.component_generations
+    assert result.component_cap_hit == expected.component_cap_hit
 
 
 @st.composite

@@ -14,6 +14,7 @@ from commwalker import (
     load_labels,
     to_edge_list,
 )
+from commwalker import graph as graph_module
 from commwalker.errors import (
     DanglingEdgeError,
     DuplicateEdgeError,
@@ -109,6 +110,9 @@ def test_csr_rows_consistent_with_edges():
         assert found.tolist() == [(min(a, b), max(a, b)) in edge_set for a, b in zip(u, v)]
         slot = slots[at[found]]
         assert (owner[slot] == u[found]).all() and (g.neighbors[slot] == v[found]).all()
+        # the dense pair table holds, for every pair key, what that search finds
+        assert g.slot_of_key.shape == (n * n,)
+        assert (g.slot_of_key == np.where(found, slots[at], 2 * m)).all()
 
     check()
 
@@ -124,10 +128,23 @@ def test_from_edges_rejects_a_node_id_outside_the_names(pair):
 
 def test_graph_arrays_are_read_only():
     g = barbell6()
-    for array in (g.indptr, g.neighbors, g.edge_ids, g.sorted_keys, g.slot_by_key, g.twins):
+    arrays = (g.indptr, g.neighbors, g.edge_ids, g.sorted_keys, g.slot_by_key, g.twins, g.slot_of_key)
+    for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1
     assert g == g and g != barbell6()  # identity, never an elementwise array compare
+
+
+def test_dense_pair_table_only_up_to_its_cell_limit(monkeypatch):
+    # 6 nodes have 36 pair keys: a table of 36 cells is built, one of 35
+    # is not, and the sorted table is built either way.
+    pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]
+    monkeypatch.setattr(graph_module, "DENSE_PAIR_CELLS", 36)
+    assert pairs_graph(6, pairs).slot_of_key is not None
+    monkeypatch.setattr(graph_module, "DENSE_PAIR_CELLS", 35)
+    g = pairs_graph(6, pairs)
+    assert g.slot_of_key is None
+    assert len(g.sorted_keys) == len(g.slot_by_key) == 2 * len(pairs) + 1
 
 
 def test_edge_list_round_trip():

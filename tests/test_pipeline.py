@@ -6,11 +6,13 @@ import pytest
 
 from commwalker import (
     ExplorationConfig,
+    Partition,
     detect,
     load_edge_list,
     load_gml,
     modularity,
     partition_accuracy,
+    run_bench,
 )
 from commwalker.errors import ConfigInvalidError, NoEdgesError
 from commwalker.graph import Graph
@@ -219,3 +221,25 @@ def test_detect_reads_numpy_integers_as_int():
     assert type(result.diagnostics.seed) is int
     expected = detect(g, seed=3, agent_count=16, memory_size=3)
     assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "trials, base_seed",
+    [(2.5, 0), ("2", 0), (2, 1.5), (2, "0")],
+    ids=["float-trials", "str-trials", "float-seed", "str-seed"],
+)
+def test_run_bench_rejects_non_integer_trials_and_seeds(trials, base_seed):
+    def no_trial(seed):
+        raise AssertionError("a trial ran")
+
+    with pytest.raises(ConfigInvalidError, match="must be integers"):
+        run_bench(no_trial, trials=trials, base_seed=base_seed)
+
+
+def test_run_bench_reads_numpy_integers_as_int():
+    g = barbell6()
+    truth = Partition.from_labels([0, 0, 0, 1, 1, 1])
+    report = run_bench(lambda seed: (g, truth), trials=np.int64(2), base_seed=np.uint8(4))
+    assert [type(o.seed) for o in report.outcomes] == [int, int]
+    assert [o.seed for o in report.outcomes] == [4, 5] and report.runs == 2
+    json.dumps(report.to_json_dict())

@@ -23,10 +23,26 @@ from commwalker.exploration import (
     _walk_uniforms,
 )
 
-from _helpers import edge_weights, karate, neighbor_lists, pairs_graph, path_graph, replay, run_walk
+from _helpers import (
+    edge_weights,
+    karate,
+    neighbor_lists,
+    pairs_graph,
+    path_graph,
+    replay,
+    run_walk,
+    sorted_pair_table,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+
+def both_pair_tables(g):
+    """g as built, whose tabu lookups gather from the dense pair table, and
+    g without it, whose lookups search the sorted pair-key table."""
+    assert g.slot_of_key is not None
+    return g, sorted_pair_table(g)
 
 
 @st.composite
@@ -53,11 +69,12 @@ def test_csr_walks_match_run_walk(case):
     agents = len(starts)
     uniforms = _walk_uniforms(_philox(seed, generation), agents, memory_size - 1)
     mass = _slot_masses(g, w)
-    memory, first = _csr_walks(g, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
-    for k, start in enumerate(starts):
-        expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
-        assert memory[:, k].tolist() == expected
-        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+    for walked in both_pair_tables(g):
+        memory, first = _csr_walks(walked, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
+        for k, start in enumerate(starts):
+            expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
+            assert memory[:, k].tolist() == expected
+            assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
@@ -71,11 +88,13 @@ def test_csr_walks_read_lane_k_mod_lanes(case, copies):
     uniforms = _walk_uniforms(_philox(seed, generation), lanes, memory_size - 1)
     mass = _slot_masses(g, w)
     all_starts = np.random.default_rng(seed).permutation(np.repeat(starts, copies))
-    memory, first = _csr_walks(g, mass, all_starts, memory_size, uniforms)
-    tiled = _csr_walks(g, mass, all_starts, memory_size, np.tile(uniforms, (copies, 1)))
-    assert np.array_equal(memory, tiled[0]) and np.array_equal(first, tiled[1])
-    for k, start in enumerate(all_starts.tolist()):
-        assert memory[:, k].tolist() == run_walk(g, w, start, memory_size, replay(uniforms[k % lanes]))
+    for walked in both_pair_tables(g):
+        memory, first = _csr_walks(walked, mass, all_starts, memory_size, uniforms)
+        tiled = _csr_walks(walked, mass, all_starts, memory_size, np.tile(uniforms, (copies, 1)))
+        assert np.array_equal(memory, tiled[0]) and np.array_equal(first, tiled[1])
+        for k, start in enumerate(all_starts.tolist()):
+            expected = run_walk(g, w, start, memory_size, replay(uniforms[k % lanes]))
+            assert memory[:, k].tolist() == expected
 
 
 def _gapped_tabu_steps(g, walk):
@@ -112,7 +131,12 @@ def test_csr_walks_match_run_walk_with_gaps_in_the_tabu(memory_size):
     w = rng.integers(0, 6, size=g.edge_count)
     starts = np.repeat(np.arange(g.node_count), 300)
     uniforms = rng.random((len(starts), memory_size - 1))
-    memory, first = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
+    dense, by_search = (
+        _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
+        for walked in both_pair_tables(g)
+    )
+    memory, first = dense
+    assert np.array_equal(memory, by_search[0]) and np.array_equal(first, by_search[1])
     gapped = 0
     for k, start in enumerate(starts.tolist()):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
