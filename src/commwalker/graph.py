@@ -19,9 +19,11 @@ from __future__ import annotations
 import logging
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -97,32 +99,51 @@ class Graph:
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from node names and id pairs, enforcing simplicity;
-        every id is an integer in range(len(names))."""
+        every pair is two integer ids in range(len(names)). The checks run
+        on one array of all pairs; the first pair that fails one raises
+        DanglingEdgeError, SelfLoopError or DuplicateEdgeError."""
         name_to_id = {name: i for i, name in enumerate(names)}
         if len(name_to_id) != len(names):
             raise MalformedLineError("node names are not unique")
-        n, ids = len(names), range(len(names))
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for pair in edge_pairs:
-            try:
-                u, v = map(operator.index, pair)
-            except TypeError:
-                raise DanglingEdgeError(f"edge {pair!r} names a node id that is not an integer") from None
-            if u not in ids or v not in ids:
+        n, pairs = len(names), list(edge_pairs)
+        m, why = len(pairs), {}  # the index of each pair that is not two ids -> why
+        try:  # every pair has two ids, each read by operator.index, as int64
+            if set(map(len, pairs)) - {2}:
+                raise ValueError
+            ends = np.frombuffer(array("q", chain.from_iterable(pairs)), dtype=np.int64).reshape(m, 2)
+        except (TypeError, ValueError, OverflowError):  # else pair by pair, noting why one is not
+            ends = np.zeros((m, 2), dtype=object)
+            for k, pair in enumerate(pairs):
+                try:
+                    u, v = map(operator.index, pair)
+                except TypeError:
+                    why[k] = "names a node id that is not an integer"
+                except ValueError:
+                    why[k] = "is not a pair of node ids"
+                else:
+                    ends[k] = u, v
+        outside = ((ends < 0) | (ends >= n)).any(axis=1)
+        ends = np.where(outside[:, None], 0, ends).astype(np.int64)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # a pair repeats an earlier one when it follows it in a stable sort
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        failed = outside | (lo == hi)  # and each pair in why, read as (0, 0)
+        failed[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+        if failed.any():
+            k = int(failed.argmax())
+            pair = pairs[k]
+            if k in why:
+                raise DanglingEdgeError(f"edge {pair!r} {why[k]}")
+            if outside[k]:
                 raise DanglingEdgeError(f"edge {pair!r} names a node id outside range({n})")
-            if u == v:
-                raise SelfLoopError(f"self-loop on node '{names[u]}'")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge '{names[u]}'-'{names[v]}'")
-            seen.add((u, v))
-            edges.append((u, v))
-        m = len(edges)
+            if lo[k] == hi[k]:
+                raise SelfLoopError(f"self-loop on node '{names[lo[k]]}'")
+            raise DuplicateEdgeError(f"duplicate edge '{names[lo[k]]}'-'{names[hi[k]]}'")
+        edges = list(zip(lo.tolist(), hi.tolist()))
         # entry 2e reads edge e from its lower end, 2e + 1 from its upper
         # end; a stable sort by owner keeps every row in edge-id order
-        ends = np.array(edges, dtype=np.int64).reshape(m, 2)
+        ends = np.stack((lo, hi), axis=1)
         entry = np.argsort(ends.ravel(), kind="stable")
         owner, neighbors = ends.ravel()[entry], ends[:, ::-1].ravel()[entry]
         keys = owner * n + neighbors
@@ -136,9 +157,9 @@ class Graph:
             slot_of_key = np.full(n * n, 2 * m, dtype=np.int64)
             slot_of_key[keys] = np.arange(2 * m)
         csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins, slot_of_key)
-        for array in csr:
-            if array is not None:
-                array.flags.writeable = False
+        for table in csr:
+            if table is not None:
+                table.flags.writeable = False
         return cls(list(names), edges, name_to_id, *csr)
 
 
@@ -244,67 +265,68 @@ def to_edge_list(g: Graph) -> str:
 # as `key value` pairs, where the value is any one token, a ']' included;
 # each entry keeps the first value of each key, and ids are matched as
 # text. Any other nested block (e.g. graphics [...]) is skipped.
+#
+# One regex splits the text at its strings and its comments (a '#' that no
+# word character precedes); str.split() cuts what lies between, brackets
+# spaced out, and a '"' left there is unterminated. No quantifier nests,
+# so long runs cost linear time. The reader takes tokens from one iterator.
 
-# group 1 holds a token; whitespace and comments match with it empty
-_GML_TOKEN = re.compile(r'\s+|#[^\n]*|("[^"]*"|[][]|[^\s[\]"]+|")')
+# group 1, kept by re.split, holds a string or a comment
+_GML_SPLIT = re.compile(r'([#"](?<![^\s[\]"]#)(?:(?<=#)[^\n]*|[^"]*"))')
 
 
 def _tokenize_gml(text: str) -> list[str]:
     """The tokens of text as written: strings keep their quotes."""
-    tokens = [token for token in _GML_TOKEN.findall(text) if token]
-    if '"' in tokens:
-        raise GmlParseError("unterminated string literal")
+    parts = iter(_GML_SPLIT.split(text))  # text between matches, then a match
+    tokens: list[str] = []
+    for between in parts:
+        if '"' in between:
+            raise GmlParseError("unterminated string literal")
+        tokens += between.replace("[", " [ ").replace("]", " ] ").split()
+        cut = next(parts, "#")  # the last part has no match after it
+        if cut[0] == '"':
+            tokens.append(cut)
     return tokens
 
 
-def _unquote(token: str) -> str:
-    return token[1:-1] if token[0] == '"' else token
-
-
-def _skip_block(tokens: list[str], i: int) -> int:
-    """Advance past a balanced [ ... ] block; i points at the opening '['."""
-    depth = 0
-    while i < len(tokens):
-        if tokens[i] == "[":
+def _skip_block(tokens: Iterator[str]) -> None:
+    """Consume a balanced [ ... ] block whose '[' was the last token read."""
+    depth = 1
+    for token in tokens:
+        if token == "[":
             depth += 1
-        elif tokens[i] == "]":
+        elif token == "]":
             depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
+            if not depth:
+                return
     raise GmlParseError("unbalanced brackets")
 
 
-def _read_block(
-    tokens: list[str], i: int, where: str, entries: tuple[str, ...] = ()
-) -> tuple[dict[str, str], dict[str, list[dict[str, str]]], int]:
-    """Read the block whose '[' is tokens[i] as `key value` pairs up to its
-    ']'. Returns (fields, blocks, i past the block): fields maps each key to
-    its first scalar value, blocks maps each key in entries to the fields
-    of its blocks, in order. Any other nested block is skipped."""
-    if i >= len(tokens) or tokens[i] != "[":
+def _read_block(tokens: Iterator[str], where: str, blocks: dict[str, list], inner: str = "") -> dict[str, str]:
+    """Read the block whose '[' is the next token as `key value` pairs up to
+    its ']', and return its fields: each key's first scalar value, unquoted.
+    A nested block under a key of blocks is read as an `inner` block (with
+    no blocks of its own), and its fields are appended to that key's list;
+    any other nested block is skipped."""
+    if next(tokens, None) != "[":
         raise GmlParseError(f"expected '[' after {where}")
     fields: dict[str, str] = {}
-    blocks: dict[str, list[dict[str, str]]] = {key: [] for key in entries}
-    i += 1
-    while i < len(tokens):
-        key = tokens[i]
+    for key in tokens:
         if key == "]":
-            return fields, blocks, i + 1
+            return fields
         if key == "[" or key[0] == '"':
-            raise GmlParseError(f"unexpected token {_unquote(key)!r} in {where} block")
-        i += 1
+            token = key.strip('"')
+            raise GmlParseError(f"unexpected token {token!r} in {where} block")
         if key in blocks:
-            entry, _, i = _read_block(tokens, i, "/".join(entries))
-            blocks[key].append(entry)
-        elif i >= len(tokens):
+            blocks[key].append(_read_block(tokens, inner, {}))
+            continue
+        value = next(tokens, None)
+        if value == "[":
+            _skip_block(tokens)
+        elif value is None:
             break
-        elif tokens[i] == "[":
-            i = _skip_block(tokens, i)
-        else:
-            if key not in fields:  # first occurrence wins
-                fields[key] = _unquote(tokens[i])
-            i += 1
+        elif key not in fields:  # first occurrence wins
+            fields[key] = value[1:-1] if value[0] == '"' else value
     raise GmlParseError(f"unbalanced brackets: {where} block never closed")
 
 
@@ -317,13 +339,13 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     algorithm itself runs on simple graphs.
     """
     tokens = _tokenize_gml(text)
-    i = 0
-    while i + 1 < len(tokens) and not (tokens[i] == "graph" and tokens[i + 1] == "["):
-        i += 1
-    if i + 1 >= len(tokens):
+    consecutive = enumerate(zip(tokens, islice(tokens, 1, None)))
+    start = next((i for i, pair in consecutive if pair == ("graph", "[")), None)
+    if start is None:
         raise GmlParseError("no 'graph [' block found")
-    _, blocks, _ = _read_block(tokens, i + 1, "graph", ("node", "edge"))
-    raw_nodes, raw_edges = blocks["node"], blocks["edge"]
+    entries: dict[str, list[dict[str, str]]] = {"node": [], "edge": []}
+    _read_block(islice(tokens, start + 1, None), "graph", entries, "node/edge")
+    raw_nodes, raw_edges = entries["node"], entries["edge"]
 
     names: list[str] = []
     name_set: set[str] = set()

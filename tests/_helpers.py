@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
+import re
 from importlib.resources import files
 from itertools import combinations
 from types import SimpleNamespace
@@ -22,6 +24,13 @@ from commwalker import (
     load_labels,
     modularity,
     sweep,
+)
+from commwalker.errors import (
+    DanglingEdgeError,
+    DuplicateEdgeError,
+    GmlParseError,
+    MalformedLineError,
+    SelfLoopError,
 )
 from commwalker.synthetic import planted_partition
 
@@ -370,3 +379,144 @@ def scaled_modularity(g: Graph, p: Partition) -> int:
         degsum[labels[u]] += 1
         degsum[labels[v]] += 1
     return 4 * g.edge_count * intra - sum(d * d for d in degsum)
+
+
+# --- GML and edge-pair references --------------------------------------------
+#
+# The GML reader as one regex findall and a recursive reader over token
+# indices, and Graph.from_edges's checks as a loop over the pairs. They are
+# slow and plain; the fuzz tests pin graph.load_gml, its tokenizer and
+# Graph.from_edges to them, results and errors alike.
+
+# group 1 holds a token; whitespace and comments match with it empty
+_GML_TOKEN = re.compile(r'\s+|#[^\n]*|("[^"]*"|[][]|[^\s[\]"]+|")')
+
+
+def reference_tokenize_gml(text: str) -> list[str]:
+    """The tokens of text as written: strings keep their quotes."""
+    tokens = [token for token in _GML_TOKEN.findall(text) if token]
+    if '"' in tokens:
+        raise GmlParseError("unterminated string literal")
+    return tokens
+
+
+def _unquote(token: str) -> str:
+    return token[1:-1] if token[0] == '"' else token
+
+
+def _skip_block(tokens: list[str], i: int) -> int:
+    """Advance past a balanced [ ... ] block; i points at the opening '['."""
+    depth = 0
+    while i < len(tokens):
+        if tokens[i] == "[":
+            depth += 1
+        elif tokens[i] == "]":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    raise GmlParseError("unbalanced brackets")
+
+
+def _read_block(
+    tokens: list[str], i: int, where: str, entries: tuple[str, ...] = ()
+) -> tuple[dict[str, str], dict[str, list[dict[str, str]]], int]:
+    """Read the block whose '[' is tokens[i] as `key value` pairs up to its
+    ']'. Returns (fields, blocks, i past the block): fields maps each key to
+    its first scalar value, blocks maps each key in entries to the fields
+    of its blocks, in order. Any other nested block is skipped."""
+    if i >= len(tokens) or tokens[i] != "[":
+        raise GmlParseError(f"expected '[' after {where}")
+    fields: dict[str, str] = {}
+    blocks: dict[str, list[dict[str, str]]] = {key: [] for key in entries}
+    i += 1
+    while i < len(tokens):
+        key = tokens[i]
+        if key == "]":
+            return fields, blocks, i + 1
+        if key == "[" or key[0] == '"':
+            raise GmlParseError(f"unexpected token {_unquote(key)!r} in {where} block")
+        i += 1
+        if key in blocks:
+            entry, _, i = _read_block(tokens, i, "/".join(entries))
+            blocks[key].append(entry)
+        elif i >= len(tokens):
+            break
+        elif tokens[i] == "[":
+            i = _skip_block(tokens, i)
+        else:
+            if key not in fields:  # first occurrence wins
+                fields[key] = _unquote(tokens[i])
+            i += 1
+    raise GmlParseError(f"unbalanced brackets: {where} block never closed")
+
+
+def reference_edges(names: list[str], edge_pairs) -> list[tuple[int, int]]:
+    """The edges Graph.from_edges keeps, each as (lower id, higher id), or
+    the error it raises: the checks of each pair in turn."""
+    if len(set(names)) != len(names):
+        raise MalformedLineError("node names are not unique")
+    n, ids = len(names), range(len(names))
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for pair in edge_pairs:
+        try:
+            u, v = map(operator.index, pair)
+        except TypeError:
+            raise DanglingEdgeError(f"edge {pair!r} names a node id that is not an integer") from None
+        except ValueError:
+            raise DanglingEdgeError(f"edge {pair!r} is not a pair of node ids") from None
+        if u not in ids or v not in ids:
+            raise DanglingEdgeError(f"edge {pair!r} names a node id outside range({n})")
+        if u == v:
+            raise SelfLoopError(f"self-loop on node '{names[u]}'")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise DuplicateEdgeError(f"duplicate edge '{names[u]}'-'{names[v]}'")
+        seen.add((u, v))
+        edges.append((u, v))
+    return edges
+
+
+def reference_load_gml(text: str) -> tuple[list[str], list[tuple[int, int]], list[int] | None]:
+    """What load_gml reads from text: (node names, edges, truth labels or
+    None), or the error it raises."""
+    tokens = reference_tokenize_gml(text)
+    i = 0
+    while i + 1 < len(tokens) and not (tokens[i] == "graph" and tokens[i + 1] == "["):
+        i += 1
+    if i + 1 >= len(tokens):
+        raise GmlParseError("no 'graph [' block found")
+    _, blocks, _ = _read_block(tokens, i + 1, "graph", ("node", "edge"))
+    names: list[str] = []
+    gml_to_dense: dict[str, int] = {}
+    values: list[str | None] = []
+    for entry in blocks["node"]:
+        if "id" not in entry:
+            raise GmlParseError("node block missing 'id'")
+        gml_id = entry["id"]
+        if gml_id in gml_to_dense:
+            raise GmlParseError(f"duplicate node id {gml_id}")
+        name = entry.get("label", gml_id)
+        if name in names:
+            raise GmlParseError(f"duplicate node name {name!r}")
+        gml_to_dense[gml_id] = len(names)
+        names.append(name)
+        values.append(entry.get("value"))
+    pairs: list[tuple[int, int]] = []
+    for entry in blocks["edge"]:
+        if "source" not in entry or "target" not in entry:
+            raise GmlParseError("edge block missing 'source' or 'target'")
+        try:
+            u = gml_to_dense[entry["source"]]
+            v = gml_to_dense[entry["target"]]
+        except KeyError as exc:
+            raise DanglingEdgeError(f"edge references unknown node id {exc.args[0]}") from None
+        key = (min(u, v), max(u, v))
+        if u != v and key not in pairs:  # duplicates and self-loops collapse
+            pairs.append(key)
+    truth = None
+    if names and None not in values:
+        truth = Partition.from_labels(values).community_of
+    return names, reference_edges(names, pairs), truth

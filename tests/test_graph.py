@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_from_edges_rejects_a_node_id_outside_the_names(pair):
     with pytest.raises(DanglingEdgeError):
         Graph.from_edges(["a", "b"], [pair])
     assert Graph.from_edges(["a", "b"], [(np.int64(0), 1)]).edges == [(0, 1)]
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), (0,), ()], ids=["three-ids", "one-id", "no-id"])
+def test_from_edges_rejects_a_pair_that_is_not_two_ids(pair):
+    # (0, 1, 2) and (1,) hold four ids between them, as two pairs would
+    with pytest.raises(DanglingEdgeError, match=re.escape(f"edge {pair!r} is not a pair of node ids")):
+        Graph.from_edges(["a", "b", "c"], [(0, 1), pair, (1,)])
 
 
 def test_graph_arrays_are_read_only():
@@ -287,6 +295,23 @@ def test_gml_token_rules(text, names):
             load_gml(text)
     else:
         assert load_gml(text)[0].nodes == names
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'graph [ node [ id 0 ] node [ id 1 label "b" ] edge [ source 0 target 1 ] ]' + " " * 10**6,
+        'graph [ node [ id 0 ] #' + "x" * 10**6 + '\n node [ id 1 label "b" ] edge [ source 0 target 1 ] ]',
+    ],
+    ids=["trailing-spaces", "long-comment"],
+)
+def test_load_gml_reads_a_long_run_in_linear_time(text):
+    # a tokenizer that rescans the rest of the text at each position would
+    # take minutes on a million characters
+    g, truth = load_gml(text)
+    assert g.nodes == ["0", "b"]
+    assert g.edges == [(0, 1)]
+    assert truth is None
 
 
 def test_load_labels_and_errors():

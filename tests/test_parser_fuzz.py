@@ -1,12 +1,25 @@
 """Fuzz tests for the text parsers: arbitrary input either parses or raises
 an InputError subclass (exit status 1 at the CLI), never another exception;
 a parsed edge list survives a to_edge_list round trip; a random graph
-rendered as GML reads back as that graph."""
+rendered as GML reads back as that graph. The GML tokenizer, load_gml and
+Graph.from_edges give what their references in _helpers give, results and
+errors alike."""
 
+import numpy as np
 import pytest
 
 from commwalker.errors import InputError
-from commwalker.graph import Partition, load_edge_list, load_gml, parse_label_lines, to_edge_list
+from commwalker.graph import (
+    Graph,
+    Partition,
+    _tokenize_gml,
+    load_edge_list,
+    load_gml,
+    parse_label_lines,
+    to_edge_list,
+)
+
+from _helpers import reference_edges, reference_load_gml, reference_tokenize_gml
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -41,6 +54,34 @@ gml_tokens = st.sampled_from(
 gml_texts = st.one_of(
     st.lists(gml_tokens, max_size=40).map(" ".join),
     st.text(max_size=60),
+)
+
+# Pieces glued with no separator, so that '#' and '"' land inside words,
+# right after brackets and strings, and at line ends of every kind.
+gml_soups = st.lists(
+    st.sampled_from(['"', "#", "[", "]", "a#b", "\r\n", "\n", " ", "\x85", "\x1c", "\u2003", "x",
+                     "graph", "node", "id", '"q"']),
+    max_size=40,
+).map("".join)
+
+# Ids of every kind an edge pair may carry: in range and out of it, bools,
+# floats, integers too large for int64, numpy integers and other objects.
+edge_ids = st.one_of(
+    st.integers(-1, 5),
+    st.integers(0, 5).map(np.int64),
+    st.sampled_from([True, False, 1.0, 2.5, 2**70, -(2**70), np.uint64(2**64 - 1), np.uint8(1),
+                     np.True_, np.float64(0), None, "0"]),
+)
+edge_pair_lists = st.one_of(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.tuples(edge_ids, edge_ids),
+            st.lists(edge_ids, max_size=3),
+        ),
+        max_size=12,
+    ),
 )
 
 # Every token is followed by one of these; a comment starts after a space,
@@ -100,6 +141,20 @@ def gml_documents(draw):
     return text, names, list(seen), truth
 
 
+def outcome(call, *args):
+    """What call(*args) returns, or the class and message of the InputError
+    it raises."""
+    try:
+        return call(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def read_gml(text):
+    g, truth = load_gml(text)
+    return g.nodes, g.edges, None if truth is None else truth.community_of
+
+
 def parses_or_input_error(parse, text):
     try:
         return parse(text)
@@ -150,3 +205,23 @@ def test_label_lines_parse_or_raise_input_error(text):
     labels = parses_or_input_error(parse_label_lines, text)
     if labels is not None:
         assert all(name and label for name, label in labels.items())
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(gml_soups, gml_texts))
+def test_gml_tokenizer_matches_the_reference(text):
+    assert outcome(_tokenize_gml, text) == outcome(reference_tokenize_gml, text)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0])))
+def test_load_gml_matches_the_reference(text):
+    assert outcome(read_gml, text) == outcome(reference_load_gml, text)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 5), edge_pair_lists)
+def test_from_edges_raises_what_the_reference_raises(n, pairs):
+    names = [str(i) for i in range(n)]
+    built = outcome(lambda: Graph.from_edges(names, pairs).edges)
+    assert built == outcome(reference_edges, names, pairs)
