@@ -6,6 +6,7 @@ Exit statuses: 0 success, 1 input error, 2 config/usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -225,7 +226,10 @@ def _config_params(args) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(ExplorationConfig)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so one call's flags never reach the next."""
     parser = argparse.ArgumentParser(
         prog="commwalker",
         description="Agent-based community detection on undirected graphs.",

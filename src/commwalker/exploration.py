@@ -17,10 +17,12 @@ together, one step at a time, as arrays over the graph's CSR rows
 (_csr_walks): explore() keeps every slot's mass 1 + weight from one
 generation to the next, the kernel sums them once into a prefix, and each
 step picks by one integer search in it, so a step costs agents x memory
-whatever the degrees. The first step has no tabu, and the second only the
-slot back to the start, which it weighs in closed form, with no tabu rows.
-The test suite pins this kernel to a scalar reference that walks the same
-rows one agent at a time.
+whatever the degrees. The first three steps are closed forms, with no tabu
+rows: the first has no tabu, the second only the slot back to the start,
+and the third that slot's twin plus the start's slot in the current row.
+The general tabu path runs only from step 4, that is, with a memory of 5
+or more. The test suite pins this kernel to a scalar reference that walks
+the same rows one agent at a time.
 
 Walkers never cross components, so explore() reads the graph's connected
 components (Graph.components) and explores each one as if it were the
@@ -255,6 +257,15 @@ class _Segments:
         )
 
 
+def _nonempty(hits: HitCounts) -> np.ndarray:
+    """hits as an int64 array; a component has at least one node, so empty
+    hits raise ValueError."""
+    hits = np.asarray(hits, dtype=np.int64)
+    if not len(hits):
+        raise ValueError("hits is empty: a component has at least one node")
+    return hits
+
+
 def select_start_nodes(
     hits: HitCounts,
     cfg: ExplorationConfig,
@@ -281,7 +292,7 @@ def select_start_nodes(
     component's order comes from one sort over all of hits, keyed first by
     component.
     """
-    hits = np.asarray(hits, dtype=np.int64)
+    hits = _nonempty(hits)
     if segments is None:
         segments = _Segments.of_sizes(np.array([len(hits)]), cfg)
     if generation == 0:
@@ -290,13 +301,14 @@ def select_start_nodes(
             order_words = _start_order_words(cfg.seed, int(local.max()) + 1)
         # lexsort is stable: equal words keep node id order
         return np.lexsort((order_words[local], segments.label))[segments.cycled]
-    # component * top + hits (or + the hits below the most) orders by
-    # component, then by hits; stable sorts keep ties in node id order
+    # component * top + hits orders by component, then by hits, and
+    # component * top + (top - 1 - hits) by component, then by hits below
+    # the most; stable sorts keep ties in node id order
     top = hits.max() + 1
-    by_component = segments.label * top
-    by_least_hit = np.argsort(by_component + hits, kind="stable")
-    by_most_hit = np.argsort(by_component + (top - 1 - hits), kind="stable")
-    return np.concatenate((by_most_hit, by_least_hit))[segments.split]
+    least = segments.label * top + hits
+    most = least - 2 * hits
+    most += top - 1
+    return np.concatenate((most.argsort(kind="stable"), least.argsort(kind="stable")))[segments.split]
 
 
 def exploration_done(
@@ -305,9 +317,10 @@ def exploration_done(
     """Stop rule: every node visited at least (agents - 1) * memory_size
     times. With segments (see select_start_nodes), one verdict per
     component, as a bool array."""
+    hits = _nonempty(hits)
     floor = (cfg.agent_count - 1) * cfg.memory_size
     if segments is None:
-        return bool(np.asarray(hits).min() >= floor)
+        return bool(hits.min() >= floor)
     return np.minimum.reduceat(hits, segments.offsets[:-1]) >= floor
 
 
@@ -343,24 +356,30 @@ def _csr_walks(
     start in it (one gather), row mass and degree are read off once, so a
     step gathers three values per agent. With T the allowed mass and
     r = u * T, the pick is the first slot whose allowed running mass
-    exceeds r, that is, reaches floor(r) + 1. The first step has no tabu:
-    its pick is one search in the prefix. Step 2's only tabu is the twin of
-    the slot step 1 took, so it needs no tabu rows: the step has degree - 1
-    candidates, is blocked exactly at a leaf, where the twin is dropped, and
-    spends a uniform exactly when the degree is above 2. From step 3 on an
-    agent's tabu slots are that twin plus the slots of its older memory
-    nodes in the current row, found in the graph's pair-key table (all
+    exceeds r, that is, reaches floor(r) + 1. Steps 1 to 3 are closed
+    forms. The first step has no tabu: its pick is one search in the
+    prefix. Step 2's only tabu is the twin of the slot step 1 took: the
+    step has degree - 1 candidates, is blocked exactly at a leaf, where the
+    twin is dropped, and spends a uniform exactly when the degree is above
+    2. From step 3 on an agent's tabu slots are the twin of the slot just
+    taken plus the slots of its older memory nodes in the current row (all
     dropped when they cover the row, which is exactly when the step
     revisits a node). The older nodes' slots are gathered from the graph's
     dense pair table, or, on a graph without one, searched in its sorted
-    pair-key table. A tabu slot lies before the pick exactly when the
-    allowed mass before it is below floor(r) + 1; a pass over the sorted
-    tabu slots that adds the mass of each one lying before the target so
-    far to the target (at step 2, one masked add) leaves one search in the
-    prefix, which finds the pick. That search, and the one in the sorted
-    pair-key table, take their queries in ascending order
-    (_search_in_order). A forced step's only candidate is found for any u,
-    and a uniform is consumed only on steps with more than one candidate.
+    pair-key table. At step 3 the only older node is the start, so the
+    tabu is two distinct slots, or the twin alone when step 2 was blocked
+    at a leaf and came back to the start; it sorts with one minimum and one
+    maximum, and the step has degree - 1 - (start's slot found)
+    candidates. From step 4 on the tabu rows are sorted down each column
+    (_sort_columns) and an older node seen twice is dropped. A tabu slot
+    lies before the pick exactly when the allowed mass before it is below
+    floor(r) + 1; a pass over the sorted tabu slots that adds the mass of
+    each one lying before the target so far to the target (one masked add
+    per tabu slot at steps 2 and 3) leaves one search in the prefix, which
+    finds the pick. That search, and the one in the sorted pair-key table,
+    take their queries in ascending order (_search_in_order). A forced
+    step's only candidate is found for any u, and a uniform is consumed
+    only on steps with more than one candidate.
     Arrays are step-major, so every per-step operation runs over whole rows
     of agents; work per step is agents x memory, whatever the degrees.
     """
@@ -389,6 +408,7 @@ def _csr_walks(
         degree = row_degree[current]
         allowed = row_mass[current]
         if step == 1:
+            tabu_rows = ()
             spends = degree > 1
         elif step == 2:
             # the only tabu is the twin of the slot just taken; it blocks
@@ -397,6 +417,7 @@ def _csr_walks(
             tabu = twins[pick]
             tabu_mass = mass[tabu] * free
             allowed -= tabu_mass
+            tabu_rows = ((tabu, tabu_mass),)
             spends = degree > 2
         else:
             # tabu: the twin of the slot just taken, and the slots of older
@@ -408,32 +429,49 @@ def _csr_walks(
             else:
                 at = _search_in_order(g.sorted_keys, keys)
                 older = np.where(g.sorted_keys[at] == keys, g.slot_by_key[at], no_slot)
-            tabu = np.concatenate((twins[pick], older)).reshape(step - 1, agents)
-            _sort_columns(tabu)
-            tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
-            candidates = degree - (tabu < no_slot).sum(axis=0)
-            blocked = candidates == 0
-            if blocked.any():
-                np.copyto(tabu, no_slot, where=blocked)
-                np.copyto(candidates, degree, where=blocked)
-            tabu_mass = mass[tabu]
-            allowed -= tabu_mass.sum(axis=0)
-            spends = candidates > 1
-            first[step] = ~blocked
+            if step == 3:
+                # the only older node is the start, which has no slot
+                # exactly when step 2 was blocked at a leaf and came back
+                # to it. The twin leads back to the node step 1 reached,
+                # never the start, so the two tabu slots differ and sort
+                # with one minimum and one maximum. They block the step
+                # exactly when they cover the row, and are then dropped
+                # (weigh 0).
+                twin = twins[pick]
+                candidates = degree - 1 - (older < no_slot)
+                free = np.not_equal(candidates, 0, out=first[3])
+                low, high = np.minimum(twin, older), np.maximum(twin, older)
+                low_mass, high_mass = mass[low] * free, mass[high] * free
+                allowed -= low_mass
+                allowed -= high_mass
+                tabu_rows = ((low, low_mass), (high, high_mass))
+                spends = np.where(free, candidates, degree) > 1
+            else:
+                tabu = np.concatenate((twins[pick], older)).reshape(step - 1, agents)
+                _sort_columns(tabu)
+                tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
+                candidates = degree - (tabu < no_slot).sum(axis=0)
+                blocked = candidates == 0
+                if blocked.any():
+                    np.copyto(tabu, no_slot, where=blocked)
+                    np.copyto(candidates, degree, where=blocked)
+                tabu_mass = mass[tabu]
+                allowed -= tabu_mass.sum(axis=0)
+                tabu_rows = zip(tabu, tabu_mass)
+                spends = candidates > 1
+                first[step] = ~blocked
         # A uniform u <= 1 - 2**-53 times an integer total T < 2**53 rounds
         # below T, so floor(r) + 1 <= T: some slot is always reached. r >= 0,
         # so truncation is the floor.
         target = row_target[current] + (draws[next_draw] * allowed).astype(np.int64)
         next_draw += spends
-        # The tabu slots ascend down each column, so a slot's prefix
+        # The tabu rows ascend down each column, so a slot's prefix
         # position is below the target raised by the tabu slots before it
         # exactly when its allowed mass before is below floor(r) + 1
-        # (no_slot, even between two slots, weighs nothing).
-        if step == 2:
-            target += tabu_mass * (before[tabu] < target)
-        elif step > 2:
-            for slot, slot_mass in zip(tabu, tabu_mass):
-                target += slot_mass * (before[slot] < target)
+        # (no_slot, even between two slots, and a dropped slot weigh
+        # nothing).
+        for slot, slot_mass in tabu_rows:
+            target += slot_mass * (before[slot] < target)
         # the pick is the first slot whose mass through it reaches the target
         pick = _search_in_order(through, target)
         memory[step] = neighbors[pick]
@@ -462,7 +500,8 @@ def _search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _sort_columns(a: np.ndarray) -> None:
     """Sort each column of a short 2-D array in place (odd-even
     transposition: len(a) rounds of compare-exchanges between whole rows,
-    far cheaper than np.sort along a short axis)."""
+    far cheaper than np.sort along a short axis). Its one caller is
+    _csr_walks, for the tabu rows of steps 4 and later."""
     for round_ in range(len(a)):
         for i in range(round_ % 2, len(a) - 1, 2):
             low = np.minimum(a[i], a[i + 1])

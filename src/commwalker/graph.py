@@ -125,11 +125,7 @@ class Graph:
         outside = ((ends < 0) | (ends >= n)).any(axis=1)
         ends = np.where(outside[:, None], 0, ends).astype(np.int64)
         lo, hi = ends.min(axis=1), ends.max(axis=1)
-        # a pair repeats an earlier one when it follows it in a stable sort
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        failed = outside | (lo == hi)  # and each pair in why, read as (0, 0)
-        failed[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+        failed = outside | (lo == hi) | _repeats(lo * n + hi)  # and each pair in why, read as (0, 0)
         if failed.any():
             k = int(failed.argmax())
             pair = pairs[k]
@@ -140,6 +136,16 @@ class Graph:
             if lo[k] == hi[k]:
                 raise SelfLoopError(f"self-loop on node '{names[lo[k]]}'")
             raise DuplicateEdgeError(f"duplicate edge '{names[lo[k]]}'-'{names[hi[k]]}'")
+        return cls._of_simple_pairs(names, name_to_id, lo, hi)
+
+    @classmethod
+    def _of_simple_pairs(
+        cls, names: list[str], name_to_id: dict[str, int], lo: np.ndarray, hi: np.ndarray
+    ) -> "Graph":
+        """Build the graph whose edge e is lo[e]-hi[e], from int64 ends
+        already checked: lo < hi, both in range(len(names)), and no pair
+        repeated. name_to_id maps each name to its index."""
+        n, m = len(names), len(lo)
         edges = list(zip(lo.tolist(), hi.tolist()))
         # entry 2e reads edge e from its lower end, 2e + 1 from its upper
         # end; a stable sort by owner keeps every row in edge-id order
@@ -161,6 +167,15 @@ class Graph:
             if table is not None:
                 table.flags.writeable = False
         return cls(list(names), edges, name_to_id, *csr)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Which keys equal an earlier one: those that follow an equal key in a
+    stable sort."""
+    order = np.argsort(keys, kind="stable")
+    repeats = np.zeros(len(keys), dtype=bool)
+    repeats[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return repeats
 
 
 @dataclass(frozen=True)
@@ -330,6 +345,20 @@ def _read_block(tokens: Iterator[str], where: str, blocks: dict[str, list], inne
     raise GmlParseError(f"unbalanced brackets: {where} block never closed")
 
 
+_EDGE_ENDS = operator.itemgetter("source", "target")
+
+
+def _raise_first_bad_edge(raw_edges: list[dict[str, str]], gml_to_dense: dict[str, int]) -> None:
+    """Raise the error of the first edge entry that lacks an end or names
+    an unknown node id, if any."""
+    for entry in raw_edges:
+        if "source" not in entry or "target" not in entry:
+            raise GmlParseError("edge block missing 'source' or 'target'") from None
+        for gml_id in _EDGE_ENDS(entry):
+            if gml_id not in gml_to_dense:
+                raise DanglingEdgeError(f"edge references unknown node id {gml_id}") from None
+
+
 def load_gml(text: str) -> tuple[Graph, Partition | None]:
     """Parse the GML subset; returns the graph and, when every node carries a
     `value` field, the ground-truth partition encoded by those values.
@@ -348,7 +377,7 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     raw_nodes, raw_edges = entries["node"], entries["edge"]
 
     names: list[str] = []
-    name_set: set[str] = set()
+    name_to_id: dict[str, int] = {}
     gml_to_dense: dict[str, int] = {}
     values: list[str | None] = []
     for entry in raw_nodes:
@@ -358,37 +387,30 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
         if gml_id in gml_to_dense:
             raise GmlParseError(f"duplicate node id {gml_id}")
         name = entry.get("label", gml_id)
-        if name in name_set:
+        if name in name_to_id:
             raise GmlParseError(f"duplicate node name {name!r}")
-        gml_to_dense[gml_id] = len(names)
+        gml_to_dense[gml_id] = name_to_id[name] = len(names)
         names.append(name)
-        name_set.add(name)
         values.append(entry.get("value"))
 
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    collapsed = 0
-    for entry in raw_edges:
-        if "source" not in entry or "target" not in entry:
-            raise GmlParseError("edge block missing 'source' or 'target'")
-        try:
-            u = gml_to_dense[entry["source"]]
-            v = gml_to_dense[entry["target"]]
-        except KeyError as exc:
-            raise DanglingEdgeError(f"edge references unknown node id {exc.args[0]}") from None
-        if u == v:
-            collapsed += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            collapsed += 1
-            continue
-        seen.add(key)
-        pairs.append(key)
+    # every edge's two ends as dense ids, in one pass; on a failure, the
+    # first entry that fails raises
+    try:
+        ends = np.fromiter(
+            map(gml_to_dense.__getitem__, chain.from_iterable(map(_EDGE_ENDS, raw_edges))),
+            dtype=np.int64,
+            count=2 * len(raw_edges),
+        ).reshape(-1, 2)
+    except KeyError:
+        _raise_first_bad_edge(raw_edges, gml_to_dense)
+        raise
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    kept = (lo != hi) & ~_repeats(lo * len(names) + hi)  # the first copy of each edge
+    collapsed = len(kept) - int(np.count_nonzero(kept))
     if collapsed:
         logger.warning("collapsed %d duplicate/self-loop edge(s) in GML input", collapsed)
 
-    g = Graph.from_edges(names, pairs)
+    g = Graph._of_simple_pairs(names, name_to_id, lo[kept], hi[kept])
     truth = None
     if names and all(v is not None for v in values):
         truth = Partition.from_labels(values)

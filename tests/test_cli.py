@@ -230,6 +230,18 @@ def test_config_flag_defaults_are_the_field_defaults(command):
         assert getattr(args, f.name) == (None if f.default is MISSING else f.default)
 
 
+def test_detect_flags_do_not_reach_the_next_call(barbell_file, capsys):
+    # The parser is built once per process; each call parses into a fresh
+    # namespace, so a default call after a flagged one reads the defaults.
+    code, _, _ = run_cli(capsys, "detect", "--input", barbell_file, "--seed", "3", "--agents", "20")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "detect", "--input", barbell_file)
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["seed"] == 0
+    assert diagnostics["agent_count"] == ExplorationConfig.for_size(6, 7).agent_count != 20
+
+
 def test_bench_on_karate_files(capsys):
     code, out, err = run_cli(
         capsys, "bench",

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,27 @@ def test_exploration_done_threshold():
     assert not exploration_done([5, 4, 7], cfg)
     assert exploration_done(np.array([5, 6, 7]), cfg)
     assert not exploration_done(np.array([5, 4, 7]), cfg)
+
+
+def _raises_on_empty_hits(call):
+    """call() raises a ValueError that names hits, with no RuntimeWarning
+    on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="hits is empty"):
+            call()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("generation", [0, 1])
+def test_select_start_nodes_refuses_empty_hits(generation):
+    cfg = ExplorationConfig(agent_count=4, memory_size=3)
+    _raises_on_empty_hits(lambda: select_start_nodes([], cfg, generation))
+
+
+def test_exploration_done_refuses_empty_hits():
+    cfg = ExplorationConfig(agent_count=4, memory_size=3)
+    _raises_on_empty_hits(lambda: exploration_done([], cfg))
 
 
 def test_config_validation():

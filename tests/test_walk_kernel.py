@@ -32,6 +32,7 @@ from _helpers import (
     replay,
     run_walk,
     sorted_pair_table,
+    triangle,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -237,6 +238,82 @@ def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
     assert len(set(memory[-1].tolist())) > 2  # the draws reach several slots
     if memory_size >= 3:
         assert not first[2].all()  # some step 2 was blocked
+
+
+def _step_3_kinds(g, walk):
+    """What step 3 of a walk of four or more nodes met: "leaf return" when
+    step 2 was blocked at a leaf and came back to the start, so the start
+    has no slot in the current row; "blocked" when the twin and the
+    start's slot cover the row of a node of degree 2; "forced" when one
+    candidate is left; "draw past two" when the draw runs over a row that
+    holds both tabu slots."""
+    row = neighbor_lists(g)[walk[2]]
+    candidates = [v for v in row if v not in walk[:2]]
+    kinds = set()
+    if walk[2] == walk[0]:
+        kinds.add("leaf return")
+    if not candidates and len(row) == 2:
+        kinds.add("blocked")
+    if len(candidates) == 1:
+        kinds.add("forced")
+    if len(candidates) > 1 and walk[0] in row:
+        kinds.add("draw past two")
+    return kinds
+
+
+@pytest.mark.parametrize("memory_size", [4, 5])
+@pytest.mark.parametrize(
+    "g, kinds",
+    [
+        (pairs_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), {"leaf return"}),
+        (path_graph(5), {"leaf return", "forced"}),
+        (pairs_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), {"leaf return", "forced"}),
+        (triangle(), {"blocked"}),
+        (
+            pairs_graph(5, [(0, 2), (0, 1), (2, 3), (1, 2), (2, 4)]),
+            {"leaf return", "blocked", "forced", "draw past two"},
+        ),
+    ],
+    ids=["star", "path", "spider", "triangle", "fan"],
+)
+def test_csr_walks_first_three_steps_match_run_walk(g, kinds, memory_size):
+    # Step 3's tabu is the twin of step 2's slot plus the start's slot in
+    # the current row, which is missing after step 2 was blocked at a leaf
+    # (the star's hub after hub -> leaf -> hub). At a node of degree 2 the
+    # two can cover the row (the triangle), and the step is blocked and
+    # revisits. A forced step 3 (the path's 0 -> 1 -> 2 -> 3, the spider's
+    # 1 -> 0 -> 3 -> 4) spends no uniform, and step 4 reads it. On the fan
+    # a step 3 at node 2 can draw over a row with both tabu slots in it.
+    w = np.array([3, 0, 7, 1, 2], dtype=np.int64)[: g.edge_count]
+    grid = [0.0, 0.2, 0.5, 0.8, 1 - 2**-53]
+    rows = [list(row) for row in product(grid, repeat=memory_size - 1)]
+    starts = np.repeat(np.arange(g.node_count), len(rows))
+    uniforms = np.array(rows * g.node_count)
+    met = set()
+    for walked in both_pair_tables(g):
+        memory, first = _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
+        for k, start in enumerate(starts.tolist()):
+            expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
+            assert memory[:, k].tolist() == expected
+            assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+            met |= _step_3_kinds(g, expected)
+        assert len(set(memory[3].tolist())) > 1
+    assert met == kinds
+
+
+def test_default_walks_never_sort_tabu_columns(monkeypatch):
+    # Steps 1 to 3 are closed forms, so a default karate run (memory 4)
+    # never reaches the general tabu path; memory 5 does.
+    def refuse(a):
+        raise AssertionError("_sort_columns called")
+
+    monkeypatch.setattr(exploration, "_sort_columns", refuse)
+    g, _ = karate()
+    cfg = ExplorationConfig.for_size(g.node_count, g.edge_count, seed=3)
+    assert cfg.memory_size == 4
+    assert explore(g, cfg).generations_run > 10
+    with pytest.raises(AssertionError, match="_sort_columns called"):
+        explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=3, memory_size=5))
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
