@@ -429,6 +429,7 @@ def _csr_walks(
             else:
                 at = _search_in_order(g.sorted_keys, keys)
                 older = np.where(g.sorted_keys[at] == keys, g.slot_by_key[at], no_slot)
+            twin = twins[pick]
             if step == 3:
                 # the only older node is the start, which has no slot
                 # exactly when step 2 was blocked at a leaf and came back
@@ -437,7 +438,6 @@ def _csr_walks(
                 # with one minimum and one maximum. They block the step
                 # exactly when they cover the row, and are then dropped
                 # (weigh 0).
-                twin = twins[pick]
                 candidates = degree - 1 - (older < no_slot)
                 free = np.not_equal(candidates, 0, out=first[3])
                 low, high = np.minimum(twin, older), np.maximum(twin, older)
@@ -447,7 +447,7 @@ def _csr_walks(
                 tabu_rows = ((low, low_mass), (high, high_mass))
                 spends = np.where(free, candidates, degree) > 1
             else:
-                tabu = np.concatenate((twins[pick], older)).reshape(step - 1, agents)
+                tabu = np.concatenate((twin, older)).reshape(step - 1, agents)
                 _sort_columns(tabu)
                 tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
                 candidates = degree - (tabu < no_slot).sum(axis=0)
