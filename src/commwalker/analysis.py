@@ -80,6 +80,8 @@ def sweep(g: Graph, w: np.ndarray) -> list[list[CandidateRecord]]:
     singletons. A lone node's only record is CandidateRecord(0, 1, 0).
     w holds one weight per edge id.
     """
+    if np.ndim(w) != 1:
+        raise ValueError(f"weights must be 1-D, got shape {np.shape(w)}")
     if len(w) != g.edge_count:
         raise ValueError(f"{len(w)} weights for {g.edge_count} edges")
     components = g.components

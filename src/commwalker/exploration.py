@@ -38,12 +38,10 @@ k % agents, so the lanes are drawn once and never copied.
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
-stored: the walk, the edge sweep and the output read nothing else. Which
-pairs are edges, and which slots they have, is read by pair key from the
-graph: with one gather from its dense pair table (Graph.slot_of_key), or,
-on a graph too large for one, by a search in its sorted pair-key table
-(Graph.sorted_keys and Graph.slot_by_key), whose sentinel ends every
-search. The kernel's tabu lookup reads the same table. During the run the
+stored: the walk, the edge sweep and the output read nothing else. The
+graph tells which pairs are edges, and their slots, by pair key u * n + v,
+whatever table it holds: the kernel's tabu reads Graph.slots_of, and a
+generation's pair counts are one Graph.slot_counts. During the run the
 counts live in the slot masses, both slots of an edge alike, and are read
 back per edge id at the end.
 """
@@ -59,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalidError
-from .graph import Graph
+from .graph import Graph, _search_in_order
 
 # Hit counts are indexed by node id (a list or an int array); weights are
 # indexed by edge id.
@@ -364,27 +362,25 @@ def _csr_walks(
     2. From step 3 on an agent's tabu slots are the twin of the slot just
     taken plus the slots of its older memory nodes in the current row (all
     dropped when they cover the row, which is exactly when the step
-    revisits a node). The older nodes' slots are gathered from the graph's
-    dense pair table, or, on a graph without one, searched in its sorted
-    pair-key table. At step 3 the only older node is the start, so the
-    tabu is two distinct slots, or the twin alone when step 2 was blocked
-    at a leaf and came back to the start; it sorts with one minimum and one
-    maximum, and the step has degree - 1 - (start's slot found)
-    candidates. From step 4 on the tabu rows are sorted down each column
-    (_sort_columns) and an older node seen twice is dropped. A tabu slot
-    lies before the pick exactly when the allowed mass before it is below
-    floor(r) + 1; a pass over the sorted tabu slots that adds the mass of
-    each one lying before the target so far to the target (one masked add
-    per tabu slot at steps 2 and 3) leaves one search in the prefix, which
-    finds the pick. That search, and the one in the sorted pair-key table,
-    take their queries in ascending order (_search_in_order). A forced
-    step's only candidate is found for any u, and a uniform is consumed
-    only on steps with more than one candidate.
+    revisits a node). The older nodes' slots are one Graph.slots_of call
+    per step, whatever pair table the graph holds. At step 3 the only
+    older node is the start, so the tabu is two distinct slots, or the
+    twin alone when step 2 was blocked at a leaf and came back to the
+    start; it sorts with one minimum and one maximum, and the step has
+    degree - 1 - (start's slot found) candidates. From step 4 on the tabu
+    rows are sorted down each column (_sort_columns) and an older node
+    seen twice is dropped. A tabu slot lies before the pick exactly when
+    the allowed mass before it is below floor(r) + 1; a pass over the
+    sorted tabu slots that adds the mass of each one lying before the
+    target so far to the target (one masked add per tabu slot at steps 2
+    and 3) leaves one search in the prefix, which finds the pick. That
+    search takes its queries in ascending order (_search_in_order). A
+    forced step's only candidate is found for any u, and a uniform is
+    consumed only on steps with more than one candidate.
     Arrays are step-major, so every per-step operation runs over whole rows
     of agents; work per step is agents x memory, whatever the degrees.
     """
     indptr, neighbors, twins, n = g.indptr, g.neighbors, g.twins, g.node_count
-    slot_of_key = g.slot_of_key
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     mass[:-1].cumsum(out=before[1:])
@@ -422,13 +418,8 @@ def _csr_walks(
         else:
             # tabu: the twin of the slot just taken, and the slots of older
             # memory nodes (the current node is never its own neighbor, so
-            # nodes equal to it find no slot, 2m, in either table)
-            keys = (current * n + memory[: step - 2]).ravel()
-            if slot_of_key is not None:
-                older = slot_of_key[keys]
-            else:
-                at = _search_in_order(g.sorted_keys, keys)
-                older = np.where(g.sorted_keys[at] == keys, g.slot_by_key[at], no_slot)
+            # nodes equal to it find no slot, 2m)
+            older = g.slots_of((current * n + memory[: step - 2]).ravel())
             twin = twins[pick]
             if step == 3:
                 # the only older node is the start, which has no slot
@@ -478,25 +469,6 @@ def _csr_walks(
     return memory, first
 
 
-def _search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """table.searchsorted(queries) for 1-D queries, searched in ascending
-    query order and scattered back. Consecutive sorted queries follow
-    nearly the same path through the binary search, where scattered ones
-    mispredict its branches. With a fresh array of 272 random pair keys per
-    call (karate's agents) into karate's 156 sorted keys (2-core x86 VM,
-    numpy 2.4), the sorted search takes 11-15 us, 4.5-6 us of it the
-    argsort, against 17-19 us for a plain search. Timing one query array
-    over and over instead lets the branch predictor learn it, and then the
-    plain search looks faster. The array methods skip numpy's Python-level
-    wrappers. _csr_walks searches with it for the picks in the prefix and,
-    on a graph without a dense pair table, for the tabu's older memory
-    nodes in the sorted pair-key table."""
-    order = queries.argsort()
-    at = np.empty(len(queries), dtype=np.intp)
-    at[order] = table.searchsorted(queries[order])
-    return at
-
-
 def _sort_columns(a: np.ndarray) -> None:
     """Sort each column of a short 2-D array in place (odd-even
     transposition: len(a) rounds of compare-exchanges between whole rows,
@@ -542,8 +514,6 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
-    sorted_keys, slot_by_key, twins = g.sorted_keys, g.slot_by_key, g.twins
-    slot_of_key = g.slot_of_key
     mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
     streams = _generation_streams(cfg.seed)
@@ -568,31 +538,9 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
             # visits only); the pairs that are edges add 1 to both slots of
             # their edge
             keep = first[left] & first[right]
-            keys = (memory[left] * n + memory[right])[keep]
-            if slot_of_key is not None:
-                # one gather and one count per slot, with no sort: a pair
-                # that is no edge finds slot 2m, whose count is dropped; a
-                # slot's twin gets its count too
-                counts = np.bincount(slot_of_key[keys], minlength=2 * m + 1)[:-1]
-                mass[:-1] += counts
-                mass[:-1] += counts[twins]
-            else:
-                # Equal keys are one pair, looked up once and added as a
-                # count; distinct keys have distinct slots and distinct
-                # twins, so each fancy += below adds at most once per slot.
-                keys.sort()
-                # bound marks where a run of equal keys starts, and the end
-                bound = np.empty(len(keys) + 1, dtype=bool)
-                bound[0] = bound[-1] = True
-                np.not_equal(keys[1:], keys[:-1], out=bound[1:-1])
-                runs = bound.nonzero()[0]
-                unique = keys[runs[:-1]]
-                at_key = sorted_keys.searchsorted(unique)  # the sentinel ends any miss
-                is_edge = sorted_keys[at_key] == unique
-                slots = slot_by_key[at_key[is_edge]]
-                counts = (runs[1:] - runs[:-1])[is_edge]
-                mass[slots] += counts
-                mass[twins[slots]] += counts
+            counts = g.slot_counts((memory[left] * n + memory[right])[keep])
+            mass[:-1] += counts
+            mass[:-1] += counts[g.twins]
             hits += np.bincount(memory.ravel(), minlength=n)
             generations[running] = generation + 1
             done = exploration_done(hits[members], cfg, segments)

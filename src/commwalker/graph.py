@@ -8,8 +8,8 @@ kernel, the sweep, the flood fill and modularity all read them. Which
 pairs of nodes are edges, and at which slot, is looked up by pair key
 u * n + v, also built there: in a dense table of all n * n keys, read
 with one gather, when it has at most DENSE_PAIR_CELLS entries, and
-otherwise by a search in the sorted table of the 2m slot keys. The walk's
-tabu and its co-visit counts read whichever the graph has. The
+otherwise by a search in the sorted table of the 2m slot keys;
+Graph.slots_of and Graph.slot_counts read whichever the graph has. The
 connected components are found once per graph, on first use of
 Graph.components, and every phase of detection reads that one partition.
 """
@@ -59,11 +59,13 @@ class Graph:
     other than its own. The sorted table builds twins and serves graphs
     too large for the dense one: when n * n <= DENSE_PAIR_CELLS,
     slot_of_key[u * n + v] is the slot of v in u's row, or 2m when u and v
-    are no edge, and otherwise slot_of_key is None. The arrays are
-    read-only. The one value filled after construction is components, on
-    first use; it depends only on the arrays, so two concurrent first reads
-    at worst flood the graph twice and store equal partitions, and a graph
-    is safe to share across any number of concurrent readers.
+    are no edge, and otherwise slot_of_key is None. slots_of and
+    slot_counts look pair keys up in whichever table the graph has, so no
+    other module knows which. The arrays are read-only. The one value
+    filled after construction is components, on first use; it depends
+    only on the arrays, so two concurrent first reads at worst flood the
+    graph twice and store equal partitions, and a graph is safe to share
+    across any number of concurrent readers.
     """
 
     nodes: list[str]
@@ -96,6 +98,32 @@ class Graph:
         directly, past the frozen dataclass's __setattr__)."""
         return connected_components(self)
 
+    def slots_of(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each pair key u * n + v in the 1-D keys, that of v in
+        u's row, or 2m when u and v are no edge: one gather from the dense
+        pair table, or one search in the sorted one."""
+        if self.slot_of_key is not None:
+            return self.slot_of_key[keys]
+        at = _search_in_order(self.sorted_keys, keys)  # the sentinel ends every search
+        return np.where(self.sorted_keys[at] == keys, self.slot_by_key[at], len(self.neighbors))
+
+    def slot_counts(self, keys: np.ndarray) -> np.ndarray:
+        """How many of the 1-D pair keys name each slot, as 2m counts; keys
+        that are no edge count nowhere. The dense table is one gather and one
+        bincount; on the sorted one keys is sorted in place (a copy costs a
+        fresh array per call) and searched once per distinct key."""
+        if self.slot_of_key is not None:
+            return np.bincount(self.slot_of_key[keys], minlength=len(self.neighbors) + 1)[:-1]
+        keys.sort()
+        bound = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, and the end
+        np.not_equal(keys[1:], keys[:-1], out=bound[1:-1])
+        runs = bound.nonzero()[0]
+        unique = keys[runs[:-1]]
+        at = self.sorted_keys.searchsorted(unique)
+        counts = np.zeros(len(self.neighbors) + 1, dtype=np.int64)  # keys that are no edge count at -1, 2m
+        counts[np.where(self.sorted_keys[at] == unique, self.slot_by_key[at], -1)] = np.diff(runs)
+        return counts[:-1]
+
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from node names and id pairs, enforcing simplicity;
@@ -125,7 +153,7 @@ class Graph:
         outside = ((ends < 0) | (ends >= n)).any(axis=1)
         ends = np.where(outside[:, None], 0, ends).astype(np.int64)
         lo, hi = ends.min(axis=1), ends.max(axis=1)
-        failed = outside | (lo == hi) | _repeats(lo * n + hi)  # and each pair in why, read as (0, 0)
+        failed = outside | _not_simple(lo, hi, n)  # and each pair in why, read as (0, 0)
         if failed.any():
             k = int(failed.argmax())
             pair = pairs[k]
@@ -169,13 +197,33 @@ class Graph:
         return cls(list(names), edges, name_to_id, *csr)
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Which keys equal an earlier one: those that follow an equal key in a
-    stable sort."""
+def _not_simple(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Which of the pairs lo[e]-hi[e] (lo <= hi, both in range(n)) a simple
+    graph cannot hold: a self-loop, lo == hi, or a repeat of an earlier
+    pair, one that follows an equal key lo * n + hi in a stable sort."""
+    keys = lo * n + hi
     order = np.argsort(keys, kind="stable")
-    repeats = np.zeros(len(keys), dtype=bool)
-    repeats[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return repeats
+    faults = lo == hi
+    faults[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+    return faults
+
+
+def _search_in_order(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """table.searchsorted(queries) for 1-D queries, searched in ascending
+    query order and scattered back. Consecutive sorted queries follow
+    nearly the same path through the binary search, where scattered ones
+    mispredict its branches. With a fresh array of 272 random pair keys per
+    call (karate's agents) into karate's 156 sorted keys (2-core x86 VM,
+    numpy 2.4), the sorted search takes 11-15 us, 4.5-6 us of it the
+    argsort, against 17-19 us for a plain search. Timing one query array
+    over and over instead lets the branch predictor learn it, and then the
+    plain search looks faster. The array methods skip numpy's Python-level
+    wrappers. The walk kernel searches with it for the picks in its mass
+    prefix, and Graph.slots_of for pair keys in the sorted pair-key table."""
+    order = queries.argsort()
+    at = np.empty(len(queries), dtype=np.intp)
+    at[order] = table.searchsorted(queries[order])
+    return at
 
 
 @dataclass(frozen=True)
@@ -218,37 +266,37 @@ def load_edge_list(text: str) -> Graph:
     """Parse a "name_u name_v" edge list.
 
     Lines starting with '#' and blank lines are skipped. The format is
-    strict: self-loops and duplicate edges are rejected as user error.
+    strict: self-loops and duplicate edges are rejected as user error. The
+    pairs before the first malformed line are checked as one array, and
+    the error is the first failing line's.
     """
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-        return ids[name]
-
+    ends: list[str] = []  # the two names of every edge line, in order
+    line_of: list[int] = []  # the line number of every edge
+    malformed = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if len(tokens) != 2:
-            raise MalformedLineError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-        u, v = intern(tokens[0]), intern(tokens[1])
+            malformed = MalformedLineError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+            break
+        ends += tokens
+        line_of.append(lineno)
+    name_to_id = {name: i for i, name in enumerate(dict.fromkeys(ends))}
+    ids = np.fromiter(map(name_to_id.__getitem__, ends), dtype=np.int64, count=len(ends)).reshape(-1, 2)
+    lo, hi = ids.min(axis=1), ids.max(axis=1)
+    faults = _not_simple(lo, hi, len(name_to_id))
+    if faults.any():
+        e = int(faults.argmax())
+        u, v = ends[2 * e : 2 * e + 2]
         if u == v:
-            raise SelfLoopError(f"line {lineno}: self-loop on '{tokens[0]}'")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"line {lineno}: duplicate edge '{tokens[0]}' '{tokens[1]}'")
-        seen.add(key)
-        pairs.append(key)
-    if not pairs:
+            raise SelfLoopError(f"line {line_of[e]}: self-loop on '{u}'")
+        raise DuplicateEdgeError(f"line {line_of[e]}: duplicate edge '{u}' '{v}'")
+    if malformed is not None:
+        raise malformed
+    if not line_of:
         raise EmptyGraphError("edge list contains no edges")
-    return Graph.from_edges(names, pairs)
+    return Graph._of_simple_pairs(list(name_to_id), name_to_id, lo, hi)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -405,7 +453,7 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
         _raise_first_bad_edge(raw_edges, gml_to_dense)
         raise
     lo, hi = ends.min(axis=1), ends.max(axis=1)
-    kept = (lo != hi) & ~_repeats(lo * len(names) + hi)  # the first copy of each edge
+    kept = ~_not_simple(lo, hi, len(names))  # the first copy of each edge
     collapsed = len(kept) - int(np.count_nonzero(kept))
     if collapsed:
         logger.warning("collapsed %d duplicate/self-loop edge(s) in GML input", collapsed)
@@ -465,6 +513,8 @@ def connected_components(g: Graph, removed: np.ndarray | None = None) -> Partiti
     Labels are assigned in order of each component's lowest node id, so the
     result is deterministic and independent of the slot order.
     """
+    if removed is not None and len(removed) != g.edge_count:
+        raise ValueError(f"{len(removed)} removal flags for {g.edge_count} edges")
     indptr = g.indptr.tolist()
     neighbors = g.neighbors.tolist()
     cut = None if removed is None else np.asarray(removed, dtype=bool)[g.edge_ids].tolist()

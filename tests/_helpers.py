@@ -28,6 +28,7 @@ from commwalker import (
 from commwalker.errors import (
     DanglingEdgeError,
     DuplicateEdgeError,
+    EmptyGraphError,
     GmlParseError,
     MalformedLineError,
     SelfLoopError,
@@ -477,6 +478,41 @@ def reference_edges(names: list[str], edge_pairs) -> list[tuple[int, int]]:
         seen.add((u, v))
         edges.append((u, v))
     return edges
+
+
+def reference_load_edge_list(text: str) -> Graph:
+    """What load_edge_list reads from text, or the error it raises: each
+    line checked in turn, its names interned and its pair looked up in a
+    set of the pairs before it."""
+    names: list[str] = []
+    ids: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+
+    def intern(name: str) -> int:
+        if name not in ids:
+            ids[name] = len(names)
+            names.append(name)
+        return ids[name]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise MalformedLineError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        u, v = intern(tokens[0]), intern(tokens[1])
+        if u == v:
+            raise SelfLoopError(f"line {lineno}: self-loop on '{tokens[0]}'")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"line {lineno}: duplicate edge '{tokens[0]}' '{tokens[1]}'")
+        seen.add(key)
+        pairs.append(key)
+    if not pairs:
+        raise EmptyGraphError("edge list contains no edges")
+    return Graph.from_edges(names, pairs)
 
 
 def reference_load_gml(text: str) -> tuple[list[str], list[tuple[int, int]], list[int] | None]:

@@ -141,6 +141,14 @@ def test_sweep_needs_one_weight_per_edge(length):
         sweep(g, np.arange(length))
 
 
+def test_sweep_needs_one_dimensional_weights():
+    # unchecked, a (3, 1) array passes the length check on a 3-edge path
+    # and ends in a bare TypeError
+    g = pairs_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="1-D"):
+        sweep(g, np.array([[1], [2], [3]]))
+
+
 def test_best_partition_argmax():
     candidates = [
         CandidateRecord(0, 1, 0),

@@ -2,12 +2,13 @@
 dependency, numpy. scipy, networkx and the other dev tools are test
 references only, never imported by src/: detecting communities and
 scoring their accuracy load no scipy module. Every name the package
-exports exists, every error type it declares is raised by it, and every
+exports exists, every error type it declares is raised by it, every
 function, class and method it defines is named somewhere else in src/ or
-exported."""
+exported, and only graph.py knows how pairs are stored."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -136,3 +137,10 @@ def test_every_definition_is_used_or_exported():
         if counts[node.name] == own and qualified not in commwalker.__all__:
             unused.append(qualified)
     assert unused == []
+
+
+def test_exploration_reads_pairs_only_through_the_graph():
+    # which pair table a graph has is graph.py's choice: the walk asks
+    # Graph.slots_of and Graph.slot_counts, whatever the table
+    text = (ROOT / "src" / "commwalker" / "exploration.py").read_text()
+    assert re.findall(r"\b(?:slot_of_key|sorted_keys|slot_by_key)\b", text) == []

@@ -33,6 +33,7 @@ from _helpers import (
     pairs_graph,
     random_connected_graph,
     reachability_components,
+    sorted_pair_table,
 )
 
 
@@ -153,6 +154,39 @@ def test_dense_pair_table_only_up_to_its_cell_limit(monkeypatch):
     g = pairs_graph(6, pairs)
     assert g.slot_of_key is None
     assert len(g.sorted_keys) == len(g.slot_by_key) == 2 * len(pairs) + 1
+
+
+def ring_with_chords(n: int) -> Graph:
+    return pairs_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)])
+
+
+@pytest.mark.parametrize(
+    "build, dense",
+    [
+        (barbell6, True),
+        (lambda: sorted_pair_table(barbell6()), False),
+        (lambda: ring_with_chords(1100), False),
+    ],
+    ids=["small", "sorted-table", "above-dense-limit"],
+)
+def test_slot_lookups_match_the_csr_rows(build, dense):
+    # slots_of and slot_counts against a dict of (u, v) -> slot read from
+    # the CSR rows, for keys that are edges, keys that are not and repeats
+    g = build()
+    n, no_slot = g.node_count, 2 * g.edge_count
+    assert (g.slot_of_key is not None) == dense
+    slot = {(u, g.neighbors[s]): s for u in range(n) for s in range(g.indptr[u], g.indptr[u + 1])}
+    rng = np.random.default_rng(0)
+    edges = [u * n + v for u, v in slot]
+    others = rng.integers(0, n * n, 3 * len(edges)).tolist() + [u * n + u for u in range(0, n, 5)]
+    keys = np.array(edges + others + rng.choice(edges + others, len(edges)).tolist())
+    rng.shuffle(keys)
+    expected = [slot.get(divmod(k, n), no_slot) for k in keys.tolist()]
+    assert no_slot in expected and len(set(expected)) < len(keys)
+    assert g.slots_of(keys).tolist() == expected
+    counts = np.bincount(expected, minlength=no_slot + 1)[:-1]
+    assert g.slot_counts(keys.copy()).tolist() == counts.tolist()
+    assert g.slots_of(keys[:0]).tolist() == [] and g.slot_counts(keys[:0]).tolist() == [0] * no_slot
 
 
 def test_edge_list_round_trip():
@@ -352,6 +386,15 @@ def test_connected_components_barbell_bridge_removed():
     assert parts.community_count == 2
     assert parts.sizes() == [3, 3]
     assert parts.community_of == [0, 0, 0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("removed", [[True], [True] * 5], ids=["too-few", "too-many"])
+def test_connected_components_needs_one_flag_per_edge(removed):
+    # unchecked, one flag for the path's 3 edges raised a bare IndexError
+    # and 5 flags had the last 2 ignored
+    g = load_edge_list("a b\nb c\nc d\n")
+    with pytest.raises(ValueError, match="3 edges"):
+        connected_components(g, removed)
 
 
 def test_component_labels_ordered_by_lowest_node_id():

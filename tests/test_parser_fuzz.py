@@ -1,9 +1,9 @@
 """Fuzz tests for the text parsers: arbitrary input either parses or raises
 an InputError subclass (exit status 1 at the CLI), never another exception;
 a parsed edge list survives a to_edge_list round trip; a random graph
-rendered as GML reads back as that graph. The GML tokenizer, load_gml and
-Graph.from_edges give what their references in _helpers give, results and
-errors alike."""
+rendered as GML reads back as that graph. The GML tokenizer, load_gml,
+load_edge_list and Graph.from_edges give what their references in _helpers
+give, results and errors alike."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,12 @@ from commwalker.graph import (
     to_edge_list,
 )
 
-from _helpers import reference_edges, reference_load_gml, reference_tokenize_gml
+from _helpers import (
+    reference_edges,
+    reference_load_edge_list,
+    reference_load_gml,
+    reference_tokenize_gml,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,6 +42,16 @@ edge_list_texts = st.one_of(
     st.lists(lines, max_size=12).map("\n".join),
     st.text(max_size=60),
 )
+
+# A self-loop or a repeated pair, then a malformed line later on: the
+# first of the two in line order is the error.
+fault_then_malformed = st.tuples(
+    st.lists(lines, max_size=4),
+    st.sampled_from(["a a", "1 1", "a b\nb a", "1 a\n a  1 ", "b b\nb a\na b"]),
+    st.lists(lines, max_size=3),
+    st.sampled_from(["a", "a b 1", " a\t#b 1", "1\x85b"]),
+    st.lists(lines, max_size=2),
+).map(lambda parts: "\n".join([*parts[0], parts[1], *parts[2], parts[3], *parts[4]]))
 
 # Simple graphs as edge-list text; a line whose first name starts with '#'
 # is a comment, so some edges drop out and some texts have none.
@@ -225,3 +240,16 @@ def test_from_edges_raises_what_the_reference_raises(n, pairs):
     names = [str(i) for i in range(n)]
     built = outcome(lambda: Graph.from_edges(names, pairs).edges)
     assert built == outcome(reference_edges, names, pairs)
+
+
+def read_edge_list(load, text):
+    g = load(text)
+    tables = (g.indptr, g.neighbors, g.edge_ids, g.twins, g.sorted_keys, g.slot_by_key, g.slot_of_key)
+    return g.nodes, g.edges, g.name_to_id, [table.tolist() for table in tables]
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(edge_list_texts, fault_then_malformed))
+def test_load_edge_list_matches_the_reference(text):
+    expected = outcome(read_edge_list, reference_load_edge_list, text)
+    assert outcome(read_edge_list, load_edge_list, text) == expected
