@@ -6,9 +6,9 @@ input order, stored as (u, v) with u < v. Each node's neighbours are
 stored once, in the CSR arrays that Graph.from_edges builds: the walk
 kernel, the sweep, the flood fill and modularity all read them. Which
 pairs of nodes are edges, and at which slot, is looked up by pair key
-u * n + v, also built there: in a dense table of all n * n keys, read
-with one gather, when it has at most DENSE_PAIR_CELLS entries, and
-otherwise by a search in the sorted table of the 2m slot keys;
+u * n + v in the one pair table built there: a dense table of all n * n
+keys, read with one gather, when it has at most DENSE_PAIR_CELLS
+entries, and otherwise the sorted table of the 2m slot keys, searched;
 Graph.slots_of and Graph.slot_counts read whichever the graph has. The
 connected components are found once per graph, on first use of
 Graph.components, and every phase of detection reads that one partition.
@@ -51,21 +51,23 @@ class Graph:
     Neighbours are stored once, as compressed rows (CSR) with one slot per
     (node, incident edge): row u is slots indptr[u] .. indptr[u + 1] - 1,
     in edge-id order. A slot holds its neighbour and edge id, and twins[s]
-    is the slot of the same edge read from the other end. The pair-key
-    table sorted_keys holds the directed keys u * n + v of all slots in
-    ascending order, with the slot of each in slot_by_key; the two end in
-    a sentinel, n * n (above every key) and 2m (no slot), so a search for
-    any pair key lands on an entry, and a pair that is no edge finds a key
-    other than its own. The sorted table builds twins and serves graphs
-    too large for the dense one: when n * n <= DENSE_PAIR_CELLS,
-    slot_of_key[u * n + v] is the slot of v in u's row, or 2m when u and v
-    are no edge, and otherwise slot_of_key is None. slots_of and
-    slot_counts look pair keys up in whichever table the graph has, so no
-    other module knows which. The arrays are read-only. The one value
-    filled after construction is components, on first use; it depends
-    only on the arrays, so two concurrent first reads at worst flood the
-    graph twice and store equal partitions, and a graph is safe to share
-    across any number of concurrent readers.
+    is the slot of the same edge read from the other end: the slots are a
+    stable sort by owner of the entries 2e (edge e read from its lower
+    end) and 2e + 1 (from its upper end), so the twin of the slot holding
+    entry k is the slot holding k ^ 1. A graph holds one pair table. When
+    n * n <= DENSE_PAIR_CELLS, slot_of_key[u * n + v] is the slot of v in
+    u's row, or 2m when u and v are no edge, and sorted_keys and
+    slot_by_key are None. Otherwise slot_of_key is None, sorted_keys holds
+    the directed keys u * n + v of all slots in ascending order and
+    slot_by_key the slot of each; the two end in a sentinel, n * n (above
+    every key) and 2m (no slot), so a search for any pair key lands on an
+    entry, and a pair that is no edge finds a key other than its own.
+    slots_of and slot_counts look pair keys up in whichever table the
+    graph has, so no other module knows which. The arrays are read-only.
+    The one value filled after construction is components, on first use;
+    it depends only on the arrays, so two concurrent first reads at worst
+    flood the graph twice and store equal partitions, and a graph is safe
+    to share across any number of concurrent readers.
     """
 
     nodes: list[str]
@@ -74,8 +76,8 @@ class Graph:
     indptr: np.ndarray
     neighbors: np.ndarray
     edge_ids: np.ndarray
-    sorted_keys: np.ndarray
-    slot_by_key: np.ndarray
+    sorted_keys: np.ndarray | None
+    slot_by_key: np.ndarray | None
     twins: np.ndarray
     slot_of_key: np.ndarray | None
 
@@ -181,20 +183,30 @@ class Graph:
         entry = np.argsort(ends.ravel(), kind="stable")
         owner, neighbors = ends.ravel()[entry], ends[:, ::-1].ravel()[entry]
         keys = owner * n + neighbors
-        # the pair-key table and its sentinels n * n and 2m (no slot)
-        slot_by_key = np.append(np.argsort(keys), 2 * m)
-        sorted_keys = np.append(keys[slot_by_key[:-1]], n * n)
-        twins = slot_by_key[sorted_keys.searchsorted(neighbors * n + owner)]
+        slot_of_entry = np.empty_like(entry)  # a slot's twin holds its entry ^ 1
+        slot_of_entry[entry] = np.arange(2 * m)
         indptr = np.searchsorted(owner, np.arange(n + 1))
-        slot_of_key = None
-        if n * n <= DENSE_PAIR_CELLS:
+        sorted_keys = slot_by_key = slot_of_key = None
+        if n * n > DENSE_PAIR_CELLS:
+            sorted_keys, slot_by_key = _sorted_pair_table(keys, n)
+        else:
             slot_of_key = np.full(n * n, 2 * m, dtype=np.int64)
             slot_of_key[keys] = np.arange(2 * m)
-        csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, twins, slot_of_key)
+        csr = (indptr, neighbors, entry // 2, sorted_keys, slot_by_key, slot_of_entry[entry ^ 1], slot_of_key)
         for table in csr:
             if table is not None:
                 table.flags.writeable = False
         return cls(list(names), edges, name_to_id, *csr)
+
+
+def _sorted_pair_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted pair-key table of a graph of n nodes whose slot s has the
+    pair key keys[s]: the keys in ascending order, then the sentinel n * n
+    (above every key), and the slot of each, then the sentinel 2m (no
+    slot). A search for any pair key lands on an entry, and a pair that is
+    no edge finds a key other than its own."""
+    slot_by_key = np.append(np.argsort(keys), len(keys))
+    return np.append(keys[slot_by_key[:-1]], n * n), slot_by_key
 
 
 def _not_simple(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
@@ -303,10 +315,15 @@ def to_edge_list(g: Graph) -> str:
     """Serialize a graph back to edge-list text (inverse of load_edge_list).
 
     An edge whose first name starts with '#' is written the other way
-    round, so that its line is not read back as a comment. An edge no line
-    can carry, because both names start with '#' or a name is empty or
-    holds whitespace, raises MalformedLineError.
+    round, so that its line is not read back as a comment. A node no line
+    can carry, because it has no edge, and an edge no line can carry,
+    because both names start with '#' or a name is empty or holds
+    whitespace, raise MalformedLineError.
     """
+    isolated = np.flatnonzero(np.diff(g.indptr) == 0)
+    if len(isolated):
+        name = g.nodes[isolated[0]]
+        raise MalformedLineError(f"node {name!r} has no edge, so no edge-list line can carry it")
     lines = []
     for u, v in g.edges:
         a, b = g.nodes[u], g.nodes[v]

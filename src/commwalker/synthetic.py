@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+import operator
 import random
 
 from .errors import ConfigInvalidError
@@ -18,13 +20,25 @@ def planted_partition(
     """Sample a graph of block_count blocks of block_size nodes each, with
     independent edge probability p_in inside a block and p_out across blocks.
 
-    Returns the graph and the planted block partition as ground truth. The
-    sample may be disconnected or contain isolated nodes; callers that need
-    connectivity should draw another seed.
+    block_count, block_size and seed are integers (read through
+    operator.index) and p_in and p_out real numbers in [0, 1]; a bad value
+    raises ConfigInvalidError. Returns the graph and the planted block
+    partition as ground truth. The sample may be disconnected or contain
+    isolated nodes; callers that need connectivity should draw another
+    seed.
     """
+    ints = {"block_count": block_count, "block_size": block_size, "seed": seed}
+    for name, value in ints.items():
+        try:
+            ints[name] = operator.index(value)
+        except TypeError:
+            raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
+    block_count, block_size, seed = ints.values()
     if block_count < 1 or block_size < 1:
         raise ConfigInvalidError("block_count and block_size must be >= 1")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not isinstance(p, numbers.Real):
+            raise ConfigInvalidError(f"{name} must be a real number, got {p!r}")
         if not 0.0 <= p <= 1.0:
             raise ConfigInvalidError(f"{name} must be in [0, 1], got {p}")
     rng = random.Random(seed)

@@ -33,6 +33,7 @@ from commwalker.errors import (
     MalformedLineError,
     SelfLoopError,
 )
+from commwalker.graph import _sorted_pair_table
 from commwalker.synthetic import planted_partition
 
 BARBELL_TEXT = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -57,10 +58,15 @@ def pairs_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
 
 
 def sorted_pair_table(g: Graph) -> Graph:
-    """g without its dense pair table (slot_of_key None), so explore() and
-    the walk kernel look pairs up in the sorted pair-key table, as they do
-    on graphs above DENSE_PAIR_CELLS."""
-    return dataclasses.replace(g, slot_of_key=None)
+    """g with the sorted pair-key table in place of its dense one (then
+    slot_of_key is None), built by the function that builds it for graphs
+    above DENSE_PAIR_CELLS, so explore() and the walk kernel look pairs up
+    there as they do on those graphs."""
+    n = g.node_count
+    owner = np.repeat(np.arange(n), np.diff(g.indptr))
+    sorted_keys, slot_by_key = _sorted_pair_table(owner * n + g.neighbors, n)
+    sorted_keys.flags.writeable = slot_by_key.flags.writeable = False
+    return dataclasses.replace(g, sorted_keys=sorted_keys, slot_by_key=slot_by_key, slot_of_key=None)
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:

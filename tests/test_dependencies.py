@@ -141,6 +141,12 @@ def test_every_definition_is_used_or_exported():
 
 def test_exploration_reads_pairs_only_through_the_graph():
     # which pair table a graph has is graph.py's choice: the walk asks
-    # Graph.slots_of and Graph.slot_counts, whatever the table
-    text = (ROOT / "src" / "commwalker" / "exploration.py").read_text()
-    assert re.findall(r"\b(?:slot_of_key|sorted_keys|slot_by_key)\b", text) == []
+    # Graph.slots_of and Graph.slot_counts, whatever the table, and no
+    # other module names either table
+    named = {
+        path.name: re.findall(r"\b(?:slot_of_key|sorted_keys|slot_by_key)\b", path.read_text())
+        for path in (ROOT / "src" / "commwalker").glob("*.py")
+        if path.name != "graph.py"
+    }
+    assert "exploration.py" in named
+    assert {name: found for name, found in named.items() if found} == {}

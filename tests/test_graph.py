@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 import re
@@ -97,9 +98,12 @@ def test_csr_rows_consistent_with_edges():
         assert (g.edge_ids[g.twins] == g.edge_ids).all()
         assert (owner[g.twins] == g.neighbors).all() and (g.neighbors[g.twins] == owner).all()
         assert (g.twins[g.twins] == np.arange(2 * m)).all()
-        # the pair-key table: every slot's key once, ascending, then the
-        # sentinels n * n and 2m (no slot)
-        keys, slots = g.sorted_keys, g.slot_by_key
+        # the sorted pair-key table, as a graph above DENSE_PAIR_CELLS holds
+        # it: every slot's key once, ascending, then the sentinels n * n and
+        # 2m (no slot)
+        assert g.sorted_keys is None and g.slot_by_key is None
+        table = sorted_pair_table(g)
+        keys, slots = table.sorted_keys, table.slot_by_key
         assert len(keys) == len(slots) == 2 * m + 1
         assert (keys[1:] > keys[:-1]).all() and keys[-1] == n * n
         assert sorted(slots[:-1].tolist()) == list(range(2 * m)) and slots[-1] == 2 * m
@@ -136,20 +140,34 @@ def test_from_edges_rejects_a_pair_that_is_not_two_ids(pair):
 
 
 def test_graph_arrays_are_read_only():
+    # every array a graph holds, with either pair table: the dense one, the
+    # sorted one the test helper swaps in, and the sorted one a graph above
+    # DENSE_PAIR_CELLS is built with
+    csr = {"indptr", "neighbors", "edge_ids", "twins"}
+    builds = [
+        (barbell6(), csr | {"slot_of_key"}),
+        (sorted_pair_table(barbell6()), csr | {"sorted_keys", "slot_by_key"}),
+        (ring_with_chords(1100), csr | {"sorted_keys", "slot_by_key"}),
+    ]
+    for g, held in builds:
+        arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)}
+        arrays = {name: array for name, array in arrays.items() if isinstance(array, np.ndarray)}
+        assert arrays.keys() == held
+        for array in arrays.values():
+            with pytest.raises(ValueError):
+                array[0] = 1
     g = barbell6()
-    arrays = (g.indptr, g.neighbors, g.edge_ids, g.sorted_keys, g.slot_by_key, g.twins, g.slot_of_key)
-    for array in arrays:
-        with pytest.raises(ValueError):
-            array[0] = 1
     assert g == g and g != barbell6()  # identity, never an elementwise array compare
 
 
 def test_dense_pair_table_only_up_to_its_cell_limit(monkeypatch):
     # 6 nodes have 36 pair keys: a table of 36 cells is built, one of 35
-    # is not, and the sorted table is built either way.
+    # is not, and a graph holds the sorted table only then.
     pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]
     monkeypatch.setattr(graph_module, "DENSE_PAIR_CELLS", 36)
-    assert pairs_graph(6, pairs).slot_of_key is not None
+    g = pairs_graph(6, pairs)
+    assert g.slot_of_key is not None
+    assert g.sorted_keys is None and g.slot_by_key is None
     monkeypatch.setattr(graph_module, "DENSE_PAIR_CELLS", 35)
     g = pairs_graph(6, pairs)
     assert g.slot_of_key is None
@@ -210,6 +228,14 @@ def test_edge_list_rejects_an_edge_read_back_as_a_comment():
     assert load_edge_list(to_edge_list(gml_edge("#a", "b"))).edges == [(0, 1)]
     with pytest.raises(MalformedLineError, match="'#a'-'#b'"):
         to_edge_list(gml_edge("#a", "#b"))
+
+
+def test_edge_list_rejects_an_isolated_node():
+    # no edge-list line can carry a node of degree 0: read back, it would
+    # be gone
+    g, _ = load_gml("graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 0 target 2 ] ]")
+    with pytest.raises(MalformedLineError, match="node '1' has no edge"):
+        to_edge_list(g)
 
 
 @pytest.mark.parametrize("name", ["", "a b", "a\tb", " a"])

@@ -245,7 +245,7 @@ def test_from_edges_raises_what_the_reference_raises(n, pairs):
 def read_edge_list(load, text):
     g = load(text)
     tables = (g.indptr, g.neighbors, g.edge_ids, g.twins, g.sorted_keys, g.slot_by_key, g.slot_of_key)
-    return g.nodes, g.edges, g.name_to_id, [table.tolist() for table in tables]
+    return g.nodes, g.edges, g.name_to_id, [None if table is None else table.tolist() for table in tables]
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from commwalker import connected_components, planted_partition
@@ -34,9 +35,21 @@ def test_planted_edge_count_scales_with_density():
 
 
 def test_planted_parameter_validation():
-    with pytest.raises(ConfigInvalidError):
-        planted_partition(0, 5, 0.5, 0.05, seed=0)
-    with pytest.raises(ConfigInvalidError):
-        planted_partition(2, 5, 1.5, 0.05, seed=0)
-    with pytest.raises(ConfigInvalidError):
-        planted_partition(2, 5, 0.5, -0.1, seed=0)
+    bad = [
+        ((0, 5, 0.5, 0.05, 0), ">= 1"),
+        ((2, 5, 1.5, 0.05, 0), "p_in must be in"),
+        ((2, 5, 0.5, -0.1, 0), "p_out must be in"),
+        ((2, 5, 0.5, float("nan"), 0), "p_out must be in"),
+        ((2.5, 3, 0.5, 0.1, 0), "block_count must be an integer"),
+        ((2, "3", 0.5, 0.1, 0), "block_size must be an integer"),
+        ((2, 3, 0.5, 0.1, 1.5), "seed must be an integer"),
+        ((2, 3, "0.5", 0.1, 0), "p_in must be a real number"),
+        ((2, 3, 0.5, None, 0), "p_out must be a real number"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ConfigInvalidError, match=message):
+            planted_partition(*args)
+    # integer-like values read as the integers they stand for
+    g, truth = planted_partition(np.int64(2), np.int32(5), np.float64(0.5), 0, seed=np.int64(4))
+    h, _ = planted_partition(2, 5, 0.5, 0, seed=4)
+    assert g.edges == h.edges and truth.community_of == [i // 5 for i in range(10)]
