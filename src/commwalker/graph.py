@@ -3,14 +3,15 @@
 Nodes carry external string names; internally everything runs on dense
 integer ids assigned in first-appearance order. Edges get dense ids in
 input order, stored as (u, v) with u < v. Each node's neighbours are
-stored once, in the CSR arrays that Graph.from_edges builds: the walk
-kernel, the sweep, the flood fill and modularity all read them. Which
-pairs of nodes are edges, and at which slot, is looked up by pair key
-u * n + v in the one pair table built there: a dense table of all n * n
-keys, read with one gather, when it has at most DENSE_PAIR_CELLS
-entries, and otherwise the sorted table of the 2m slot keys, searched;
-Graph.slots_of and Graph.slot_counts read whichever the graph has. The
-connected components are found once per graph, on first use of
+stored once, in the CSR arrays that Graph._of_simple_pairs builds for
+every reader (from_edges, load_edge_list, load_gml): the walk kernel,
+the sweep, the flood fill and modularity all read them. Which pairs of
+nodes are edges, and at which slot, is looked up by pair key u * n + v
+in the one pair table built there: a dense table of all n * n keys,
+read with one gather, when it has at most DENSE_PAIR_CELLS entries, and
+otherwise the sorted table of the 2m slot keys, searched; Graph.slots_of
+and Graph.slot_counts read whichever the graph has. The connected
+components are found once per graph, on first use of
 Graph.components, and every phase of detection reads that one partition.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import logging
 import operator
 import re
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -129,40 +129,36 @@ class Graph:
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from node names and id pairs, enforcing simplicity;
-        every pair is two integer ids in range(len(names)). The checks run
-        on one array of all pairs; the first pair that fails one raises
-        DanglingEdgeError, SelfLoopError or DuplicateEdgeError."""
+        every pair is two integer ids in range(len(names)). One pass reads
+        each pair's ids through operator.index and checks their range,
+        reading a pair that fails as (0, 0); the rule of a simple graph then
+        checks all pairs at once. The first pair that fails either, in input
+        order, raises DanglingEdgeError, SelfLoopError or DuplicateEdgeError."""
         name_to_id = {name: i for i, name in enumerate(names)}
         if len(name_to_id) != len(names):
             raise MalformedLineError("node names are not unique")
         n, pairs = len(names), list(edge_pairs)
-        m, why = len(pairs), {}  # the index of each pair that is not two ids -> why
-        try:  # every pair has two ids, each read by operator.index, as int64
-            if set(map(len, pairs)) - {2}:
-                raise ValueError
-            ends = np.frombuffer(array("q", chain.from_iterable(pairs)), dtype=np.int64).reshape(m, 2)
-        except (TypeError, ValueError, OverflowError):  # else pair by pair, noting why one is not
-            ends = np.zeros((m, 2), dtype=object)
-            for k, pair in enumerate(pairs):
-                try:
-                    u, v = map(operator.index, pair)
-                except TypeError:
-                    why[k] = "names a node id that is not an integer"
-                except ValueError:
-                    why[k] = "is not a pair of node ids"
-                else:
-                    ends[k] = u, v
-        outside = ((ends < 0) | (ends >= n)).any(axis=1)
-        ends = np.where(outside[:, None], 0, ends).astype(np.int64)
+        flat, why = [], {}  # each pair's two ids, or 0, 0; the index of each that fails -> why
+        for k, pair in enumerate(pairs):
+            try:
+                u, v = map(operator.index, pair)
+            except TypeError:
+                why[k] = "names a node id that is not an integer"
+            except ValueError:
+                why[k] = "is not a pair of node ids"
+            else:
+                if 0 <= u < n and 0 <= v < n:
+                    flat += u, v
+                    continue
+                why[k] = f"names a node id outside range({n})"
+            flat += 0, 0
+        ends = np.array(flat, dtype=np.int64).reshape(-1, 2)
         lo, hi = ends.min(axis=1), ends.max(axis=1)
-        failed = outside | _not_simple(lo, hi, n)  # and each pair in why, read as (0, 0)
+        failed = _not_simple(lo, hi, n)  # each pair in why, read as (0, 0), is a self-loop
         if failed.any():
             k = int(failed.argmax())
-            pair = pairs[k]
             if k in why:
-                raise DanglingEdgeError(f"edge {pair!r} {why[k]}")
-            if outside[k]:
-                raise DanglingEdgeError(f"edge {pair!r} names a node id outside range({n})")
+                raise DanglingEdgeError(f"edge {pairs[k]!r} {why[k]}")
             if lo[k] == hi[k]:
                 raise SelfLoopError(f"self-loop on node '{names[lo[k]]}'")
             raise DuplicateEdgeError(f"duplicate edge '{names[lo[k]]}'-'{names[hi[k]]}'")

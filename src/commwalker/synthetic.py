@@ -21,11 +21,11 @@ def planted_partition(
     independent edge probability p_in inside a block and p_out across blocks.
 
     block_count, block_size and seed are integers (read through
-    operator.index) and p_in and p_out real numbers in [0, 1]; a bad value
-    raises ConfigInvalidError. Returns the graph and the planted block
-    partition as ground truth. The sample may be disconnected or contain
-    isolated nodes; callers that need connectivity should draw another
-    seed.
+    operator.index), seed at least 0, and p_in and p_out real numbers in
+    [0, 1]; a bad value raises ConfigInvalidError. Returns the graph and
+    the planted block partition as ground truth. The sample may be
+    disconnected or contain isolated nodes; callers that need
+    connectivity should draw another seed.
     """
     ints = {"block_count": block_count, "block_size": block_size, "seed": seed}
     for name, value in ints.items():
@@ -36,6 +36,8 @@ def planted_partition(
     block_count, block_size, seed = ints.values()
     if block_count < 1 or block_size < 1:
         raise ConfigInvalidError("block_count and block_size must be >= 1")
+    if seed < 0:  # random.Random seeds from abs(seed): -7 would draw seed 7's graph
+        raise ConfigInvalidError(f"seed must be >= 0, got {seed}")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not isinstance(p, numbers.Real):
             raise ConfigInvalidError(f"{name} must be a real number, got {p!r}")

@@ -4,7 +4,8 @@ references only, never imported by src/: detecting communities and
 scoring their accuracy load no scipy module. Every name the package
 exports exists, every error type it declares is raised by it, every
 function, class and method it defines is named somewhere else in src/ or
-exported, and only graph.py knows how pairs are stored."""
+exported, every module-level import is used (or, in __init__.py,
+exported), and only graph.py knows how pairs are stored."""
 
 import ast
 import os
@@ -136,6 +137,28 @@ def test_every_definition_is_used_or_exported():
         own = Counter(names(node))[node.name]
         if counts[node.name] == own and qualified not in commwalker.__all__:
             unused.append(qualified)
+    assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    # an import nothing reads is dead weight, a load on every start and a
+    # false lead for the reader; the project runs no linter, so this is the
+    # check. __init__.py imports what the package exports, and the
+    # __future__ import is a compiler directive, not a name
+    import commwalker
+
+    unused = []
+    for path, tree in src_trees():
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(commwalker.__all__) if path.name == "__init__.py" else set()
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read | exported]
     assert unused == []
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import random
 import re
+from importlib.resources import files
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +138,23 @@ def test_from_edges_rejects_a_pair_that_is_not_two_ids(pair):
     # (0, 1, 2) and (1,) hold four ids between them, as two pairs would
     with pytest.raises(DanglingEdgeError, match=re.escape(f"edge {pair!r} is not a pair of node ids")):
         Graph.from_edges(["a", "b", "c"], [(0, 1), pair, (1,)])
+
+
+def test_file_readers_build_without_from_edges(monkeypatch):
+    # the readers check their pairs once, as one array, and build straight
+    # from it; a reader sent back through from_edges's per-pair pass would
+    # pay for it in every workload's setup
+    def refuse(cls, names, edge_pairs):
+        raise AssertionError("a file reader called Graph.from_edges")
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+    karate = load_edge_list((files("commwalker") / "data" / "karate.edges").read_text())
+    assert (karate.node_count, karate.edge_count) == (34, 78)
+    g, _ = load_gml(
+        "graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ]"
+        " edge [ source 0 target 1 ] edge [ source 1 target 0 ] edge [ source 1 target 2 ] ]"
+    )
+    assert g.edges == [(0, 1), (1, 2)]
 
 
 def test_graph_arrays_are_read_only():

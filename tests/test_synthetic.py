@@ -43,6 +43,7 @@ def test_planted_parameter_validation():
         ((2.5, 3, 0.5, 0.1, 0), "block_count must be an integer"),
         ((2, "3", 0.5, 0.1, 0), "block_size must be an integer"),
         ((2, 3, 0.5, 0.1, 1.5), "seed must be an integer"),
+        ((2, 3, 0.5, 0.1, -7), "seed must be >= 0"),  # random.Random would draw seed 7's graph
         ((2, 3, "0.5", 0.1, 0), "p_in must be a real number"),
         ((2, 3, 0.5, None, 0), "p_out must be a real number"),
     ]
