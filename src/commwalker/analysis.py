@@ -88,6 +88,7 @@ def sweep(g: Graph, w: np.ndarray) -> list[list[CandidateRecord]]:
     of = components.community_of
     indptr = g.indptr.tolist()
     neighbors = g.neighbors.tolist()
+    lo, hi = (end.tolist() for end in g.ends())
     degsum = g.degrees()
     # per component: communities left, 2m, Σdeg² and intra-community edges
     k = components.sizes()
@@ -102,7 +103,7 @@ def sweep(g: Graph, w: np.ndarray) -> list[list[CandidateRecord]]:
     members = [[u] for u in range(g.node_count)]
     records: list[list[CandidateRecord]] = [[] for _ in k]
     for e in reversed(edge_removal_order(w).tolist()):
-        u, v = g.edges[e]
+        u, v = lo[e], hi[e]
         c = of[u]
         removed = left[c]
         left[c] = removed - 1

@@ -2,10 +2,12 @@
 
 Nodes carry external string names; internally everything runs on dense
 integer ids assigned in first-appearance order. Edges get dense ids in
-input order, stored as (u, v) with u < v. Each node's neighbours are
-stored once, in the CSR arrays that Graph._of_simple_pairs builds for
-every reader (from_edges, load_edge_list, load_gml): the walk kernel,
-the sweep, the flood fill and modularity all read them. Which pairs of
+input order, each read as (u, v) with u < v. Edges are stored once, in
+the CSR arrays that Graph._of_simple_pairs builds for every reader
+(from_edges, load_edge_list, load_gml): the walk kernel, the sweep, the
+flood fill and modularity all read them, and Graph.ends reads each
+edge's two ends off them. Graph.edges, the (u, v) tuples, is built from
+those ends only when a caller reads it (to_edge_list does). Which pairs of
 nodes are edges, and at which slot, is looked up by pair key u * n + v
 in the one pair table built there: a dense table of all n * n keys,
 read with one gather, when it has at most DENSE_PAIR_CELLS entries, and
@@ -22,8 +24,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,7 +50,7 @@ DENSE_PAIR_CELLS = 1 << 20
 class Graph:
     """Immutable undirected simple graph.
 
-    Neighbours are stored once, as compressed rows (CSR) with one slot per
+    Edges are stored once, as compressed rows (CSR) with one slot per
     (node, incident edge): row u is slots indptr[u] .. indptr[u + 1] - 1,
     in edge-id order. A slot holds its neighbour and edge id, and twins[s]
     is the slot of the same edge read from the other end: the slots are a
@@ -63,15 +65,17 @@ class Graph:
     every key) and 2m (no slot), so a search for any pair key lands on an
     entry, and a pair that is no edge finds a key other than its own.
     slots_of and slot_counts look pair keys up in whichever table the
-    graph has, so no other module knows which. The arrays are read-only.
-    The one value filled after construction is components, on first use;
-    it depends only on the arrays, so two concurrent first reads at worst
-    flood the graph twice and store equal partitions, and a graph is safe
-    to share across any number of concurrent readers.
+    graph has, so no other module knows which. ends() reads the lower and
+    upper end of every edge off the rows, as int64 arrays indexed by edge
+    id. The arrays are read-only. The values filled after construction
+    are components and edges (the list of (u, v) tuples that ends() gives),
+    each on first read; both are pure functions of the arrays, so two
+    concurrent first reads at worst compute one twice and store equal
+    values, and a graph is safe to share across any number of concurrent
+    readers.
     """
 
     nodes: list[str]
-    edges: list[tuple[int, int]]
     name_to_id: dict[str, int]
     indptr: np.ndarray
     neighbors: np.ndarray
@@ -87,7 +91,25 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.neighbors) // 2
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper end of every edge, as two int64 arrays
+        indexed by edge id, read off the CSR arrays: each slot names its
+        owner and its neighbour, and both slots of an edge agree."""
+        owner = np.repeat(np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr))
+        lo = np.empty(self.edge_count, dtype=np.int64)
+        hi = np.empty(self.edge_count, dtype=np.int64)
+        lo[self.edge_ids] = np.minimum(owner, self.neighbors)
+        hi[self.edge_ids] = np.maximum(owner, self.neighbors)
+        return lo, hi
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge as (u, v) with u < v, in edge-id order: ends() as a
+        list of tuples, built on first read and kept."""
+        lo, hi = self.ends()
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
@@ -172,7 +194,6 @@ class Graph:
         already checked: lo < hi, both in range(len(names)), and no pair
         repeated. name_to_id maps each name to its index."""
         n, m = len(names), len(lo)
-        edges = list(zip(lo.tolist(), hi.tolist()))
         # entry 2e reads edge e from its lower end, 2e + 1 from its upper
         # end; a stable sort by owner keeps every row in edge-id order
         ends = np.stack((lo, hi), axis=1)
@@ -192,7 +213,7 @@ class Graph:
         for table in csr:
             if table is not None:
                 table.flags.writeable = False
-        return cls(list(names), edges, name_to_id, *csr)
+        return cls(list(names), name_to_id, *csr)
 
 
 def _sorted_pair_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,6 +367,8 @@ def to_edge_list(g: Graph) -> str:
 # word character precedes); str.split() cuts what lies between, brackets
 # spaced out, and a '"' left there is unterminated. No quantifier nests,
 # so long runs cost linear time. The reader takes tokens from one iterator.
+# A node entry is kept as its fields; an edge entry only as its source and
+# target ids, in two flat lists, since a graph has many more edges.
 
 # group 1, kept by re.split, holds a string or a comment
 _GML_SPLIT = re.compile(r'([#"](?<![^\s[\]"]#)(?:(?<=#)[^\n]*|[^"]*"))')
@@ -378,11 +401,13 @@ def _skip_block(tokens: Iterator[str]) -> None:
     raise GmlParseError("unbalanced brackets")
 
 
-def _read_block(tokens: Iterator[str], where: str, blocks: dict[str, list], inner: str = "") -> dict[str, str]:
+def _read_block(
+    tokens: Iterator[str], where: str, blocks: dict[str, Callable[[dict[str, str]], object]], inner: str = ""
+) -> dict[str, str]:
     """Read the block whose '[' is the next token as `key value` pairs up to
     its ']', and return its fields: each key's first scalar value, unquoted.
     A nested block under a key of blocks is read as an `inner` block (with
-    no blocks of its own), and its fields are appended to that key's list;
+    no blocks of its own), and its fields are handed to that key's sink;
     any other nested block is skipped."""
     if next(tokens, None) != "[":
         raise GmlParseError(f"expected '[' after {where}")
@@ -394,7 +419,7 @@ def _read_block(tokens: Iterator[str], where: str, blocks: dict[str, list], inne
             token = key.strip('"')
             raise GmlParseError(f"unexpected token {token!r} in {where} block")
         if key in blocks:
-            blocks[key].append(_read_block(tokens, inner, {}))
+            blocks[key](_read_block(tokens, inner, {}))
             continue
         value = next(tokens, None)
         if value == "[":
@@ -404,20 +429,6 @@ def _read_block(tokens: Iterator[str], where: str, blocks: dict[str, list], inne
         elif key not in fields:  # first occurrence wins
             fields[key] = value[1:-1] if value[0] == '"' else value
     raise GmlParseError(f"unbalanced brackets: {where} block never closed")
-
-
-_EDGE_ENDS = operator.itemgetter("source", "target")
-
-
-def _raise_first_bad_edge(raw_edges: list[dict[str, str]], gml_to_dense: dict[str, int]) -> None:
-    """Raise the error of the first edge entry that lacks an end or names
-    an unknown node id, if any."""
-    for entry in raw_edges:
-        if "source" not in entry or "target" not in entry:
-            raise GmlParseError("edge block missing 'source' or 'target'") from None
-        for gml_id in _EDGE_ENDS(entry):
-            if gml_id not in gml_to_dense:
-                raise DanglingEdgeError(f"edge references unknown node id {gml_id}") from None
 
 
 def load_gml(text: str) -> tuple[Graph, Partition | None]:
@@ -433,9 +444,16 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     start = next((i for i, pair in consecutive if pair == ("graph", "[")), None)
     if start is None:
         raise GmlParseError("no 'graph [' block found")
-    entries: dict[str, list[dict[str, str]]] = {"node": [], "edge": []}
-    _read_block(islice(tokens, start + 1, None), "graph", entries, "node/edge")
-    raw_nodes, raw_edges = entries["node"], entries["edge"]
+    raw_nodes: list[dict[str, str]] = []
+    sources: list[str | None] = []  # each edge entry's source id, None when it has none
+    targets: list[str | None] = []
+
+    def read_edge(fields: dict[str, str]) -> None:
+        sources.append(fields.get("source"))
+        targets.append(fields.get("target"))
+
+    sinks = {"node": raw_nodes.append, "edge": read_edge}
+    _read_block(islice(tokens, start + 1, None), "graph", sinks, "node/edge")
 
     names: list[str] = []
     name_to_id: dict[str, int] = {}
@@ -454,18 +472,20 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
         names.append(name)
         values.append(entry.get("value"))
 
-    # every edge's two ends as dense ids, in one pass; on a failure, the
-    # first entry that fails raises
+    # every edge's two ends as dense ids, one pass per end; a missing end
+    # (None) is no node id either, and on a failure the first entry that
+    # fails raises
     try:
-        ends = np.fromiter(
-            map(gml_to_dense.__getitem__, chain.from_iterable(map(_EDGE_ENDS, raw_edges))),
-            dtype=np.int64,
-            count=2 * len(raw_edges),
-        ).reshape(-1, 2)
+        ends = [np.fromiter(map(gml_to_dense.__getitem__, ids), np.int64, len(ids)) for ids in (sources, targets)]
     except KeyError:
-        _raise_first_bad_edge(raw_edges, gml_to_dense)
+        for source, target in zip(sources, targets):
+            if source is None or target is None:
+                raise GmlParseError("edge block missing 'source' or 'target'") from None
+            for gml_id in (source, target):
+                if gml_id not in gml_to_dense:
+                    raise DanglingEdgeError(f"edge references unknown node id {gml_id}") from None
         raise
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
     kept = ~_not_simple(lo, hi, len(names))  # the first copy of each edge
     collapsed = len(kept) - int(np.count_nonzero(kept))
     if collapsed:

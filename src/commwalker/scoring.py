@@ -23,11 +23,11 @@ def modularity(g: Graph, p: Partition) -> float:
     if m == 0:
         raise NoEdgesError("modularity is undefined on a graph with no edges")
     labels = p.community_of
-    intra = [0] * p.community_count
+    lo, hi = g.ends()
+    label_array = np.asarray(labels)
+    of_lo, of_hi = label_array[lo], label_array[hi]
+    intra = np.bincount(of_lo[of_lo == of_hi], minlength=p.community_count).tolist()
     degsum = [0] * p.community_count
-    for u, v in g.edges:
-        if labels[u] == labels[v]:
-            intra[labels[u]] += 1
     for label, d in zip(labels, g.degrees()):
         degsum[label] += d
     two_m = 2 * m

@@ -96,6 +96,10 @@ def test_csr_rows_consistent_with_edges():
             assert row == [e for e, edge in enumerate(g.edges) if u in edge]
         for u, v, e in zip(owner.tolist(), g.neighbors.tolist(), g.edge_ids.tolist()):
             assert g.edges[e] == (min(u, v), max(u, v))
+        # ends() gives the same edges, as int64 arrays indexed by edge id
+        lo, hi = g.ends()
+        assert lo.dtype == hi.dtype == np.int64 and lo.shape == hi.shape == (m,)
+        assert list(zip(lo.tolist(), hi.tolist())) == g.edges
         assert (g.edge_ids[g.twins] == g.edge_ids).all()
         assert (owner[g.twins] == g.neighbors).all() and (g.neighbors[g.twins] == owner).all()
         assert (g.twins[g.twins] == np.arange(2 * m)).all()

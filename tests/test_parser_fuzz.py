@@ -230,6 +230,11 @@ def test_gml_tokenizer_matches_the_reference(text):
 
 @SETTINGS
 @hypothesis.given(st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0])))
+# the first failing edge entry raises: an unknown id, then a missing end,
+# and the other way round; of a repeated key the first value wins
+@hypothesis.example("graph [ node [ id 1 ] edge [ source 1 target 9 ] edge [ source 1 ] ]")
+@hypothesis.example("graph [ node [ id 1 ] edge [ source 1 ] edge [ source 1 target 9 ] ]")
+@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 source 3 target 2 ] ]")
 def test_load_gml_matches_the_reference(text):
     assert outcome(read_gml, text) == outcome(reference_load_gml, text)
 

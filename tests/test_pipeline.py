@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -152,6 +153,19 @@ def test_detect_orders_the_edges_once(monkeypatch):
     result = detect(g, seed=0)
     assert len(result.diagnostics.components) == 2
     assert calls == [g.edge_count]
+
+
+def test_detect_builds_no_edge_tuples():
+    # a graph keeps its edges only in its CSR arrays; the (u, v) tuples of
+    # Graph.edges are built on first read, and detection never reads them
+    karate = load_edge_list((files("commwalker") / "data" / "karate.edges").read_text())
+    lone, _ = load_gml("graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] node [ id 3 ] "
+                       "edge [ source 0 target 1 ] edge [ source 1 target 2 ] ]")
+    for g in (karate, lone):
+        result = detect(g, seed=0)
+        assert result.q == modularity(g, result.partition)
+        assert "edges" not in vars(g)
+    assert "edges" not in {field.name for field in fields(Graph)}
 
 
 def test_detect_rejects_edgeless_graph():
