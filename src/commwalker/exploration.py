@@ -5,36 +5,18 @@ each reporting its memory (the ordered list of visited nodes) to the
 coordinator, which then applies all updates at once. Walks within a
 generation are independent: agent k of generation t reads only the snapshot
 and its own uniforms, so the result does not depend on how the walks are
-scheduled. All randomness comes from one counter-based generator, numpy's
-Philox (Salmon et al., SC 2011), keyed by (seed, generation): lane k of
-generation t is row k of the stream read as (agents, draws), and generation
-0's random node order is read from the same key's stream jumped 2**128
-words ahead. One explore() call builds one Philox for its walk draws and
-re-keys it each generation by assigning its state, which costs a fraction
-of building a generator, and reads the jumped stream once, for every
-component's generation-0 order. explore() moves all agents of a generation
-together, one step at a time, as arrays over the graph's CSR rows
-(_csr_walks): explore() keeps every slot's mass 1 + weight from one
-generation to the next, the kernel sums them once into a prefix, and each
-step picks by one integer search in it, so a step costs agents x memory
-whatever the degrees. The first three steps are closed forms, with no tabu
-rows: the first has no tabu, the second only the slot back to the start,
-and the third that slot's twin plus the start's slot in the current row.
-The general tabu path runs only from step 4, that is, with a memory of 5
-or more. The test suite pins this kernel to a scalar reference that walks
-the same rows one agent at a time.
+scheduled.
 
-Walkers never cross components, so explore() reads the graph's connected
-components (Graph.components) and explores each one as if it were the
-whole graph: its own agents, hits and stop rule, on the same draws. It
-runs them all in one generation loop over the whole graph's rows, and a
-component leaves the batch when its stop rule fires. A connected graph is
-the one-component case. The running components' nodes are kept as one
-array with offsets (_Segments), so a generation places every component's
-starts with one sort per order and one gather, and applies every stop rule
-with one np.minimum.reduceat. Every component's agents read lanes
-0 .. agents - 1: the kernel reads agent k's uniforms in place from lane
-k % agents, so the lanes are drawn once and never copied.
+All randomness comes from one counter-based generator, numpy's Philox
+(Salmon et al., SC 2011), keyed by (seed, generation). Lane k of generation
+t is row k of that stream read as (agents, draws) (_walk_uniforms). Every
+component's agents read lanes 0 .. agents - 1, which are drawn once and
+read in place by the kernel, never copied. Generation 0's random node
+order is read from the stream keyed (seed, 0) jumped 2**128 words ahead,
+past every walk draw (_start_order_words). One explore() call builds one
+Philox for its walk draws and re-keys it each generation by assigning its
+state, which costs a fraction of building a generator
+(_generation_streams).
 
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
@@ -42,8 +24,8 @@ stored: the walk, the edge sweep and the output read nothing else. The
 graph tells which pairs are edges, and their slots, by pair key u * n + v,
 whatever table it holds: the kernel's tabu reads Graph.slots_of, and a
 generation's pair counts are one Graph.slot_counts. During the run the
-counts live in the slot masses, both slots of an edge alike, and are read
-back per edge id at the end.
+counts live in the slot masses 1 + weight, both slots of an edge alike,
+kept from one generation to the next and read back per edge id at the end.
 """
 
 from __future__ import annotations
@@ -190,9 +172,8 @@ def _philox(seed: int, generation: int) -> np.random.Philox:
 def _generation_streams(seed: int) -> Callable[[int], np.random.Philox]:
     """One Philox for every generation of a run: the returned function
     re-keys it and returns it in the state _philox(seed, generation) starts
-    in (counter 0, no buffered words, key (seed, generation)). Assigning a
-    state costs a fraction of building a generator. Each call builds its
-    own generator, so runs on other threads never share one."""
+    in (counter 0, no buffered words, key (seed, generation)). Each call
+    builds its own generator, so runs on other threads never share one."""
     philox = _philox(seed, 0)
     fresh = philox.state
 
@@ -205,12 +186,10 @@ def _generation_streams(seed: int) -> Callable[[int], np.random.Philox]:
 
 
 def _walk_uniforms(philox: np.random.Philox, agent_count: int, draws: int) -> np.ndarray:
-    """The walk uniforms of one generation, one row of `draws` per agent,
-    read from philox at the start of its generation's stream.
-
-    Row k is lane k: words k * draws to (k + 1) * draws - 1 of the stream,
-    each u = (word >> 11) * 2**-53, so a row depends on k and draws but
-    never on the agent count. Only random_raw() is read: numpy keeps
+    """The walk uniforms of one generation, read from philox at the start
+    of its generation's stream: row k (lane k) is words k * draws to
+    (k + 1) * draws - 1, each u = (word >> 11) * 2**-53, so a row never
+    depends on the agent count. Only random_raw() is read: numpy keeps
     bit-generator streams stable, not Generator methods.
     """
     words = philox.random_raw(agent_count * draws)
@@ -218,8 +197,7 @@ def _walk_uniforms(philox: np.random.Philox, agent_count: int, draws: int) -> np
 
 
 def _start_order_words(seed: int, count: int) -> np.ndarray:
-    """The first `count` words of the Philox stream keyed (seed, 0) jumped
-    2**128 words ahead, past every walk draw: generation 0's start order."""
+    """The first `count` words of generation 0's start-order stream."""
     return _philox(seed, 0).jumped().random_raw(count)
 
 
@@ -231,8 +209,7 @@ class _Segments:
     agent_count starts from one sorted order of all positions: cycled
     cycles through each component's slice (generation 0), and split takes
     the first hub_count from a most-hit order and the rest from a least-hit
-    order stacked after it. explore() builds one whenever its running set
-    of components changes."""
+    order stacked after it."""
 
     offsets: np.ndarray
     label: np.ndarray
@@ -268,35 +245,29 @@ def select_start_nodes(
     hits: HitCounts,
     cfg: ExplorationConfig,
     generation: int,
-    order_words: np.ndarray | None = None,
     segments: _Segments | None = None,
 ) -> np.ndarray:
     """Start nodes for one generation of agents, as indices into hits: the
-    n = len(hits) nodes of one component, in node id order, or, with
-    segments, the nodes of every component segments splits hits into, each
-    in node id order; then every component gets cfg.agent_count starts, one
-    component after the other.
+    nodes of one component, in node id order, or, with segments, the nodes
+    of every component segments splits hits into, each in node id order;
+    then every component gets cfg.agent_count starts, one component after
+    the other, all from one sort over hits keyed first by component.
 
-    Generation 0 orders a component's n nodes at random, by the stable
-    argsort of the first n words of _start_order_words(cfg.seed, ...), and
-    ignores hits; order_words, when given, holds at least as many of those
-    words as the largest component has nodes, so a caller placing many
-    components reads the stream once. Later generations put
+    Generation 0 ignores hits and orders a component's n nodes at random,
+    by the stable argsort of the first n of _start_order_words, read once
+    for the largest component. Later generations put
     ceil(hub_fraction * agents) on the most-hit nodes and the rest on the
     least-hit ones, so hubs are reinforced while neglected regions keep
     getting visits; hit ties break by node id. Each order is cycled
     through, so start nodes repeat only when there are more agents than
-    nodes, and then every node gets floor or ceil(agents / n). Every
-    component's order comes from one sort over all of hits, keyed first by
-    component.
+    nodes, and then every node gets floor or ceil(agents / n).
     """
     hits = _nonempty(hits)
     if segments is None:
         segments = _Segments.of_sizes(np.array([len(hits)]), cfg)
     if generation == 0:
         local = np.arange(len(hits)) - segments.offsets[segments.label]
-        if order_words is None:
-            order_words = _start_order_words(cfg.seed, int(local.max()) + 1)
+        order_words = _start_order_words(cfg.seed, int(local.max()) + 1)
         # lexsort is stable: equal words keep node id order
         return np.lexsort((order_words[local], segments.label))[segments.cycled]
     # component * top + hits orders by component, then by hits, and
@@ -337,48 +308,37 @@ def _csr_walks(
     memory_size: int,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The walks of every agent of a generation, all taking step s together.
+    """The walks of every agent of a generation, all taking step s together;
+    the test suite pins them to a scalar reference that walks the same rows
+    one agent at a time.
 
     Column k of the (memory_size, agents) memory is agent k's walk from
     starts[k]: every node already in its memory is tabu (the tabu is
     dropped for a step when it would block every neighbor), and a step
     moves to a non-tabu neighbor with probability proportional to
     1 + edge weight, drawn in order with the uniforms of lane
-    k % len(uniforms), so several components' agents can read the same
-    lanes; the mask marks the first visit of each node in each column.
-    Agent k reads its lane in place, through a pointer into the flattened
-    uniforms that starts at the lane's first uniform and moves on by one on
-    each step that spends one. mass holds the slot masses 1 + weight
-    (_slot_masses), which explore() keeps from one generation to the next;
-    they are summed once into a prefix over all slots, and each node's row
-    start in it (one gather), row mass and degree are read off once, so a
-    step gathers three values per agent. With T the allowed mass and
-    r = u * T, the pick is the first slot whose allowed running mass
-    exceeds r, that is, reaches floor(r) + 1. Steps 1 to 3 are closed
-    forms. The first step has no tabu: its pick is one search in the
-    prefix. Step 2's only tabu is the twin of the slot step 1 took: the
-    step has degree - 1 candidates, is blocked exactly at a leaf, where the
-    twin is dropped, and spends a uniform exactly when the degree is above
-    2. From step 3 on an agent's tabu slots are the twin of the slot just
-    taken plus the slots of its older memory nodes in the current row (all
-    dropped when they cover the row, which is exactly when the step
-    revisits a node). The older nodes' slots are one Graph.slots_of call
-    per step, whatever pair table the graph holds. At step 3 the only
-    older node is the start, so the tabu is two distinct slots, or the
-    twin alone when step 2 was blocked at a leaf and came back to the
-    start; it sorts with one minimum and one maximum, and the step has
-    degree - 1 - (start's slot found) candidates. From step 4 on the tabu
-    rows are sorted down each column (_sort_columns) and an older node
-    seen twice is dropped. A tabu slot lies before the pick exactly when
-    the allowed mass before it is below floor(r) + 1; a pass over the
-    sorted tabu slots that adds the mass of each one lying before the
-    target so far to the target (one masked add per tabu slot at steps 2
-    and 3) leaves one search in the prefix, which finds the pick. That
-    search takes its queries in ascending order (_search_in_order). A
-    forced step's only candidate is found for any u, and a uniform is
-    consumed only on steps with more than one candidate.
-    Arrays are step-major, so every per-step operation runs over whole rows
-    of agents; work per step is agents x memory, whatever the degrees.
+    k % len(uniforms); the mask marks the first visit of each node in each
+    column. A uniform is spent only on steps with more than one candidate;
+    a forced step's only candidate is found for any u.
+
+    mass holds the slot masses (_slot_masses). They are summed once into a
+    prefix over all slots, and each node's row start in it, row mass and
+    degree are read off once, so a step gathers three values per agent and
+    costs agents x memory whatever the degrees; arrays are step-major, so
+    every per-step operation runs over whole rows of agents. With T the
+    allowed mass and r = u * T, the pick is the first slot whose allowed
+    running mass reaches floor(r) + 1: a pass over the tabu slots in
+    ascending order adds the mass of each one lying before the target so
+    far to the target, and one search in the prefix (_search_in_order)
+    finds the pick.
+
+    Steps 1 to 3 are closed forms, with no tabu rows to sort: step 1 has no
+    tabu, step 2 only the twin of the slot step 1 took, and step 3 that
+    twin plus the start's slot in the current row. From step 4 on, that is,
+    with a memory of 5 or more, the tabu slots are the twin of the slot
+    just taken plus the slots of the older memory nodes in the current row,
+    sorted down each column (_sort_columns), an older node seen twice
+    dropped.
     """
     indptr, neighbors, twins, n = g.indptr, g.neighbors, g.twins, g.node_count
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
@@ -417,8 +377,10 @@ def _csr_walks(
             spends = degree > 2
         else:
             # tabu: the twin of the slot just taken, and the slots of older
-            # memory nodes (the current node is never its own neighbor, so
-            # nodes equal to it find no slot, 2m)
+            # memory nodes, one Graph.slots_of call whatever pair table the
+            # graph holds (the current node is never its own neighbor, so
+            # nodes equal to it find no slot, 2m). They cover the row
+            # exactly when the step revisits a node.
             older = g.slots_of((current * n + memory[: step - 2]).ravel())
             twin = twins[pick]
             if step == 3:
@@ -471,9 +433,11 @@ def _csr_walks(
 
 def _sort_columns(a: np.ndarray) -> None:
     """Sort each column of a short 2-D array in place (odd-even
-    transposition: len(a) rounds of compare-exchanges between whole rows,
-    far cheaper than np.sort along a short axis). Its one caller is
-    _csr_walks, for the tabu rows of steps 4 and later."""
+    transposition: len(a) rounds of compare-exchanges between whole rows).
+    It beats np.sort(axis=0) only on a few rows: at 272 agents, 3 rows take
+    ~8 us against ~12 us, but 11 rows ~140-200 us against ~15-20 us. Its
+    one caller is _csr_walks, for the tabu rows of steps 4 and later, which
+    default runs never reach."""
     for round_ in range(len(a)):
         for i in range(round_ % 2, len(a) - 1, 2):
             low = np.minimum(a[i], a[i + 1])
@@ -482,35 +446,26 @@ def _sort_columns(a: np.ndarray) -> None:
 
 
 def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
-    """Run generations of walks until the stop rule fires or the cap hits.
+    """Run generations of walks (_csr_walks) until the stop rule fires or
+    the cap hits. All walks of a generation read the edge weights as they
+    stood when the generation started; their pair counts and hits are
+    applied together afterwards.
 
-    All walks of a generation read the edge weights as they stood when the
-    generation started; their memory updates and hit increments are applied
-    together afterwards. Agent k of generation t reads only lane k of the
-    Philox stream keyed by (seed, t), so results are reproducible regardless
-    of how the walks are scheduled; here they move in lockstep over CSR rows
-    (_csr_walks). The call builds one Philox for the walk draws and re-keys
-    it each generation (_generation_streams), reads generation 0's start
-    order words once, as many as the largest explored component has nodes
-    (_start_order_words), and keeps the slot masses
-    1 + weight from one generation to the next, adding each generation's
-    pair counts to both slots of their edge; the weights are read back
-    from them once, at the end.
-
-    g may be any graph. Every component of g.components of two or more
-    nodes is explored as explore() would explore its induced subgraph:
-    cfg.agent_count agents per generation on lanes 0 .. agents - 1, its own
-    start selection and its own stop rule. Single nodes are not explored,
-    so a graph without an edge runs 0 generations. The components share one
-    generation loop, in groups small enough that a generation's arrays stay
-    within MAX_GENERATION_CELLS, and a component leaves its group when its
-    stop rule fires. Each generation calls select_start_nodes and
-    exploration_done once for all of a group's running components.
+    g may be any graph. Walkers never cross components, so every component
+    of g.components of two or more nodes is explored as explore() would
+    explore its induced subgraph: cfg.agent_count agents per generation,
+    its own start selection and its own stop rule. Single nodes are not
+    explored, so a graph without an edge runs 0 generations. The components
+    share one generation loop over the whole graph's rows, in groups small
+    enough that a generation's arrays stay within MAX_GENERATION_CELLS. A
+    component leaves its group when its stop rule fires, and those still
+    running after cfg.max_generations hit the cap. Each generation lays the
+    running components' nodes out as one array (_Segments), so one
+    select_start_nodes and one exploration_done call serve them all.
     """
     labels = np.asarray(g.components.community_of, dtype=np.int64)
     sizes = np.bincount(labels, minlength=g.components.community_count)
     grouped = np.argsort(labels, kind="stable")  # each component's nodes in id order
-    offset = np.cumsum(sizes) - sizes  # of each component in grouped
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
     left, right = np.triu_indices(memory_size, 1)
@@ -521,17 +476,14 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     cap_hit = np.zeros(len(sizes), dtype=bool)
     walked = np.flatnonzero(sizes > 1)
     per_group = MAX_GENERATION_CELLS // (agents * memory_size**2)
-    order_words = _start_order_words(cfg.seed, int(sizes[walked].max(initial=0)))
     for at in range(0, len(walked), per_group):
         running = walked[at : at + per_group]
         segments = None
         for generation in range(cfg.max_generations):
             if segments is None:  # the running set changed
                 segments = _Segments.of_sizes(sizes[running], cfg)
-                shift = np.repeat(offset[running] - segments.offsets[:-1], sizes[running])
-                members = grouped[shift + np.arange(segments.offsets[-1])]
-            at_member = select_start_nodes(hits[members], cfg, generation, order_words, segments)
-            # every component's agents read the same lanes 0 .. agents - 1
+                members = grouped[np.isin(labels[grouped], running)]
+            at_member = select_start_nodes(hits[members], cfg, generation, segments)
             lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)
             memory, first = _csr_walks(g, mass, members[at_member], memory_size, lanes)
             # every pair of distinct memory nodes, each once per agent (first

@@ -6,6 +6,8 @@ import numbers
 import operator
 import random
 
+import numpy as np
+
 from .errors import ConfigInvalidError
 from .graph import Graph, Partition
 
@@ -53,4 +55,7 @@ def planted_partition(
             p = p_in if block[u] == block[v] else p_out
             if rng.random() < p:
                 pairs.append((u, v))
-    return Graph.from_edges(names, pairs), Partition(community_of=block, community_count=block_count)
+    # each pair is drawn once, u < v and both in range: simple by construction
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    g = Graph._of_simple_pairs(names, dict(zip(names, range(n))), lo, hi)
+    return g, Partition(community_of=block, community_count=block_count)

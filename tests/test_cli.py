@@ -202,6 +202,17 @@ def test_eval_truth_missing_node(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_eval_truth_names_unknown_node(tmp_path, capsys):
+    result_path = tmp_path / "result.tsv"
+    result_path.write_text("a\t0\nb\t1\n")
+    truth_path = tmp_path / "truth.labels"
+    truth_path.write_text("a 0\nb 1\nc 0\n")
+    code, out, err = run_cli(capsys, "eval", "--result", str(result_path), "--truth", str(truth_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "names unknown node 'c'" in err
+
+
 CONFIG_FLAGS = {
     "agent_count": ("--agents", "6"),
     "memory_size": ("--memory", "2"),
@@ -285,6 +296,13 @@ def test_bench_counts_capped_trials(capsys):
     assert len(warnings) == 1 and "2 of 2 trials" in warnings[0]
 
 
+def test_bench_zero_trials_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "bench", *KARATE_FILES, "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "trials must be >= 1" in err
+
+
 def test_bench_single_trial_mean_equals_min(capsys):
     code, out, _ = run_cli(
         capsys, "bench",
@@ -349,10 +367,13 @@ def test_bench_synthetic_refuses_file_flags(capsys, monkeypatch):
 
 
 def test_bench_synthetic_flag_validation(capsys):
-    # a missing key, and a repeated one that would otherwise win silently
+    # a missing key, a repeated one that would otherwise win silently, an
+    # entry without '=' and a value that is no number
     for spec, named in [
         ("blocks=2,size=8", "pin"),
         ("blocks=2,blocks=3,size=6,pin=0.9,pout=0.1", "'blocks'"),
+        ("blocks=2,size8,pin=0.9,pout=0.1", "key=value, got 'size8'"),
+        ("blocks=2,size=eight,pin=0.9,pout=0.1", "bad --synthetic value"),
     ]:
         code, out, err = run_cli(capsys, "bench", "--synthetic", spec, "--trials", "1")
         assert code == 2

@@ -286,13 +286,13 @@ def test_segmented_pass_matches_each_component(case):
     order_words = _start_order_words(cfg.seed, max(sizes))
     segments = _Segments.of_sizes(np.array(sizes), cfg)
     joined = np.concatenate(hits)
-    starts = select_start_nodes(joined, cfg, generation, order_words, segments)
+    starts = select_start_nodes(joined, cfg, generation, segments)
     done = exploration_done(joined, cfg, segments)
     assert starts.shape == (len(hits) * cfg.agent_count,)
     assert done.shape == (len(hits),)
     at = 0
     for c, own in enumerate(hits):
-        alone = select_start_nodes(own, cfg, generation, order_words)
+        alone = select_start_nodes(own, cfg, generation)
         expected = reference_start_nodes(own, cfg, generation, order_words)
         assert alone.tolist() == expected.tolist()
         mine = starts[c * cfg.agent_count : (c + 1) * cfg.agent_count] - at

@@ -144,6 +144,11 @@ def test_from_edges_rejects_a_pair_that_is_not_two_ids(pair):
         Graph.from_edges(["a", "b", "c"], [(0, 1), pair, (1,)])
 
 
+def test_from_edges_refuses_repeated_names():
+    with pytest.raises(MalformedLineError, match="^node names are not unique$"):
+        Graph.from_edges(["a", "b", "a"], [(0, 1)])
+
+
 def test_file_readers_build_without_from_edges(monkeypatch):
     # the readers check their pairs once, as one array, and build straight
     # from it; a reader sent back through from_edges's per-pair pass would
@@ -309,6 +314,29 @@ def test_load_gml_unbalanced_brackets():
 def test_load_gml_missing_id():
     with pytest.raises(GmlParseError):
         load_gml("graph [ node [ label \"a\" ] ]")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("graph [ node 5 ]", "expected '[' after node/edge"),
+        ("graph [ node [ id 0 graphics [ fill 1 ", "unbalanced brackets"),
+        ("graph [ node [ id 0 ] node [ id 0 label \"a\" ] ]", "duplicate node id 0"),
+        ("graph [ node [ id 0 label \"a\" ] node [ id 1 label \"a\" ] ]", "duplicate node name 'a'"),
+    ],
+    ids=["entry-without-bracket", "skipped-block-never-closed", "duplicate-id", "duplicate-name"],
+)
+def test_load_gml_refuses(text, message):
+    with pytest.raises(GmlParseError, match=f"^{re.escape(message)}$"):
+        load_gml(text)
+
+
+def test_load_gml_skips_a_block_nested_in_a_skipped_block():
+    g, _ = load_gml(
+        "graph [ node [ id 0 graphics [ line [ point [ x 1 ] ] w 2 ] label \"a\" ]"
+        " node [ id 1 ] edge [ source 0 target 1 ] ]"
+    )
+    assert g.nodes == ["a", "1"] and g.edges == [(0, 1)]
 
 
 def test_load_gml_duplicate_edges_collapsed(caplog):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from importlib.resources import files
 
@@ -248,6 +249,14 @@ def test_run_bench_rejects_non_integer_trials_and_seeds(trials, base_seed):
 
     with pytest.raises(ConfigInvalidError, match="must be integers"):
         run_bench(no_trial, trials=trials, base_seed=base_seed)
+
+
+def test_run_bench_refuses_zero_trials():
+    def no_trial(seed):
+        raise AssertionError("a trial ran")
+
+    with pytest.raises(ConfigInvalidError, match=re.escape("trials must be >= 1, got 0")):
+        run_bench(no_trial, trials=0, base_seed=0)
 
 
 def test_run_bench_reads_numpy_integers_as_int():

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from commwalker import connected_components, planted_partition
+from commwalker import Graph, connected_components, planted_partition
 from commwalker.errors import ConfigInvalidError
 
 
@@ -54,3 +56,23 @@ def test_planted_parameter_validation():
     g, truth = planted_partition(np.int64(2), np.int32(5), np.float64(0.5), 0, seed=np.int64(4))
     h, _ = planted_partition(2, 5, 0.5, 0, seed=4)
     assert g.edges == h.edges and truth.community_of == [i // 5 for i in range(10)]
+
+
+def test_planted_builds_without_from_edges(monkeypatch):
+    # The drawn pairs are simple by construction (each u < v drawn once), so
+    # the graph is built from them without from_edges's per-pair checks, and
+    # is the graph from_edges builds from the same pairs.
+    def refuse(cls, names, edge_pairs):
+        raise AssertionError("planted_partition built its graph through Graph.from_edges")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "from_edges", classmethod(refuse))
+        g, _ = planted_partition(2, 80, 0.7, 0.02, seed=1)
+    expected = Graph.from_edges(g.nodes, g.edges)
+    for field in dataclasses.fields(Graph):
+        held, wanted = getattr(g, field.name), getattr(expected, field.name)
+        if isinstance(wanted, np.ndarray):
+            assert held.dtype == wanted.dtype and np.array_equal(held, wanted), field.name
+            assert not held.flags.writeable, field.name
+        else:
+            assert held == wanted, field.name

@@ -330,8 +330,9 @@ def test_rekeyed_generator_is_a_fresh_one(seed):
 
 
 def test_explore_builds_at_most_two_generators(monkeypatch):
-    # One for the walk draws, re-keyed every generation, and one for
-    # generation 0's start orders, read once for all components.
+    # One for the walk draws, re-keyed every generation, and one per
+    # component group for generation 0's start orders; every run here is
+    # one group.
     built = []
     philox = exploration._philox
 
@@ -351,6 +352,25 @@ def test_explore_builds_at_most_two_generators(monkeypatch):
     result = explore(g, ExplorationConfig(agent_count=4, memory_size=3, seed=9))
     assert min(result.component_generations) >= 1
     assert built == [(9, 0), (9, 0)]
+
+
+@pytest.mark.parametrize("per_group, groups", [(50, 1), (20, 3), (7, 8)])
+def test_explore_builds_one_start_order_generator_per_group(monkeypatch, per_group, groups):
+    # With room for only per_group components per generation, each group's
+    # generation 0 builds its own start-order generator: 1 + groups in all.
+    built = []
+    philox = exploration._philox
+
+    def counting_philox(seed, generation):
+        built.append((seed, generation))
+        return philox(seed, generation)
+
+    cfg = ExplorationConfig(agent_count=4, memory_size=3, seed=9)
+    monkeypatch.setattr(exploration, "MAX_GENERATION_CELLS", per_group * cfg.agent_count * cfg.memory_size**2)
+    monkeypatch.setattr(exploration, "_philox", counting_philox)
+    paths = [(v, v + 1) for v in range(0, 150) if v % 3 != 2]  # 50 three-node paths
+    explore(pairs_graph(150, paths), cfg)
+    assert built == [(9, 0)] * (1 + groups)
 
 
 def test_walk_uniforms_layout():
