@@ -19,9 +19,7 @@ from .bench import BenchReport, TrialOutcome, run_bench
 from .exploration import (
     ExplorationConfig,
     ExplorationResult,
-    exploration_done,
     explore,
-    select_start_nodes,
 )
 from .graph import (
     Graph,
@@ -61,7 +59,6 @@ __all__ = [
     "detect",
     "edge_removal_order",
     "errors",
-    "exploration_done",
     "explore",
     "load_edge_list",
     "load_gml",
@@ -71,7 +68,6 @@ __all__ = [
     "partition_accuracy",
     "planted_partition",
     "run_bench",
-    "select_start_nodes",
     "sweep",
     "to_edge_list",
 ]

@@ -30,8 +30,11 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class BenchReport:
-    runs: int
     outcomes: tuple[TrialOutcome, ...]
+
+    @property
+    def runs(self) -> int:
+        return len(self.outcomes)
 
     @property
     def accuracies(self) -> list[float]:
@@ -113,4 +116,4 @@ def run_bench(
                 wall_time_s=elapsed,
             )
         )
-    return BenchReport(runs=trials, outcomes=tuple(outcomes))
+    return BenchReport(outcomes=tuple(outcomes))

@@ -213,8 +213,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="walker agents per generation")
     parser.add_argument("--memory", type=int, default=None, dest="memory_size", metavar="MEMORY",
                         help="nodes per agent memory")
-    parser.add_argument("--hub-fraction", type=float, default=ExplorationConfig.hub_fraction,
-                        help="share of agents started on most-hit nodes")
     parser.add_argument("--max-generations", type=int, default=ExplorationConfig.max_generations,
                         help="safety cap on generations")
     parser.add_argument("--seed", type=int, default=ExplorationConfig.seed,

@@ -31,7 +31,6 @@ kept from one generation to the next and read back per edge id at the end.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -41,15 +40,17 @@ import numpy as np
 from .errors import ConfigInvalidError
 from .graph import Graph, _search_in_order
 
-# Hit counts are indexed by node id (a list or an int array); weights are
-# indexed by edge id.
-HitCounts = list | np.ndarray
+# Weights are indexed by edge id.
 EdgeWeights = np.ndarray
 
 # Per-generation arrays grow with agents x memory^2 (the pairs of every
 # report); configs above this many cells are rejected before allocating,
 # and explore() batches only as many components as fit in this budget.
 MAX_GENERATION_CELLS = 1 << 24
+
+# After generation 0, ceil(HUB_SHARE * agents) of a component's agents start
+# on its most-hit nodes and the rest on its least-hit ones.
+HUB_SHARE = 0.75
 
 
 @dataclass(frozen=True)
@@ -58,20 +59,19 @@ class ExplorationConfig:
     a bad value raises ConfigInvalidError, so every config explore() gets
     is one it can run.
 
-    agent_count, memory_size, max_generations and seed are integers (read
-    through operator.index, stored as int) and hub_fraction a real number
-    in [0, 1]. agent_count must be at least 2 (the stop threshold
+    All four fields are integers (read through operator.index, stored as
+    int). agent_count must be at least 2 (the stop threshold
     (agents - 1) * memory would otherwise be zero) and memory_size at least
     2 (a pair update needs two nodes); agent_count * memory_size**2 may not
     exceed MAX_GENERATION_CELLS, so one generation's arrays stay within
     memory. max_generations is a safety cap: the visit-count stop rule can
     stall on pathological topologies. seed must be in [0, 2**64), the range
-    of a Philox key word.
+    of a Philox key word. The share of agents started on most-hit nodes is
+    no field: it is fixed at HUB_SHARE, so a run needs no threshold.
     """
 
     agent_count: int
     memory_size: int
-    hub_fraction: float = 0.75
     max_generations: int = 1000
     seed: int = 0
 
@@ -82,8 +82,6 @@ class ExplorationConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
-        if not isinstance(self.hub_fraction, numbers.Real):
-            raise ConfigInvalidError(f"hub_fraction must be a real number, got {self.hub_fraction!r}")
         if self.agent_count < 2:
             raise ConfigInvalidError(f"agent_count must be >= 2, got {self.agent_count}")
         if self.memory_size < 2:
@@ -93,8 +91,6 @@ class ExplorationConfig:
                 f"agent_count * memory_size**2 must be <= {MAX_GENERATION_CELLS}, got "
                 f"{self.agent_count} * {self.memory_size}**2"
             )
-        if not 0.0 <= self.hub_fraction <= 1.0:
-            raise ConfigInvalidError(f"hub_fraction must be in [0, 1], got {self.hub_fraction}")
         if self.max_generations < 1:
             raise ConfigInvalidError(f"max_generations must be >= 1, got {self.max_generations}")
         if not 0 <= self.seed < 2**64:
@@ -208,8 +204,8 @@ class _Segments:
     of position p), and the gather indices that give each component
     agent_count starts from one sorted order of all positions: cycled
     cycles through each component's slice (generation 0), and split takes
-    the first hub_count from a most-hit order and the rest from a least-hit
-    order stacked after it."""
+    the first ceil(HUB_SHARE * agent_count) from a most-hit order and the
+    rest from a least-hit order stacked after it."""
 
     offsets: np.ndarray
     label: np.ndarray
@@ -221,7 +217,7 @@ class _Segments:
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         first, size = offsets[:-1, None], sizes[:, None]
-        hub_count = math.ceil(cfg.hub_fraction * cfg.agent_count)
+        hub_count = math.ceil(HUB_SHARE * cfg.agent_count)
         hubs = first + np.arange(hub_count) % size
         rest = offsets[-1] + first + np.arange(cfg.agent_count - hub_count) % size
         return cls(
@@ -232,39 +228,23 @@ class _Segments:
         )
 
 
-def _nonempty(hits: HitCounts) -> np.ndarray:
-    """hits as an int64 array; a component has at least one node, so empty
-    hits raise ValueError."""
-    hits = np.asarray(hits, dtype=np.int64)
-    if not len(hits):
-        raise ValueError("hits is empty: a component has at least one node")
-    return hits
-
-
 def select_start_nodes(
-    hits: HitCounts,
-    cfg: ExplorationConfig,
-    generation: int,
-    segments: _Segments | None = None,
+    hits: np.ndarray, cfg: ExplorationConfig, generation: int, segments: _Segments
 ) -> np.ndarray:
-    """Start nodes for one generation of agents, as indices into hits: the
-    nodes of one component, in node id order, or, with segments, the nodes
-    of every component segments splits hits into, each in node id order;
-    then every component gets cfg.agent_count starts, one component after
+    """Start nodes for one generation of agents, as indices into hits, the
+    int64 hit counts of the components segments lays out, each in node id
+    order: every component gets cfg.agent_count starts, one component after
     the other, all from one sort over hits keyed first by component.
 
     Generation 0 ignores hits and orders a component's n nodes at random,
     by the stable argsort of the first n of _start_order_words, read once
     for the largest component. Later generations put
-    ceil(hub_fraction * agents) on the most-hit nodes and the rest on the
+    ceil(HUB_SHARE * agents) on the most-hit nodes and the rest on the
     least-hit ones, so hubs are reinforced while neglected regions keep
     getting visits; hit ties break by node id. Each order is cycled
     through, so start nodes repeat only when there are more agents than
     nodes, and then every node gets floor or ceil(agents / n).
     """
-    hits = _nonempty(hits)
-    if segments is None:
-        segments = _Segments.of_sizes(np.array([len(hits)]), cfg)
     if generation == 0:
         local = np.arange(len(hits)) - segments.offsets[segments.label]
         order_words = _start_order_words(cfg.seed, int(local.max()) + 1)
@@ -280,16 +260,11 @@ def select_start_nodes(
     return np.concatenate((most.argsort(kind="stable"), least.argsort(kind="stable")))[segments.split]
 
 
-def exploration_done(
-    hits: HitCounts, cfg: ExplorationConfig, segments: _Segments | None = None
-) -> bool | np.ndarray:
-    """Stop rule: every node visited at least (agents - 1) * memory_size
-    times. With segments (see select_start_nodes), one verdict per
-    component, as a bool array."""
-    hits = _nonempty(hits)
+def exploration_done(hits: np.ndarray, cfg: ExplorationConfig, segments: _Segments) -> np.ndarray:
+    """Stop rule, one verdict per component segments lays out (see
+    select_start_nodes), as a bool array: every node of the component
+    visited at least (agents - 1) * memory_size times."""
     floor = (cfg.agent_count - 1) * cfg.memory_size
-    if segments is None:
-        return bool(hits.min() >= floor)
     return np.minimum.reduceat(hits, segments.offsets[:-1]) >= floor
 
 
@@ -435,8 +410,10 @@ def _sort_columns(a: np.ndarray) -> None:
     """Sort each column of a short 2-D array in place (odd-even
     transposition: len(a) rounds of compare-exchanges between whole rows).
     It beats np.sort(axis=0) only on a few rows: at 272 agents, 3 rows take
-    ~8 us against ~12 us, but 11 rows ~140-200 us against ~15-20 us. Its
-    one caller is _csr_walks, for the tabu rows of steps 4 and later, which
+    ~8 us against ~12 us, but 11 rows ~140-200 us against ~15-20 us. The
+    crossover moves with the agent count too: whole runs at 3,200 agents
+    were faster with it than with np.sort at memories 6 and 8. Its one
+    caller is _csr_walks, for the tabu rows of steps 4 and later, which
     default runs never reach."""
     for round_ in range(len(a)):
         for i in range(round_ % 2, len(a) - 1, 2):

@@ -73,7 +73,7 @@ def detect(g: Graph, **params) -> DetectionResult:
     """Detect the community structure of g.
 
     params are ExplorationConfig fields by name: agent_count, memory_size,
-    hub_fraction, max_generations and seed. Unset ones take the defaults of
+    max_generations and seed. Unset ones take the defaults of
     ExplorationConfig.for_size, for the size of the loaded graph (not of
     the individual components). An unknown name raises TypeError and a bad
     value ConfigInvalidError, on any graph. Fixed (graph, parameters, seed)

@@ -33,6 +33,12 @@ from commwalker.errors import (
     MalformedLineError,
     SelfLoopError,
 )
+from commwalker.exploration import (
+    ExplorationConfig,
+    _Segments,
+    exploration_done,
+    select_start_nodes,
+)
 from commwalker.graph import _sorted_pair_table
 from commwalker.synthetic import planted_partition
 
@@ -198,6 +204,27 @@ def connected_planted(blocks: int, size: int, p_in: float, p_out: float, seed: i
         if connected_components(g).community_count == 1:
             return g, truth
     raise RuntimeError("no connected planted sample found")
+
+
+def one_component(hits, cfg: ExplorationConfig) -> tuple[np.ndarray, _Segments]:
+    """hits as int64 and the one-segment layout of a single component whose
+    nodes are all of hits, the arguments start selection and the stop rule
+    read for one component."""
+    hits = np.asarray(hits, dtype=np.int64)
+    return hits, _Segments.of_sizes(np.array([len(hits)]), cfg)
+
+
+def starts_alone(hits, cfg: ExplorationConfig, generation: int) -> np.ndarray:
+    """select_start_nodes on a single component whose hit counts are hits."""
+    hits, segments = one_component(hits, cfg)
+    return select_start_nodes(hits, cfg, generation, segments)
+
+
+def done_alone(hits, cfg: ExplorationConfig) -> bool:
+    """exploration_done's verdict on a single component whose hit counts are hits."""
+    hits, segments = one_component(hits, cfg)
+    (done,) = exploration_done(hits, cfg, segments)
+    return bool(done)
 
 
 def apply_memory_update(counts: dict[tuple[int, int], int], memory) -> None:

@@ -216,7 +216,6 @@ def test_eval_truth_names_unknown_node(tmp_path, capsys):
 CONFIG_FLAGS = {
     "agent_count": ("--agents", "6"),
     "memory_size": ("--memory", "2"),
-    "hub_fraction": ("--hub-fraction", "0.5"),
     "max_generations": ("--max-generations", "3"),
     "seed": ("--seed", "7"),
 }
@@ -230,7 +229,16 @@ def test_config_flags_set_every_config_field(capsys, monkeypatch, command):
     inputs = {"detect": KARATE_FILES[:2], "bench": [*KARATE_FILES, "--trials", "1"]}[command]
     flags = [token for pair in CONFIG_FLAGS.values() for token in pair]
     assert run_cli(capsys, command, *inputs, *flags)[0] == 0
-    assert explored == [ExplorationConfig(6, 2, hub_fraction=0.5, max_generations=3, seed=7)]
+    assert explored == [ExplorationConfig(6, 2, max_generations=3, seed=7)]
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_hub_fraction_is_no_flag(capsys, command):
+    # the hub share is fixed, so the flag is a usage error like any unknown one
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(capsys, command, *KARATE_FILES[:2], "--hub-fraction", "0.5")
+    assert exit_.value.code == 2
+    assert "--hub-fraction" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["detect", "bench"])
@@ -387,7 +395,7 @@ def test_bench_synthetic_flag_validation(capsys):
         ([], "memory_size**2"),
         (["--memory", "3"], "memory_size**2"),
         (["--agents", "16", "--memory", "4096"], "memory_size**2"),
-        (["--agents", "16", "--hub-fraction", "2"], "hub_fraction"),
+        (["--agents", "16", "--max-generations", "0"], "max_generations"),
     ],
 )
 def test_bench_synthetic_checks_config_before_drawing(capsys, monkeypatch, flags, named):

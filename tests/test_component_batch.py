@@ -1,6 +1,7 @@
 """explore(), sweep() and best_split() on a disconnected graph pinned to
-the same calls on each component's induced subgraph, and the segmented
-start selection and stop rule pinned to their one-component form.
+the same calls on each component's induced subgraph, and start selection
+and the stop rule over several components pinned to calls on each
+component's hits alone.
 
 One batched generation loop must give every component exactly what a
 separate run on its induced subgraph gives: the same weights on its edges,
@@ -35,11 +36,13 @@ from commwalker.exploration import (
 )
 
 from _helpers import (
+    done_alone,
     edge_weights,
     induced_subgraph,
     pairs_graph,
     per_component_split,
     sorted_pair_table,
+    starts_alone,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -69,7 +72,6 @@ configs = st.builds(
     ExplorationConfig,
     agent_count=st.integers(2, 12),
     memory_size=st.integers(2, 6),
-    hub_fraction=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
     max_generations=st.integers(1, 40),
     seed=st.integers(0, 2**64 - 1),
 )
@@ -240,12 +242,13 @@ def test_slot_masses_stay_equal_on_both_slots_of_an_edge(monkeypatch):
 
 def reference_start_nodes(hits, cfg, generation, order_words):
     """One component's starts as the per-component loop placed them: one
-    stable argsort per order, each cycled through."""
+    stable argsort per order, each cycled through, ceil(0.75 * agents) of
+    them on the most-hit nodes after generation 0."""
     n, a = len(hits), cfg.agent_count
     if generation == 0:
         return np.argsort(order_words[:n], kind="stable")[np.arange(a) % n]
     hits = np.asarray(hits, dtype=np.int64)
-    hub_count = math.ceil(cfg.hub_fraction * a)
+    hub_count = math.ceil(0.75 * a)
     by_most_hit = np.argsort(-hits, kind="stable")
     by_least_hit = np.argsort(hits, kind="stable")
     return np.concatenate(
@@ -262,7 +265,6 @@ def segmented_hits(draw):
             ExplorationConfig,
             agent_count=st.integers(2, 90),  # below and above the sizes
             memory_size=st.integers(2, 5),
-            hub_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
             seed=st.integers(0, 2**64 - 1),
         )
     )
@@ -292,14 +294,11 @@ def test_segmented_pass_matches_each_component(case):
     assert done.shape == (len(hits),)
     at = 0
     for c, own in enumerate(hits):
-        alone = select_start_nodes(own, cfg, generation)
         expected = reference_start_nodes(own, cfg, generation, order_words)
-        assert alone.tolist() == expected.tolist()
+        assert starts_alone(own, cfg, generation).tolist() == expected.tolist()
         mine = starts[c * cfg.agent_count : (c + 1) * cfg.agent_count] - at
         assert mine.tolist() == expected.tolist()
-        assert done[c] == exploration_done(own, cfg)
-        if generation == 0:  # without the words, the call reads them itself
-            assert select_start_nodes(own, cfg, 0).tolist() == expected.tolist()
+        assert done[c] == done_alone(own, cfg)
         at += len(own)
 
 

@@ -1,17 +1,11 @@
 import math
 import random
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from commwalker import (
-    ExplorationConfig,
-    exploration_done,
-    explore,
-    select_start_nodes,
-)
+from commwalker import ExplorationConfig, explore
 from commwalker.errors import ConfigInvalidError
 from commwalker.exploration import MAX_GENERATION_CELLS, _philox, _walk_uniforms
 from commwalker.graph import Graph
@@ -21,6 +15,7 @@ from _helpers import (
     apply_memory_update,
     barbell6,
     cycle_graph,
+    done_alone,
     edge_weights,
     karate,
     move_probabilities,
@@ -29,6 +24,7 @@ from _helpers import (
     path_graph,
     replay,
     run_walk,
+    starts_alone,
     triangle,
 )
 
@@ -156,12 +152,12 @@ def test_select_start_nodes_generation_zero_distinct():
     # The order sorts n words of Philox(key=[seed, 0]) jumped past the walks;
     # n is the length of the hit list, the nodes of one component.
     n = 34
-    longest = select_start_nodes([0] * n, ExplorationConfig(agent_count=100, memory_size=4), 0)
+    longest = starts_alone([0] * n, ExplorationConfig(agent_count=100, memory_size=4), 0)
     words = np.random.Philox(key=[0, 0]).jumped().random_raw(n)
     assert longest[:n].tolist() == np.argsort(words, kind="stable").tolist()
     for agents in (3, 33, 34, 35, 67, 100):
         cfg = ExplorationConfig(agent_count=agents, memory_size=4)
-        starts = select_start_nodes([0] * n, cfg, 0)
+        starts = starts_alone([0] * n, cfg, 0)
         counts = np.bincount(starts, minlength=n)
         assert len(starts) == agents and len(counts) == n
         if agents <= n:
@@ -169,59 +165,50 @@ def test_select_start_nodes_generation_zero_distinct():
         else:
             assert set(counts.tolist()) <= {agents // n, -(-agents // n)}
         assert starts.tolist() == longest[:agents].tolist()  # same seed, same order
-        assert select_start_nodes(list(range(n)), cfg, 0).tolist() == starts.tolist()
+        assert starts_alone(list(range(n)), cfg, 0).tolist() == starts.tolist()
     reseeded = ExplorationConfig(agent_count=n, memory_size=4, seed=1)
-    assert select_start_nodes([0] * n, reseeded, 0).tolist() != longest[:n].tolist()
+    assert starts_alone([0] * n, reseeded, 0).tolist() != longest[:n].tolist()
 
 
 def test_select_start_nodes_hub_and_least_split():
+    # 4 agents split 3 and 1: three on the most-hit nodes, one on the
+    # least-hit, hit ties broken by node id
     hits = [10, 8, 8, 1] + [0] * 30
-    cfg = ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=0.75)
-    starts = select_start_nodes(hits, cfg, 1)
-    assert starts.tolist() == [0, 1, 2, 4]
-    assert select_start_nodes(np.array(hits), cfg, 1).tolist() == [0, 1, 2, 4]
+    cfg = ExplorationConfig(agent_count=4, memory_size=4)
+    assert starts_alone(hits, cfg, 1).tolist() == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "agents, expected",
+    [(2, [0, 1]), (3, [0, 1, 2]), (8, [0, 1, 2, 3, 4, 5, 4, 5])],
+)
+def test_select_start_nodes_fixed_hub_share(agents, expected):
+    # the hub share is fixed: ceil(0.75 * agents) agents start on the
+    # most-hit nodes, so 2 and 3 agents all do, and 8 put 6 there and 2 on
+    # the least-hit nodes
+    hits = [10, 8, 8, 1] + [0] * 30
+    cfg = ExplorationConfig(agent_count=agents, memory_size=4)
+    assert starts_alone(hits, cfg, 1).tolist() == expected
 
 
 def test_select_start_nodes_all_nodes_when_agents_equal_nodes():
-    cfg = ExplorationConfig(agent_count=6, memory_size=3, hub_fraction=1.0)
-    starts = select_start_nodes([5, 4, 3, 2, 1, 0], cfg, 1)
+    # 6 agents on 6 distinct hit counts: 5 on the most-hit, 1 on the least
+    cfg = ExplorationConfig(agent_count=6, memory_size=3)
+    starts = starts_alone([5, 4, 3, 2, 1, 0], cfg, 1)
     assert sorted(starts) == [0, 1, 2, 3, 4, 5]
 
 
 def test_select_start_nodes_repeats_only_when_agents_exceed_nodes():
     cfg = ExplorationConfig(agent_count=7, memory_size=3)
-    starts = select_start_nodes([0, 1, 2], cfg, 1)
+    starts = starts_alone([0, 1, 2], cfg, 1)
     assert len(starts) == 7
     assert set(starts) <= {0, 1, 2}
 
 
 def test_exploration_done_threshold():
     cfg = ExplorationConfig(agent_count=2, memory_size=5)
-    assert exploration_done([5, 6, 7], cfg)
-    assert not exploration_done([5, 4, 7], cfg)
-    assert exploration_done(np.array([5, 6, 7]), cfg)
-    assert not exploration_done(np.array([5, 4, 7]), cfg)
-
-
-def _raises_on_empty_hits(call):
-    """call() raises a ValueError that names hits, with no RuntimeWarning
-    on the way."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="hits is empty"):
-            call()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("generation", [0, 1])
-def test_select_start_nodes_refuses_empty_hits(generation):
-    cfg = ExplorationConfig(agent_count=4, memory_size=3)
-    _raises_on_empty_hits(lambda: select_start_nodes([], cfg, generation))
-
-
-def test_exploration_done_refuses_empty_hits():
-    cfg = ExplorationConfig(agent_count=4, memory_size=3)
-    _raises_on_empty_hits(lambda: exploration_done([], cfg))
+    assert done_alone([5, 6, 7], cfg)
+    assert not done_alone([5, 4, 7], cfg)
 
 
 def test_config_validation():
@@ -230,8 +217,8 @@ def test_config_validation():
         ExplorationConfig(agent_count=1, memory_size=4)
     with pytest.raises(ConfigInvalidError):
         ExplorationConfig(agent_count=4, memory_size=1)
-    with pytest.raises(ConfigInvalidError):
-        ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=1.5)
+    with pytest.raises(TypeError):  # the hub share is fixed, not a field
+        ExplorationConfig(agent_count=4, memory_size=4, hub_fraction=0.75)
     with pytest.raises(ConfigInvalidError):
         ExplorationConfig(agent_count=4, memory_size=4, max_generations=0)
     ExplorationConfig(agent_count=MAX_GENERATION_CELLS // 16, memory_size=4)
@@ -245,16 +232,13 @@ def test_config_validation():
             ExplorationConfig(agent_count=2, memory_size=2, seed=seed)
     with pytest.raises(ConfigInvalidError):
         ExplorationConfig.for_size(10, 20, memory_size=1)
-    # integer fields take what operator.index takes, hub_fraction a real
+    # every field takes what operator.index takes
     for field, value in [
         ("agent_count", 16.0),
         ("memory_size", 3.0),
         ("max_generations", 2.5),
         ("seed", 1.7),
         ("seed", "3"),
-        ("hub_fraction", "0.5"),
-        ("hub_fraction", None),
-        ("hub_fraction", float("nan")),
     ]:
         with pytest.raises(ConfigInvalidError, match=field):
             ExplorationConfig(**{"agent_count": 4, "memory_size": 3, field: value})
@@ -371,7 +355,7 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
     generations = 0
     cap_hit = True
     for generation in range(cfg.max_generations):
-        starts = select_start_nodes(hits, cfg, generation)
+        starts = starts_alone(hits, cfg, generation)
         w = edge_weights(g, counts)
         memories = []
         for k, start in enumerate(starts):
@@ -387,7 +371,7 @@ def test_explore_matches_manual_generation_loop(make_graph, cfg):
         assert sum(counts.values()) == mass_before + pair_count
         assert pair_count >= cfg.agent_count  # strict growth every generation
         generations += 1
-        if exploration_done(hits, cfg):
+        if done_alone(hits, cfg):
             cap_hit = False
             break
     assert expected.weights.tolist() == edge_weights(g, counts).tolist()

@@ -200,7 +200,7 @@ def test_detect_accuracy_against_planted_truth():
 
 def test_detect_keywords_are_the_config_fields(monkeypatch):
     explored = record_configs(monkeypatch)
-    params = {"agent_count": 6, "memory_size": 2, "hub_fraction": 0.5, "max_generations": 3, "seed": 7}
+    params = {"agent_count": 6, "memory_size": 2, "max_generations": 3, "seed": 7}
     assert set(params) == {f.name for f in fields(ExplorationConfig)}
     g = barbell6()
     detect(g, **params)
@@ -210,8 +210,9 @@ def test_detect_keywords_are_the_config_fields(monkeypatch):
         ExplorationConfig.for_size(g.node_count, g.edge_count),
     ]
     for graph in (g, Graph.from_edges(["a", "b"], [])):  # checked before the edge count
-        with pytest.raises(TypeError):
-            detect(graph, agents=6)
+        for unknown in ({"agents": 6}, {"hub_fraction": 0.5}):  # the hub share is fixed
+            with pytest.raises(TypeError):
+                detect(graph, **unknown)
 
 
 @pytest.mark.parametrize(
@@ -221,7 +222,6 @@ def test_detect_keywords_are_the_config_fields(monkeypatch):
         {"agent_count": 16.0},
         {"memory_size": 3.0},
         {"max_generations": 2.5},
-        {"hub_fraction": "0.5"},
     ],
     ids=lambda params: next(iter(params)),
 )

@@ -56,7 +56,7 @@ def walk_cases(draw):
     g = pairs_graph(n, draw(st.permutations(sorted(pairs))))  # any adjacency order
     top = draw(st.sampled_from([3, 1000, 2**20, 2**40]))
     w = edge_weights(g, {edge: draw(st.integers(0, top)) for edge in g.edges})
-    memory_size = draw(st.integers(2, 9))
+    memory_size = draw(st.integers(2, 12))
     starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))  # may repeat
     seed = draw(st.integers(0, 2**31))
     generation = draw(st.integers(0, 1000))
