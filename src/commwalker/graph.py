@@ -19,12 +19,11 @@ Graph.components, and every phase of detection reads that one partition.
 
 from __future__ import annotations
 
-import logging
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -38,8 +37,6 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-
-logger = logging.getLogger(__name__)
 
 # A graph of n nodes gets the dense pair table slot_of_key when n * n is at
 # most this many entries (n <= 1024, at most 8 MB of int64).
@@ -366,9 +363,13 @@ def to_edge_list(g: Graph) -> str:
 # One regex splits the text at its strings and its comments (a '#' that no
 # word character precedes); str.split() cuts what lies between, brackets
 # spaced out, and a '"' left there is unterminated. No quantifier nests,
-# so long runs cost linear time. The reader takes tokens from one iterator.
-# A node entry is kept as its fields; an edge entry only as its source and
-# target ids, in two flat lists, since a graph has many more edges.
+# so long runs cost linear time. The graph block is read by _read_block
+# from one iterator over the token list; at a node or edge key it hands
+# that iterator to _read_entries, which reads the entry and every entry
+# after it of the same kind and the same plain keys as one run, a column
+# per key, with list slices (see _read_entries). A node entry is kept as
+# its id, label and value; an edge entry only as its source and target
+# ids, in flat lists, since a graph has many more edges.
 
 # group 1, kept by re.split, holds a string or a comment
 _GML_SPLIT = re.compile(r'([#"](?<![^\s[\]"]#)(?:(?<=#)[^\n]*|[^"]*"))')
@@ -402,13 +403,12 @@ def _skip_block(tokens: Iterator[str]) -> None:
 
 
 def _read_block(
-    tokens: Iterator[str], where: str, blocks: dict[str, Callable[[dict[str, str]], object]], inner: str = ""
+    tokens: Iterator[str], where: str, blocks: dict[str, Callable[[Iterator[str]], object]]
 ) -> dict[str, str]:
     """Read the block whose '[' is the next token as `key value` pairs up to
     its ']', and return its fields: each key's first scalar value, unquoted.
-    A nested block under a key of blocks is read as an `inner` block (with
-    no blocks of its own), and its fields are handed to that key's sink;
-    any other nested block is skipped."""
+    A nested block under a key of blocks is read by that key's reader, handed
+    tokens with the block's '[' next; any other nested block is skipped."""
     if next(tokens, None) != "[":
         raise GmlParseError(f"expected '[' after {where}")
     fields: dict[str, str] = {}
@@ -419,7 +419,7 @@ def _read_block(
             token = key.strip('"')
             raise GmlParseError(f"unexpected token {token!r} in {where} block")
         if key in blocks:
-            blocks[key](_read_block(tokens, inner, {}))
+            blocks[key](tokens)
             continue
         value = next(tokens, None)
         if value == "[":
@@ -429,6 +429,91 @@ def _read_block(
         elif key not in fields:  # first occurrence wins
             fields[key] = value[1:-1] if value[0] == '"' else value
     raise GmlParseError(f"unbalanced brackets: {where} block never closed")
+
+
+_BRACKETS = frozenset("[]")
+
+
+def _run_entry(tokens: list[str], at: int) -> list[str] | None:
+    """The tokens of the entry whose '[' is tokens[at], from its kind before
+    that '[' to its ']', when the entry starts a run: it is plain (it closes,
+    and holds no nested block, no repeated key, no quoted or bracket key and
+    no bracket value) and the entry after it repeats its kind, its keys and
+    its ']' at the same offsets. None when it does not. The first ']' after
+    at closes a plain entry, and the scan for it stays inside the entry
+    being read whatever the entry holds."""
+    try:
+        close = tokens.index("]", at)
+    except ValueError:  # never closed
+        return None
+    if tokens[at - 1 : close + 1 : 2] != tokens[close + 1 : 2 * close - at + 3 : 2]:
+        return None
+    entry = tokens[at - 1 : close + 1]
+    keys = entry[2:-1:2]
+    # an even length ends on a key whose value is the ']'; a word holds no
+    # '"', and a string starts with one
+    if len(entry) % 2 and entry[1] == "[" and entry.count("[") == 1 and len(set(keys)) == len(keys):
+        return None if '"' in "".join(keys) else entry
+    return None
+
+
+def _read_entries(tokens: list[str], rest: Iterator[str], columns: dict[str, list[str | None]]) -> None:
+    """Read the entry whose '[' is the next token of rest, a list iterator
+    over tokens, and extend each list in columns with the value of its key,
+    unquoted, or None where the entry has no such key. When the entry starts
+    a run (_run_entry), every entry after it of the same kind and the same
+    keys in the same order is read with it, and rest is left after the run;
+    an entry that starts no run is read by _read_block alone.
+
+    The entries after the first are checked in pieces, each as long as the
+    run read so far. A piece whose first entry has other keys keeps nothing.
+    Otherwise the tokens at one offset within the entries of the piece are
+    one strided slice: at an even offset the kind, a key or the ']', and at
+    offset 1 the '[', which every entry must repeat, and at any other odd
+    offset a value, which must not be a bracket. The piece keeps its entries
+    up to the first that fails a slice, and the run ends with the first
+    piece that keeps fewer than it holds. So a slice holds at most one
+    column of the run, and a run costs time linear in its length wherever
+    it ends."""
+    at = len(tokens) - operator.length_hint(rest)
+    entry = _run_entry(tokens, at)
+    if entry is None:
+        fields = _read_block(rest, "node/edge", {})
+        for key, column in columns.items():
+            column.append(fields.get(key))
+        return
+    width, start = len(entry), at - 1
+    shape = entry[:]  # the tokens every entry of the run repeats, None at each value
+    shape[3:-1:2] = [None] * (width // 2 - 1)
+    row = entry[::2]  # the kind, the keys and the ']'
+    stop = start + width  # the end of the run so far
+    while True:
+        piece = (stop - start) // width
+        kept = min(piece, (len(tokens) - stop) // width)
+        if tokens[stop : stop + width : 2] != row:
+            kept = 0
+        for offset, token in enumerate(shape):
+            if not kept:
+                break
+            tokens_at = tokens[stop + offset : stop + offset + kept * width : width]
+            if token is None:
+                if "[" in tokens_at or "]" in tokens_at:
+                    kept = next(compress(count(), map(_BRACKETS.__contains__, tokens_at)))
+            elif tokens_at.count(token) < kept:
+                kept = next(compress(count(), map(token.__ne__, tokens_at)))
+        stop += kept * width
+        if kept < piece:
+            break
+    keys = row[1:-1]
+    for key, column in columns.items():
+        if key not in keys:
+            column += [None] * ((stop - start) // width)
+            continue
+        values = tokens[start + 3 + 2 * keys.index(key) : stop : width]
+        if '"' in "".join(values):  # some value is a string
+            values = [value[1:-1] if value[0] == '"' else value for value in values]
+        column += values
+    next(islice(rest, stop - at, stop - at), None)  # rest had read up to the first entry's kind
 
 
 def load_gml(text: str) -> tuple[Graph, Partition | None]:
@@ -444,33 +529,33 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     start = next((i for i, pair in consecutive if pair == ("graph", "[")), None)
     if start is None:
         raise GmlParseError("no 'graph [' block found")
-    raw_nodes: list[dict[str, str]] = []
-    sources: list[str | None] = []  # each edge entry's source id, None when it has none
+    # each entry's value of each key, None when it has none
+    ids: list[str | None] = []
+    labels: list[str | None] = []
+    values: list[str | None] = []
+    sources: list[str | None] = []
     targets: list[str | None] = []
-
-    def read_edge(fields: dict[str, str]) -> None:
-        sources.append(fields.get("source"))
-        targets.append(fields.get("target"))
-
-    sinks = {"node": raw_nodes.append, "edge": read_edge}
-    _read_block(islice(tokens, start + 1, None), "graph", sinks, "node/edge")
+    readers = {
+        "node": partial(_read_entries, tokens, columns={"id": ids, "label": labels, "value": values}),
+        "edge": partial(_read_entries, tokens, columns={"source": sources, "target": targets}),
+    }
+    rest = iter(tokens)
+    next(islice(rest, start + 1, start + 1), None)  # up to the graph's '['
+    _read_block(rest, "graph", readers)
 
     names: list[str] = []
     name_to_id: dict[str, int] = {}
     gml_to_dense: dict[str, int] = {}
-    values: list[str | None] = []
-    for entry in raw_nodes:
-        if "id" not in entry:
+    for gml_id, label in zip(ids, labels):
+        if gml_id is None:
             raise GmlParseError("node block missing 'id'")
-        gml_id = entry["id"]
         if gml_id in gml_to_dense:
             raise GmlParseError(f"duplicate node id {gml_id}")
-        name = entry.get("label", gml_id)
+        name = gml_id if label is None else label
         if name in name_to_id:
             raise GmlParseError(f"duplicate node name {name!r}")
         gml_to_dense[gml_id] = name_to_id[name] = len(names)
         names.append(name)
-        values.append(entry.get("value"))
 
     # every edge's two ends as dense ids, one pass per end; a missing end
     # (None) is no node id either, and on a failure the first entry that
@@ -489,11 +574,13 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     kept = ~_not_simple(lo, hi, len(names))  # the first copy of each edge
     collapsed = len(kept) - int(np.count_nonzero(kept))
     if collapsed:
-        logger.warning("collapsed %d duplicate/self-loop edge(s) in GML input", collapsed)
+        import logging  # only here: a read that collapses nothing imports no logging
+
+        logging.getLogger(__name__).warning("collapsed %d duplicate/self-loop edge(s) in GML input", collapsed)
 
     g = Graph._of_simple_pairs(names, name_to_id, lo[kept], hi[kept])
     truth = None
-    if names and all(v is not None for v in values):
+    if names and None not in values:
         truth = Partition.from_labels(values)
     return g, truth
 

@@ -1,7 +1,8 @@
 """The package imports only the standard library and its one declared
 dependency, numpy. scipy, networkx and the other dev tools are test
 references only, never imported by src/: detecting communities and
-scoring their accuracy load no scipy module. Every name the package
+scoring their accuracy load no scipy module, and neither they nor a GML
+read that collapses no duplicate edge import logging. Every name the package
 exports exists, every error type it declares is raised by it, every
 function, class and method it defines is named somewhere else in src/ or
 exported (Graph.from_edges, the public constructor, counts as exported),
@@ -79,7 +80,7 @@ import sys
 from importlib.resources import files
 
 from commwalker.cli import main
-from commwalker.graph import Partition
+from commwalker.graph import Partition, load_gml
 from commwalker import partition_accuracy
 
 karate = str(files("commwalker") / "data" / "karate.edges")
@@ -89,12 +90,17 @@ truth = Partition([1, 1, 1, 0, 0], 2)
 accuracy = partition_accuracy(predicted, truth)
 loaded = sorted(key for key in sys.modules if key == "scipy" or key.startswith("scipy."))
 assert not loaded, f"detect and scoring loaded {len(loaded)} scipy modules: {loaded[:3]} ..."
+# logging is imported only to report collapsed duplicate edges
+g, _ = load_gml("graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 target 2 ] edge [ source 2 target 3 ] ]")
+assert g.edge_count == 2
+assert "logging" not in sys.modules, "detect or a duplicate-free load_gml imported logging"
 print(accuracy, file=sys.stderr)
 """
 
 
 def test_detect_does_not_load_scipy():
-    # a fresh interpreter: this test process may have scipy loaded already
+    # a fresh interpreter: this test process may have scipy or logging
+    # loaded already
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(

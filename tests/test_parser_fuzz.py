@@ -156,6 +156,56 @@ def gml_documents(draw):
     return text, names, list(seen), truth
 
 
+RUN_FAULTS = ["nested block", "repeated key", "bracket value", "quoted key", "missing ]", "missing field",
+              "other order"]
+
+
+@st.composite
+def gml_runs(draw):
+    """A graph whose nodes, then its edges, are each one run of 2 to 40
+    like-shaped entries: the same 2 or 3 keys (a node's id, an edge's two
+    ends and more) in the same order, each value written plain or quoted.
+    At most one entry, drawn at random, carries one of RUN_FAULTS, which
+    ends the run there or makes the text fail."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    node_keys = draw(st.permutations(["id", *draw(st.sampled_from([["label"], ["value"], ["label", "value"]]))]))
+    edge_keys = draw(st.permutations(["source", "target", *draw(st.sampled_from([[], ["weight"]]))]))
+    ends = draw(st.lists(st.integers(0, n - 1), min_size=2 * m, max_size=2 * m))
+
+    def value(text):
+        return f'"{text}"' if " " in text or draw(st.booleans()) else text
+
+    fields = {
+        "id": str, "label": lambda k: f"n {k}" if k % 3 else f"n{k}", "value": lambda k: str(k % 2),
+        "source": lambda k: str(ends[2 * k]), "target": lambda k: str(ends[2 * k + 1]), "weight": lambda k: "1",
+    }
+    entries = [["node", [(key, value(fields[key](k))) for key in node_keys]] for k in range(n)]
+    entries += [["edge", [(key, value(fields[key](k))) for key in edge_keys]] for k in range(m)]
+    fault = draw(st.sampled_from([None, *RUN_FAULTS]))
+    faulty = draw(st.integers(0, n + m - 1))
+    pairs = entries[faulty][1]
+    if fault == "nested block":
+        pairs.insert(draw(st.integers(0, len(pairs))), ("graphics", "[ ]"))
+    elif fault == "repeated key":
+        pairs.insert(draw(st.integers(1, len(pairs))), (pairs[0][0], "9"))
+    elif fault == "bracket value":
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (pairs[k][0], draw(st.sampled_from("[]")))
+    elif fault == "quoted key":
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (f'"{pairs[k][0]}"', pairs[k][1])
+    elif fault == "missing field":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif fault == "other order":
+        pairs[:] = pairs[1:] + pairs[:1]
+    tokens = ["graph", "["]
+    for k, (kind, pairs) in enumerate(entries):
+        tokens += [kind, "[", *(token for pair in pairs for token in pair)]
+        if k != faulty or fault != "missing ]":
+            tokens.append("]")
+    return "".join(token + draw(gml_separators) for token in tokens + ["]"])
+
+
 def outcome(call, *args):
     """What call(*args) returns, or the class and message of the InputError
     it raises."""
@@ -229,12 +279,26 @@ def test_gml_tokenizer_matches_the_reference(text):
 
 
 @SETTINGS
-@hypothesis.given(st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0])))
+@hypothesis.given(st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0]), gml_runs()))
 # the first failing edge entry raises: an unknown id, then a missing end,
 # and the other way round; of a repeated key the first value wins
 @hypothesis.example("graph [ node [ id 1 ] edge [ source 1 target 9 ] edge [ source 1 ] ]")
 @hypothesis.example("graph [ node [ id 1 ] edge [ source 1 ] edge [ source 1 target 9 ] ]")
 @hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 source 3 target 2 ] ]")
+# one per fault of RUN_FAULTS, in a run of like-shaped entries: a nested
+# block, a key repeated in every entry (the first value still wins), a '['
+# and a ']' value, a quoted key, a missing ']', a missing field, and
+# fields in another order
+@hypothesis.example("graph [ node [ id 1 ] node [ id 2 graphics [ ] ] node [ id 3 ] node [ id 4 ] ]")
+@hypothesis.example("graph [ node [ id 1 id 5 ] node [ id 2 id 6 ] node [ id 3 id 7 ] ]")
+@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label [ ] node [ id 3 label c ] ]")
+@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label ] ] node [ id 3 label c ] ]")
+@hypothesis.example('graph [ node [ id 1 label a ] node [ id 2 "label" b ] node [ id 3 label c ] ]')
+@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label b node [ id 3 label c ] ]")
+@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ source 2 ] "
+                    "edge [ source 2 target 1 ] ]")
+@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ target 1 source 2 ] "
+                    "edge [ source 1 target 1 ] ]")
 def test_load_gml_matches_the_reference(text):
     assert outcome(read_gml, text) == outcome(reference_load_gml, text)
 
