@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator
 
@@ -365,11 +365,12 @@ def to_edge_list(g: Graph) -> str:
 # spaced out, and a '"' left there is unterminated. No quantifier nests,
 # so long runs cost linear time. The graph block is read by _read_block
 # from one iterator over the token list; at a node or edge key it hands
-# that iterator to _read_entries, which reads the entry and every entry
-# after it of the same kind and the same plain keys as one run, a column
-# per key, with list slices (see _read_entries). A node entry is kept as
-# its id, label and value; an edge entry only as its source and target
-# ids, in flat lists, since a graph has many more edges.
+# that iterator to the kind's _entry_reader. That reads the entry on its
+# own with _read_block or, where a check finds it plain, with every entry
+# after it of the same kind and keys as one run, a column per key, with
+# list slices. A node entry is kept as its id, label and value; an edge
+# entry only as its source and target ids, in flat lists, since a graph
+# has many more edges.
 
 # group 1, kept by re.split, holds a string or a comment
 _GML_SPLIT = re.compile(r'([#"](?<![^\s[\]"]#)(?:(?<=#)[^\n]*|[^"]*"))')
@@ -434,55 +435,35 @@ def _read_block(
 _BRACKETS = frozenset("[]")
 
 
-def _run_entry(tokens: list[str], at: int) -> list[str] | None:
-    """The tokens of the entry whose '[' is tokens[at], from its kind before
-    that '[' to its ']', when the entry starts a run: it is plain (it closes,
-    and holds no nested block, no repeated key, no quoted or bracket key and
-    no bracket value) and the entry after it repeats its kind, its keys and
-    its ']' at the same offsets. None when it does not. The first ']' after
-    at closes a plain entry, and the scan for it stays inside the entry
-    being read whatever the entry holds."""
+def _run_end(tokens: list[str], start: int) -> tuple[int, int]:
+    """The width of the entry whose kind is tokens[start], and the end of
+    the run from it of plain entries that repeat its kind, its keys and its
+    ']' at the same offsets. The run ends at start when that entry is not
+    plain.
+
+    A plain entry closes, and holds no nested block, no repeated key, no
+    quoted or bracket key and no bracket value; the first ']' after its '['
+    closes it, and the scan for it stays inside the entry being read
+    whatever the entry holds. The entries after the first are checked in
+    pieces, each as long as the run read so far. A piece whose first entry
+    has other keys keeps nothing. Otherwise the tokens at one offset within
+    the entries of the piece are one strided slice: at an even offset the
+    kind, a key or the ']', and at offset 1 the '[', which every entry must
+    repeat, and at any other odd offset a value, which must not be a
+    bracket. The piece keeps its entries up to the first that fails a
+    slice, and the run ends with the first piece that keeps fewer than it
+    holds. So a slice holds at most one column of the run, and a run costs
+    time linear in its length wherever it ends."""
     try:
-        close = tokens.index("]", at)
+        close = tokens.index("]", start + 1)
     except ValueError:  # never closed
-        return None
-    if tokens[at - 1 : close + 1 : 2] != tokens[close + 1 : 2 * close - at + 3 : 2]:
-        return None
-    entry = tokens[at - 1 : close + 1]
-    keys = entry[2:-1:2]
-    # an even length ends on a key whose value is the ']'; a word holds no
+        return 1, start
+    entry = tokens[start : close + 1]
+    width, keys = len(entry), entry[2:-1:2]
+    # an even width ends on a key whose value is the ']'; a word holds no
     # '"', and a string starts with one
-    if len(entry) % 2 and entry[1] == "[" and entry.count("[") == 1 and len(set(keys)) == len(keys):
-        return None if '"' in "".join(keys) else entry
-    return None
-
-
-def _read_entries(tokens: list[str], rest: Iterator[str], columns: dict[str, list[str | None]]) -> None:
-    """Read the entry whose '[' is the next token of rest, a list iterator
-    over tokens, and extend each list in columns with the value of its key,
-    unquoted, or None where the entry has no such key. When the entry starts
-    a run (_run_entry), every entry after it of the same kind and the same
-    keys in the same order is read with it, and rest is left after the run;
-    an entry that starts no run is read by _read_block alone.
-
-    The entries after the first are checked in pieces, each as long as the
-    run read so far. A piece whose first entry has other keys keeps nothing.
-    Otherwise the tokens at one offset within the entries of the piece are
-    one strided slice: at an even offset the kind, a key or the ']', and at
-    offset 1 the '[', which every entry must repeat, and at any other odd
-    offset a value, which must not be a bracket. The piece keeps its entries
-    up to the first that fails a slice, and the run ends with the first
-    piece that keeps fewer than it holds. So a slice holds at most one
-    column of the run, and a run costs time linear in its length wherever
-    it ends."""
-    at = len(tokens) - operator.length_hint(rest)
-    entry = _run_entry(tokens, at)
-    if entry is None:
-        fields = _read_block(rest, "node/edge", {})
-        for key, column in columns.items():
-            column.append(fields.get(key))
-        return
-    width, start = len(entry), at - 1
+    if not width % 2 or entry[1] != "[" or entry.count("[") > 1 or len(set(keys)) < len(keys) or '"' in "".join(keys):
+        return width, start
     shape = entry[:]  # the tokens every entry of the run repeats, None at each value
     shape[3:-1:2] = [None] * (width // 2 - 1)
     row = entry[::2]  # the kind, the keys and the ']'
@@ -503,17 +484,61 @@ def _read_entries(tokens: list[str], rest: Iterator[str], columns: dict[str, lis
                 kept = next(compress(count(), map(token.__ne__, tokens_at)))
         stop += kept * width
         if kept < piece:
-            break
-    keys = row[1:-1]
-    for key, column in columns.items():
-        if key not in keys:
-            column += [None] * ((stop - start) // width)
-            continue
-        values = tokens[start + 3 + 2 * keys.index(key) : stop : width]
-        if '"' in "".join(values):  # some value is a string
-            values = [value[1:-1] if value[0] == '"' else value for value in values]
-        column += values
-    next(islice(rest, stop - at, stop - at), None)  # rest had read up to the first entry's kind
+            return width, stop
+
+
+def _entry_reader(tokens: list[str], columns: dict[str, list[str | None]]) -> Callable[[Iterator[str]], None]:
+    """A reader of the node (or the edge) entries of a graph block, called
+    with rest, a list iterator over tokens, at each entry's '[': it extends
+    each list in columns with the value of its key, unquoted, or None where
+    the entry has no such key.
+
+    At a check, a plain entry (see _run_end) is read with every entry after
+    it of the same kind and the same keys in the same order as one run, a
+    column per key, with list slices, and rest is left after the run; any
+    other entry is read by _read_block. A check costs about what
+    _read_block takes for a few entries, so it pays only where runs are
+    long. The reader counts the entries read since the last run that was
+    longer than the count then was, that run included. A check that finds
+    no such run adds what it reads to the count and hands the next count
+    entries to _read_block, unchecked. So where runs are short or absent,
+    checks come at a doubling count and the entries cost about what
+    _read_block takes alone."""
+    read = 0  # entries read since the last run longer than this count, that run included
+    wait = 0  # entries to hand to _read_block before the next check
+    items = tuple(columns.items())
+
+    def read_entry(rest: Iterator[str]) -> None:
+        nonlocal read, wait
+        if wait:
+            wait -= 1
+        else:
+            at = len(tokens) - operator.length_hint(rest)
+            width, stop = _run_end(tokens, at - 1)
+            entries = (stop - at + 1) // width
+            if entries > read:
+                read = entries
+            else:
+                read += entries
+                wait = read
+            if entries:
+                keys = tokens[at + 1 : at + width - 2 : 2]
+                for key, column in items:
+                    if key not in keys:
+                        column += [None] * entries
+                        continue
+                    values = tokens[at + 2 + 2 * keys.index(key) : stop : width]
+                    if '"' in "".join(values):  # some value is a string
+                        values = [value[1:-1] if value[0] == '"' else value for value in values]
+                    column += values
+                next(islice(rest, stop - at, stop - at), None)  # rest had read up to the first entry's kind
+                return
+        read += 1
+        fields = _read_block(rest, "node/edge", {})
+        for key, column in items:
+            column.append(fields.get(key))
+
+    return read_entry
 
 
 def load_gml(text: str) -> tuple[Graph, Partition | None]:
@@ -536,8 +561,8 @@ def load_gml(text: str) -> tuple[Graph, Partition | None]:
     sources: list[str | None] = []
     targets: list[str | None] = []
     readers = {
-        "node": partial(_read_entries, tokens, columns={"id": ids, "label": labels, "value": values}),
-        "edge": partial(_read_entries, tokens, columns={"source": sources, "target": targets}),
+        "node": _entry_reader(tokens, {"id": ids, "label": labels, "value": values}),
+        "edge": _entry_reader(tokens, {"source": sources, "target": targets}),
     }
     rest = iter(tokens)
     next(islice(rest, start + 1, start + 1), None)  # up to the graph's '['

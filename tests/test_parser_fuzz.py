@@ -162,14 +162,24 @@ RUN_FAULTS = ["nested block", "repeated key", "bracket value", "quoted key", "mi
 
 @st.composite
 def gml_runs(draw):
-    """A graph whose nodes, then its edges, are each one run of 2 to 40
-    like-shaped entries: the same 2 or 3 keys (a node's id, an edge's two
-    ends and more) in the same order, each value written plain or quoted.
-    At most one entry, drawn at random, carries one of RUN_FAULTS, which
-    ends the run there or makes the text fail."""
+    """A graph of 2 to 40 nodes, then 2 to 40 edges, each kind in 1 to 3
+    runs of like-shaped entries: each run has its own 2 or 3 keys (a
+    node's id, an edge's two ends and more) in its own order, and each value
+    is written plain or quoted. At most one entry, drawn at random, carries
+    one of RUN_FAULTS, which ends its run there or makes the text fail.
+    Runs of several lengths in turn put the reader's checks for a run at
+    the start, in the middle and at the end of a run."""
     n, m = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    node_keys = draw(st.permutations(["id", *draw(st.sampled_from([["label"], ["value"], ["label", "value"]]))]))
-    edge_keys = draw(st.permutations(["source", "target", *draw(st.sampled_from([[], ["weight"]]))]))
+
+    def runs_of(count, extras, keys):
+        """The keys of count entries in turn, 1 to 3 runs with keys of their own."""
+        shapes = draw(st.lists(st.sampled_from(extras).flatmap(lambda extra: st.permutations([*keys, *extra])),
+                               min_size=1, max_size=3))
+        cuts = sorted(draw(st.lists(st.integers(0, count), min_size=len(shapes) - 1, max_size=len(shapes) - 1)))
+        return [shape for shape, a, b in zip(shapes, [0, *cuts], [*cuts, count]) for _ in range(a, b)]
+
+    node_keys = runs_of(n, [["label"], ["value"], ["label", "value"]], ["id"])
+    edge_keys = runs_of(m, [[], ["weight"]], ["source", "target"])
     ends = draw(st.lists(st.integers(0, n - 1), min_size=2 * m, max_size=2 * m))
 
     def value(text):
@@ -179,8 +189,8 @@ def gml_runs(draw):
         "id": str, "label": lambda k: f"n {k}" if k % 3 else f"n{k}", "value": lambda k: str(k % 2),
         "source": lambda k: str(ends[2 * k]), "target": lambda k: str(ends[2 * k + 1]), "weight": lambda k: "1",
     }
-    entries = [["node", [(key, value(fields[key](k))) for key in node_keys]] for k in range(n)]
-    entries += [["edge", [(key, value(fields[key](k))) for key in edge_keys]] for k in range(m)]
+    entries = [["node", [(key, value(fields[key](k))) for key in node_keys[k]]] for k in range(n)]
+    entries += [["edge", [(key, value(fields[key](k))) for key in edge_keys[k]]] for k in range(m)]
     fault = draw(st.sampled_from([None, *RUN_FAULTS]))
     faulty = draw(st.integers(0, n + m - 1))
     pairs = entries[faulty][1]
