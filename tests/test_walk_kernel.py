@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from commwalker import ExplorationConfig, exploration, explore
+from commwalker import ExplorationConfig, exploration, explore, graph
 from commwalker.exploration import (
     _csr_walks,
     _generation_streams,
@@ -24,6 +24,7 @@ from commwalker.exploration import (
 )
 
 from _helpers import (
+    connected_planted,
     edge_weights,
     karate,
     neighbor_lists,
@@ -146,6 +147,55 @@ def test_csr_walks_match_run_walk_with_gaps_in_the_tabu(memory_size):
         gapped += len(_gapped_tabu_steps(g, expected))
     assert not first.all()  # some step was blocked and revisited
     assert gapped == 0 if memory_size == 5 else gapped > 10
+
+
+def count_merges(monkeypatch) -> list:
+    """Patch the merge form of _search_in_order with a wrapper that records
+    the table length of each call, and return the list it appends to."""
+    tables = []
+    merge = graph._merge_in_order
+
+    def counting(keys, q, b):
+        tables.append(len(keys) - q)
+        return merge(keys, q, b)
+
+    monkeypatch.setattr(graph, "_merge_in_order", counting)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "shape, agents, memory_size",
+    [("karate", agents, memory_size) for agents in (1000, 3000) for memory_size in (4, 6)]
+    + [(shape, 200, memory_size) for shape in ("star", "triangle") for memory_size in range(2, 6)],
+)
+def test_csr_walks_match_run_walk_in_large_batches(monkeypatch, shape, agents, memory_size):
+    # At least 3x as many agents as slots, so the pick takes the merge form
+    # of _search_in_order, and from step 3 on (memory 4 and up) so do the
+    # tabu lookups in the sorted pair-key table (Graph.slots_of).
+    g = {
+        "karate": lambda: karate()[0],
+        "star": lambda: pairs_graph(9, [(0, v) for v in range(1, 9)]),
+        "triangle": triangle,
+    }[shape]()
+    assert agents >= 3 * len(g.neighbors)
+    rng = np.random.default_rng(agents + memory_size)
+    w = rng.integers(0, 1000, size=g.edge_count)
+    starts = rng.integers(0, g.node_count, size=agents)
+    uniforms = rng.random((agents, memory_size - 1))
+    merged = count_merges(monkeypatch)
+    walks = []
+    for walked in both_pair_tables(g):
+        merged.clear()
+        walks.append(_csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms))
+        # the pick searches the 2m-slot prefix, slots_of the 2m + 1 sorted keys
+        assert merged.count(len(g.neighbors)) == memory_size - 1  # every pick
+        assert merged.count(len(g.neighbors) + 1) == (walked.sorted_keys is not None) * max(0, memory_size - 3)
+    (memory, first), by_search = walks
+    assert np.array_equal(memory, by_search[0]) and np.array_equal(first, by_search[1])
+    for k, start in enumerate(starts.tolist()):
+        expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
+        assert memory[:, k].tolist() == expected
+        assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
 
 
 def _integer_points(total):
@@ -316,6 +366,33 @@ def test_default_walks_never_sort_tabu_columns(monkeypatch):
         explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=3, memory_size=5))
 
 
+def test_merge_form_runs_only_for_large_batches(monkeypatch):
+    # Default karate (272 agents, 156 slots) and a dense-sweep-shaped run
+    # (160 agents on 160 nodes, ~4.5k edges) search the pick in the search
+    # form. A components-shaped graph (two sparse planted 2x16 parts, a hub
+    # on 9 K4 cliques and an isolated node) runs 816 agents per component,
+    # 2,448 in all against 494 slots, and picks in the merge form.
+    merged = count_merges(monkeypatch)
+    g, _ = karate()
+    assert explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=3)).generations_run > 10
+    dense, _ = connected_planted(2, 80, 0.7, 0.02, seed=1)
+    assert 4000 < dense.edge_count < 5000
+    cfg = ExplorationConfig.for_size(dense.node_count, dense.edge_count, agent_count=160, seed=3)
+    assert explore(dense, cfg).generations_run > 1
+    assert merged == []
+    parts = [connected_planted(2, 16, 0.3, 0.02, seed=s)[0] for s in (1, 2)]
+    pairs = [(u + 32 * i, v + 32 * i) for i, part in enumerate(parts) for u, v in part.edges]
+    hub, cliques = 64, [range(65 + 4 * c, 69 + 4 * c) for c in range(9)]
+    pairs += [(hub, u) for clique in cliques for u in clique]
+    pairs += [pair for clique in cliques for pair in combinations(clique, 2)]
+    components = pairs_graph(102, pairs)  # node 101 is isolated
+    cfg = ExplorationConfig.for_size(components.node_count, components.edge_count, seed=3, max_generations=3)
+    assert cfg.agent_count == 816 and components.components.community_count == 4
+    assert cfg.agent_count > len(components.neighbors)  # so the three components' Q > 3T
+    explore(components, cfg)
+    assert len(merged) == 3 * (cfg.memory_size - 1)  # every pick of three generations
+
+
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
 def test_rekeyed_generator_is_a_fresh_one(seed):
     # explore() re-keys one generator per run; every generation must read
@@ -403,6 +480,59 @@ def test_search_in_order_is_searchsorted(table_size, shape):
         got = _search_in_order(table, queries)
         assert got.shape == shape
         assert np.array_equal(got, np.searchsorted(table, queries))
+
+
+@pytest.mark.parametrize("table_size", [0, 1, 7, 40, 500])
+def test_search_in_order_merge_form_is_searchsorted(monkeypatch, table_size):
+    # 1,000 to 5,000 queries, and the rule's edge at 3x and 3x + 1 the
+    # table: the merge form exactly when they number more than 3x the
+    # table, the search form otherwise (500 entries, up to 1,500 queries).
+    # Values repeat, and queries fall below, between, on and above the
+    # entries, negative ones included.
+    merged = count_merges(monkeypatch)
+    rng = np.random.default_rng(table_size)
+    sizes = [*rng.integers(1000, 5001, size=18), 3 * table_size + 1, max(1000, 3 * table_size)]
+    for size in sizes:
+        table = np.sort(rng.integers(-50, 50, size=table_size))
+        queries = rng.integers(-60, 60, size=size)
+        before = len(merged)
+        got = _search_in_order(table, queries)
+        assert np.array_equal(got, np.searchsorted(table, queries))
+        assert len(merged) - before == (size > 3 * table_size)
+
+
+def test_search_in_order_one_query(monkeypatch):
+    # One query, the smallest batch, takes the merge form into an empty
+    # table only. It packs with b = 1 index bit (the entries are packed
+    # too, so one query needs one bit): values within +-2**61 pack, and a
+    # value at the bound takes the search form.
+    merged = count_merges(monkeypatch)
+    for query in (-(2**61) + 1, -1, 0, 5, 2**61 - 1, -(2**61), 2**61):
+        assert _search_in_order(np.array([], dtype=np.int64), np.array([query])).tolist() == [0]
+        for table in (np.array([0]), np.array([-4, 0, 4])):
+            assert np.array_equal(_search_in_order(table, np.array([query])), np.searchsorted(table, [query]))
+    assert merged == [0] * 5
+
+
+@pytest.mark.parametrize("size", [4, 7, 1000])
+def test_search_in_order_near_the_packing_bound(monkeypatch, size):
+    # A batch with a query or a table entry at or beyond +-2**(62 - b),
+    # b = size.bit_length(), does not pack and takes the search form;
+    # queries near +-2**60 always do. A batch just inside the bound takes
+    # the merge form. b is 3 for 4 and 7 queries, and 10 for 1,000.
+    merged = count_merges(monkeypatch)
+    bound = 2 ** (62 - size.bit_length())
+    rng = np.random.default_rng(size)
+    for sign in (1, -1):
+        near = sign * (2**60 + rng.integers(-3, 4, size=size))
+        near[0] = sign * 2**60
+        inside = rng.integers(-bound + 1, bound, size=size)
+        inside[:2] = -bound + 1, bound - 1
+        cases = [([0], near), ([sign * (bound - 1)], inside), ([sign * bound], inside)]
+        for table, queries in cases:
+            table = np.array(table)
+            assert np.array_equal(_search_in_order(table, queries), np.searchsorted(table, queries))
+    assert merged == [1, 1]  # the batches just inside the bound
 
 
 @pytest.mark.parametrize("rows", range(7))
