@@ -468,6 +468,60 @@ def test_load_gml_finds_a_run_after_entries_outside_runs(monkeypatch, prefix):
         assert len(checks) == 1 and len(blocks) == 1
 
 
+def test_load_gml_finds_runs_broken_by_odd_entries(monkeypatch):
+    # one node in 100 carries a key the others lack; each run of 99 after
+    # it is found again, so _read_block reads about one entry per break,
+    # not every entry after the first break
+    blocks = _counting(monkeypatch, "_read_block")
+    n = 3000
+    entries = (f"node [ id {i} value 1 ]" if i % 100 == 99 else f"node [ id {i} ]" for i in range(n))
+    g, _ = load_gml("graph [ " + " ".join(entries) + " ]")
+    assert g.nodes == [str(i) for i in range(n)]
+    assert len(blocks) - 1 <= 2 * (n // 100)  # the graph block is one
+
+
+def test_load_gml_judges_a_run_across_chunk_cuts_as_one(monkeypatch):
+    # after `prefix` entries with a nested block, a run of entries that
+    # span lines, cut every 1,000 characters, many cuts inside an entry:
+    # the run is found once its pieces together outgrow the count, and then
+    # _read_block reads only the entry across each cut
+    monkeypatch.setattr(graph_module, "GML_CHUNK_CHARS", 1000)
+    blocks = _counting(monkeypatch, "_read_block")
+    prefix, n = 300, 3000
+    entries = (f"node [ id {i} graphics [ ] ]\n" if i < prefix else f"node [\n  id {i}\n]\n" for i in range(n))
+    text = "graph [\n" + "".join(entries) + "]\n"
+    g, _ = load_gml(text)
+    assert g.nodes == [str(i) for i in range(n)]
+    assert len(blocks) - 1 <= 2 * prefix + len(text) // 1000
+
+
+def test_load_gml_holds_one_chunk_of_tokens_at_a_time(monkeypatch):
+    # the reader gets its tokens in lists, each from one chunk of text and
+    # one line more, so it never holds the token list of the whole text
+    sizes = []
+    real = graph_module._tokenize_gml
+
+    def recording(text):
+        for tokens in real(text):
+            sizes.append(len(tokens))
+            yield tokens
+
+    monkeypatch.setattr(graph_module, "_tokenize_gml", recording)
+    n = 6000
+    lines = [f'  node [ id {i:04} label "n{i:04}" ]\n' for i in range(n)]
+    lines += [f"  edge [ source {i:04} target {(i * 7 + 1) % n:04} ]\n" for i in range(n)]
+    text = "graph [\n" + "".join(lines) + "]\n"
+    assert len(text) >= 200_000
+    g, _ = load_gml(text)
+    assert (g.node_count, g.edge_count) == (n, n)
+    # a line holds 7 tokens, so a list that covers GML_CHUNK_CHARS characters
+    # of text and one line more holds no more than this many
+    most = 7 * (graph_module.GML_CHUNK_CHARS // min(map(len, lines)) + 2)
+    assert len(sizes) >= 3
+    assert max(sizes) <= most
+    assert sum(sizes) == 2 + 7 * 2 * n + 1
+
+
 def test_load_labels_and_errors():
     g = load_edge_list("a b\nb c\n")
     truth = load_labels("a 0\nb 0\nc 1\n", g)

@@ -3,11 +3,15 @@ an InputError subclass (exit status 1 at the CLI), never another exception;
 a parsed edge list survives a to_edge_list round trip; a random graph
 rendered as GML reads back as that graph. The GML tokenizer, load_gml,
 load_edge_list and Graph.from_edges give what their references in _helpers
-give, results and errors alike."""
+give, results and errors alike; the GML tokenizer and load_gml also with
+the chunk size cut to 1, 7 and 64 characters."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from commwalker import graph as graph_module
 from commwalker.errors import InputError
 from commwalker.graph import (
     Graph,
@@ -225,6 +229,10 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+def tokenize_gml(text):
+    return [token for chunk in _tokenize_gml(text) for token in chunk]
+
+
 def read_gml(text):
     g, truth = load_gml(text)
     return g.nodes, g.edges, None if truth is None else truth.community_of
@@ -285,32 +293,72 @@ def test_label_lines_parse_or_raise_input_error(text):
 @SETTINGS
 @hypothesis.given(st.one_of(gml_soups, gml_texts))
 def test_gml_tokenizer_matches_the_reference(text):
-    assert outcome(_tokenize_gml, text) == outcome(reference_tokenize_gml, text)
+    assert outcome(tokenize_gml, text) == outcome(reference_tokenize_gml, text)
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
 @SETTINGS
-@hypothesis.given(st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0]), gml_runs()))
-# the first failing edge entry raises: an unknown id, then a missing end,
-# and the other way round; of a repeated key the first value wins
-@hypothesis.example("graph [ node [ id 1 ] edge [ source 1 target 9 ] edge [ source 1 ] ]")
-@hypothesis.example("graph [ node [ id 1 ] edge [ source 1 ] edge [ source 1 target 9 ] ]")
-@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 source 3 target 2 ] ]")
-# one per fault of RUN_FAULTS, in a run of like-shaped entries: a nested
-# block, a key repeated in every entry (the first value still wins), a '['
-# and a ']' value, a quoted key, a missing ']', a missing field, and
-# fields in another order
-@hypothesis.example("graph [ node [ id 1 ] node [ id 2 graphics [ ] ] node [ id 3 ] node [ id 4 ] ]")
-@hypothesis.example("graph [ node [ id 1 id 5 ] node [ id 2 id 6 ] node [ id 3 id 7 ] ]")
-@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label [ ] node [ id 3 label c ] ]")
-@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label ] ] node [ id 3 label c ] ]")
-@hypothesis.example('graph [ node [ id 1 label a ] node [ id 2 "label" b ] node [ id 3 label c ] ]')
-@hypothesis.example("graph [ node [ id 1 label a ] node [ id 2 label b node [ id 3 label c ] ]")
-@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ source 2 ] "
-                    "edge [ source 2 target 1 ] ]")
-@hypothesis.example("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ target 1 source 2 ] "
-                    "edge [ source 1 target 1 ] ]")
+@hypothesis.given(st.one_of(gml_soups, gml_texts))
+def test_gml_tokenizer_matches_the_reference_in_small_chunks(chunk_chars, text):
+    # no cut splits a token, whatever the chunk size
+    with mock.patch.object(graph_module, "GML_CHUNK_CHARS", chunk_chars):
+        assert outcome(tokenize_gml, text) == outcome(reference_tokenize_gml, text)
+
+
+# A run of 2,500 like-shaped node entries with quoted labels, then one of
+# 2,500 edge entries: each crosses a cut at GML_CHUNK_CHARS.
+LONG_RUNS = ("graph [\n" + "".join(f'  node [ id {i} label "n {i}" ]\n' for i in range(2500))
+             + "".join(f"  edge [ source {i} target {(i * 7) % 2500} ]\n" for i in range(2500)) + "]\n")
+
+
+def load_gml_inputs(test):
+    """Run test on random GML texts of every kind and on the examples: each
+    a text that load_gml must read as its reference does."""
+    examples = [
+        # the first failing edge entry raises: an unknown id, then a missing
+        # end, and the other way round; of a repeated key the first value wins
+        "graph [ node [ id 1 ] edge [ source 1 target 9 ] edge [ source 1 ] ]",
+        "graph [ node [ id 1 ] edge [ source 1 ] edge [ source 1 target 9 ] ]",
+        "graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 source 3 target 2 ] ]",
+        # one per fault of RUN_FAULTS, in a run of like-shaped entries: a
+        # nested block, a key repeated in every entry (the first value still
+        # wins), a '[' and a ']' value, a quoted key, a missing ']', a missing
+        # field, and fields in another order
+        "graph [ node [ id 1 ] node [ id 2 graphics [ ] ] node [ id 3 ] node [ id 4 ] ]",
+        "graph [ node [ id 1 id 5 ] node [ id 2 id 6 ] node [ id 3 id 7 ] ]",
+        "graph [ node [ id 1 label a ] node [ id 2 label [ ] node [ id 3 label c ] ]",
+        "graph [ node [ id 1 label a ] node [ id 2 label ] ] node [ id 3 label c ] ]",
+        'graph [ node [ id 1 label a ] node [ id 2 "label" b ] node [ id 3 label c ] ]',
+        "graph [ node [ id 1 label a ] node [ id 2 label b node [ id 3 label c ] ]",
+        "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ source 2 ] "
+        "edge [ source 2 target 1 ] ]",
+        "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] edge [ target 1 source 2 ] "
+        "edge [ source 1 target 1 ] ]",
+        # an unterminated string in a later chunk than a duplicate id and an
+        # edge with no target: the string error raises, before any block is read
+        "graph [ node [ id 1 ] node [ id 1 ] edge [ source 1 ]\n" + "# a comment line\n" * 5000
+        + 'node [ id 2 label "b ] ]\n',
+        # runs that cross a cut
+        LONG_RUNS,
+    ]
+    for text in examples:
+        test = hypothesis.example(text)(test)
+    strategy = st.one_of(gml_texts, gml_soups, gml_documents().map(lambda document: document[0]), gml_runs())
+    return SETTINGS(hypothesis.given(strategy)(test))
+
+
+@load_gml_inputs
 def test_load_gml_matches_the_reference(text):
     assert outcome(read_gml, text) == outcome(reference_load_gml, text)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+@load_gml_inputs
+def test_load_gml_matches_the_reference_in_small_chunks(chunk_chars, text):
+    # cuts then land inside entries, runs, strings and comments, and
+    # between `graph` and its '['
+    with mock.patch.object(graph_module, "GML_CHUNK_CHARS", chunk_chars):
+        assert outcome(read_gml, text) == outcome(reference_load_gml, text)
 
 
 @SETTINGS
