@@ -1,6 +1,7 @@
 """Command-line interface: detect, eval, bench.
 
-Exit statuses: 0 success, 1 input error, 2 config/usage error.
+Exit statuses: 0 success, 1 input error or stdout closed early, 2
+config/usage error.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -262,13 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a reader that left early fails the flush here, not at exit
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout closed it early: send what is still buffered
+        # to devnull, so the flush at exit cannot fail again, and fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

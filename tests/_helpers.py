@@ -495,7 +495,11 @@ def reference_edges(names: list[str], edge_pairs) -> list[tuple[int, int]]:
     seen: set[tuple[int, int]] = set()
     for pair in edge_pairs:
         try:
-            u, v = map(operator.index, pair)
+            ends = iter(pair)
+        except TypeError:
+            raise DanglingEdgeError(f"edge {pair!r} is not a pair of node ids") from None
+        try:
+            u, v = map(operator.index, ends)
         except TypeError:
             raise DanglingEdgeError(f"edge {pair!r} names a node id that is not an integer") from None
         except ValueError:

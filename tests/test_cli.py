@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import MISSING, fields
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -558,3 +562,26 @@ def test_gml_inferred_from_extension_in_any_case(tmp_path, capsys):
             for path in (str(DATA / "karate.gml"), str(upper))]
     assert runs[0][0] == 0
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("output", ["json", "tsv"])
+def test_detect_exits_quietly_when_stdout_closes_early(tmp_path, output):
+    # a reader such as `head -1` closes the pipe after one line; the output,
+    # 200 names of 500 characters, is more than the pipe and the stream's
+    # buffer hold, so detect is still writing when the pipe closes
+    names = [f"n{i:03}" + "x" * 500 for i in range(200)]
+    cliques = [names[i : i + 10] for i in range(0, 200, 10)]
+    lines = [f"{a} {b}\n" for clique in cliques for j, a in enumerate(clique) for b in clique[j + 1 :]]
+    lines += [f"{cliques[k][0]} {cliques[k - 1][-1]}\n" for k in range(len(cliques))]
+    path = tmp_path / "long-names.edges"
+    path.write_text("".join(lines))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "commwalker", "detect", "--input", str(path), "--output", output]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert code == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

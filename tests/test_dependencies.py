@@ -2,7 +2,8 @@
 dependency, numpy. scipy, networkx and the other dev tools are test
 references only, never imported by src/: detecting communities and
 scoring their accuracy load no scipy module, and neither they nor a GML
-read that collapses no duplicate edge import logging. Every name the package
+read that collapses no duplicate edge import logging; detecting on an edge
+list leaves the GML reader unloaded. Every name the package
 exports exists, every error type it declares is raised by it, every
 function, class and method it defines is named somewhere else in src/ or
 exported (Graph.from_edges, the public constructor, counts as exported),
@@ -90,9 +91,12 @@ truth = Partition([1, 1, 1, 0, 0], 2)
 accuracy = partition_accuracy(predicted, truth)
 loaded = sorted(key for key in sys.modules if key == "scipy" or key.startswith("scipy."))
 assert not loaded, f"detect and scoring loaded {len(loaded)} scipy modules: {loaded[:3]} ..."
+# the GML reader is loaded by the first load_gml call, not by an edge-list run
+assert "commwalker.gml" not in sys.modules, "detect on an edge list or scoring loaded the GML reader"
 # logging is imported only to report collapsed duplicate edges
 g, _ = load_gml("graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 target 2 ] edge [ source 2 target 3 ] ]")
 assert g.edge_count == 2
+assert "commwalker.gml" in sys.modules, "load_gml read GML without the GML reader"
 assert "logging" not in sys.modules, "detect or a duplicate-free load_gml imported logging"
 print(accuracy, file=sys.stderr)
 """

@@ -17,6 +17,7 @@ from commwalker import (
     load_labels,
     to_edge_list,
 )
+from commwalker import gml as gml_module
 from commwalker import graph as graph_module
 from commwalker.errors import (
     DanglingEdgeError,
@@ -137,9 +138,12 @@ def test_from_edges_rejects_a_node_id_outside_the_names(pair):
     assert Graph.from_edges(["a", "b"], [(np.int64(0), 1)]).edges == [(0, 1)]
 
 
-@pytest.mark.parametrize("pair", [(0, 1, 2), (0,), ()], ids=["three-ids", "one-id", "no-id"])
+@pytest.mark.parametrize(
+    "pair", [(0, 1, 2), (0,), (), 5, None], ids=["three-ids", "one-id", "no-id", "an-int", "none"]
+)
 def test_from_edges_rejects_a_pair_that_is_not_two_ids(pair):
-    # (0, 1, 2) and (1,) hold four ids between them, as two pairs would
+    # (0, 1, 2) and (1,) hold four ids between them, as two pairs would;
+    # 5 and None hold no ids at all, so no id in them is at fault
     with pytest.raises(DanglingEdgeError, match=re.escape(f"edge {pair!r} is not a pair of node ids")):
         Graph.from_edges(["a", "b", "c"], [(0, 1), pair, (1,)])
 
@@ -425,10 +429,10 @@ def test_load_gml_reads_a_long_run_in_linear_time(text):
 
 
 def _counting(monkeypatch, name):
-    """The argument tuples of every later call of graph_module.name."""
+    """The argument tuples of every later call of gml_module.name."""
     calls = []
-    real = getattr(graph_module, name)
-    monkeypatch.setattr(graph_module, name, lambda *args: calls.append(args) or real(*args))
+    real = getattr(gml_module, name)
+    monkeypatch.setattr(gml_module, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -485,7 +489,7 @@ def test_load_gml_judges_a_run_across_chunk_cuts_as_one(monkeypatch):
     # span lines, cut every 1,000 characters, many cuts inside an entry:
     # the run is found once its pieces together outgrow the count, and then
     # _read_block reads only the entry across each cut
-    monkeypatch.setattr(graph_module, "GML_CHUNK_CHARS", 1000)
+    monkeypatch.setattr(gml_module, "GML_CHUNK_CHARS", 1000)
     blocks = _counting(monkeypatch, "_read_block")
     prefix, n = 300, 3000
     entries = (f"node [ id {i} graphics [ ] ]\n" if i < prefix else f"node [\n  id {i}\n]\n" for i in range(n))
@@ -499,14 +503,14 @@ def test_load_gml_holds_one_chunk_of_tokens_at_a_time(monkeypatch):
     # the reader gets its tokens in lists, each from one chunk of text and
     # one line more, so it never holds the token list of the whole text
     sizes = []
-    real = graph_module._tokenize_gml
+    real = gml_module._tokenize_gml
 
     def recording(text):
         for tokens in real(text):
             sizes.append(len(tokens))
             yield tokens
 
-    monkeypatch.setattr(graph_module, "_tokenize_gml", recording)
+    monkeypatch.setattr(gml_module, "_tokenize_gml", recording)
     n = 6000
     lines = [f'  node [ id {i:04} label "n{i:04}" ]\n' for i in range(n)]
     lines += [f"  edge [ source {i:04} target {(i * 7 + 1) % n:04} ]\n" for i in range(n)]
@@ -516,7 +520,7 @@ def test_load_gml_holds_one_chunk_of_tokens_at_a_time(monkeypatch):
     assert (g.node_count, g.edge_count) == (n, n)
     # a line holds 7 tokens, so a list that covers GML_CHUNK_CHARS characters
     # of text and one line more holds no more than this many
-    most = 7 * (graph_module.GML_CHUNK_CHARS // min(map(len, lines)) + 2)
+    most = 7 * (gml_module.GML_CHUNK_CHARS // min(map(len, lines)) + 2)
     assert len(sizes) >= 3
     assert max(sizes) <= most
     assert sum(sizes) == 2 + 7 * 2 * n + 1

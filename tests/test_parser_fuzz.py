@@ -11,12 +11,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from commwalker import graph as graph_module
+from commwalker import gml as gml_module
 from commwalker.errors import InputError
+from commwalker.gml import _tokenize_gml
 from commwalker.graph import (
     Graph,
     Partition,
-    _tokenize_gml,
     load_edge_list,
     load_gml,
     parse_label_lines,
@@ -301,7 +301,7 @@ def test_gml_tokenizer_matches_the_reference(text):
 @hypothesis.given(st.one_of(gml_soups, gml_texts))
 def test_gml_tokenizer_matches_the_reference_in_small_chunks(chunk_chars, text):
     # no cut splits a token, whatever the chunk size
-    with mock.patch.object(graph_module, "GML_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(gml_module, "GML_CHUNK_CHARS", chunk_chars):
         assert outcome(tokenize_gml, text) == outcome(reference_tokenize_gml, text)
 
 
@@ -357,7 +357,7 @@ def test_load_gml_matches_the_reference(text):
 def test_load_gml_matches_the_reference_in_small_chunks(chunk_chars, text):
     # cuts then land inside entries, runs, strings and comments, and
     # between `graph` and its '['
-    with mock.patch.object(graph_module, "GML_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(gml_module, "GML_CHUNK_CHARS", chunk_chars):
         assert outcome(read_gml, text) == outcome(reference_load_gml, text)
 
 
