@@ -20,13 +20,11 @@ characters, and str.split() cuts one chunk at a time into tokens,
 brackets spaced out, so a reader holds a chunk of tokens, not all of
 them. The graph block is read by _read_block from one iterator over the
 chunks; at a node or edge key it hands that iterator to the kind's
-_entry_reader. That reads the entry on its own with _read_block or,
-where a check finds it plain, with every entry after it in its chunk of
-the same kind and keys as one run, a column per key, with list slices.
-A node entry is kept as its id, label and value; an edge entry only as
-its source and target ids, in flat lists, since a graph has many more
-edges. The graph is built through Graph._of_simple_pairs, as every
-reader's is.
+_entry_reader, which reads the entry with _read_block too, so an entry
+that a cut runs through reads as any other. A node entry is kept as its
+id, label and value; an edge entry only as its source and target ids, in
+flat lists, since a graph has many more edges. The graph is built
+through Graph._of_simple_pairs, as every reader's is.
 
 graph.load_gml, the public entry point, imports this module on its first
 call, so a run that reads no GML text never compiles or loads it.
@@ -34,9 +32,8 @@ call, so a run that reads no GML text never compiles or loads it.
 
 from __future__ import annotations
 
-import operator
 import re
-from itertools import chain, compress, count, islice
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -125,154 +122,17 @@ def _read_block(
     raise GmlParseError(f"unbalanced brackets: {where} block never closed")
 
 
-_BRACKETS = frozenset("[]")
-
-
-def _run_end(tokens: list[str], start: int) -> tuple[int, int]:
-    """The width of the entry whose kind is tokens[start], and the end of
-    the run from it of plain entries that repeat its kind, its keys and its
-    ']' at the same offsets. The run ends at start when that entry is not
-    plain.
-
-    A plain entry closes, and holds no nested block, no repeated key, no
-    quoted or bracket key and no bracket value; the first ']' after its '['
-    closes it, and the scan for it stays inside the entry being read
-    whatever the entry holds. The entries after the first are checked in
-    pieces, each as long as the run read so far. A piece whose first entry
-    has other keys keeps nothing. Otherwise the tokens at one offset within
-    the entries of the piece are one strided slice: at an even offset the
-    kind, a key or the ']', and at offset 1 the '[', which every entry must
-    repeat, and at any other odd offset a value, which must not be a
-    bracket. The piece keeps its entries up to the first that fails a
-    slice, and the run ends with the first piece that keeps fewer than it
-    holds. So a slice holds at most one column of the run, and a run costs
-    time linear in its length wherever it ends."""
-    try:
-        close = tokens.index("]", start + 1)
-    except ValueError:  # never closed
-        return 1, start
-    entry = tokens[start : close + 1]
-    width, keys = len(entry), entry[2:-1:2]
-    # an even width ends on a key whose value is the ']'; a word holds no
-    # '"', and a string starts with one
-    if not width % 2 or entry[1] != "[" or entry.count("[") > 1 or len(set(keys)) < len(keys) or '"' in "".join(keys):
-        return width, start
-    shape = entry[:]  # the tokens every entry of the run repeats, None at each value
-    shape[3:-1:2] = [None] * (width // 2 - 1)
-    row = entry[::2]  # the kind, the keys and the ']'
-    stop = start + width  # the end of the run so far
-    while True:
-        piece = (stop - start) // width
-        kept = min(piece, (len(tokens) - stop) // width)
-        if tokens[stop : stop + width : 2] != row:
-            kept = 0
-        for offset, token in enumerate(shape):
-            if not kept:
-                break
-            tokens_at = tokens[stop + offset : stop + offset + kept * width : width]
-            if token is None:
-                if "[" in tokens_at or "]" in tokens_at:
-                    kept = next(compress(count(), map(_BRACKETS.__contains__, tokens_at)))
-            elif tokens_at.count(token) < kept:
-                kept = next(compress(count(), map(token.__ne__, tokens_at)))
-        stop += kept * width
-        if kept < piece:
-            return width, stop
-
-
-# A run read as columns must hold at least this many entries to pay for the
-# check that found it: on nodes in alternating runs of r entries, reading
-# every run as columns was slower than _read_block up to r = 16 and faster
-# from r = 24.
-_RUN_PAYS = 20
-
-
-def _entry_reader(current: list, columns: dict[str, list[str | None]]) -> Callable[[Iterator[str]], None]:
+def _entry_reader(columns: dict[str, list[str | None]]) -> Callable[[Iterator[str]], None]:
     """A reader of the node (or the edge) entries of a graph block, called
-    with rest, the iterator the block is read through, at each entry's '[':
-    it extends each list in columns with the value of its key, unquoted, or
-    None where the entry has no such key. current holds the chunk of tokens
-    that rest is reading, the list iterator rest reads it through, and the
-    offset of the chunk's first token among the text's tokens.
-
-    At a check, a plain entry (see _run_end) is read with every entry after
-    it in its chunk of the same kind and the same keys in the same order as
-    one run, a column per key, with list slices, and rest is left after the
-    run; any other entry is read by _read_block. A check and its slices
-    cost about what _read_block takes for a dozen or two entries, so checks
-    pay only where runs are long. The reader counts the entries read since
-    the last run it found, outside that run. A check finds a run when the
-    run holds more entries than that count and at least _RUN_PAYS; the
-    count then restarts from 0 and the next entry is checked at once, so
-    long runs broken now and then by an odd entry are each found. A check
-    that finds none adds what it read to the count and hands the next count
-    entries to _read_block, unchecked. So where runs are short or absent,
-    checks come at a doubling count and the entries cost about what
-    _read_block takes alone.
-
-    A run that reaches the end of its chunk is judged where it ends, as one
-    run: the entry across the cut is read by _read_block and counted in it,
-    and a check right after that entry goes on with it."""
-    read = 0  # entries read since the last run found, outside it
-    wait = 0  # entries to hand to _read_block before the next check
-    run = 0  # entries of a run that reached the end of a chunk, not yet judged
-    resume = -1  # the offset at which that run goes on
+    with the iterator the block is read through, at each entry's '[': it
+    reads the entry with _read_block and appends to each list in columns the
+    value of its key, or None where the entry has no such key."""
     items = tuple(columns.items())
 
-    def judge(entries: int) -> None:
-        """Count a check that read entries entries as one run."""
-        nonlocal read, wait
-        if entries > read and entries >= _RUN_PAYS:
-            read = wait = 0
-        else:
-            read += entries
-            wait = read
-
-    def read_entry(rest: Iterator[str]) -> None:
-        nonlocal read, wait, run, resume
-        if wait:
-            wait -= 1
-            read += 1
-        else:
-            tokens, it, base = current
-            at = len(tokens) - operator.length_hint(it)  # the entry's '[', after its kind
-            if run and base + at - 1 != resume:  # the run ended before this entry, which is checked
-                judge(run)
-                run = wait = 0
-            width, stop = _run_end(tokens, at - 1)
-            entries = (stop - at + 1) // width
-            if entries:
-                keys = tokens[at + 1 : at + width - 2 : 2]
-                for key, column in items:
-                    if key not in keys:
-                        column += [None] * entries
-                        continue
-                    values = tokens[at + 2 + 2 * keys.index(key) : stop : width]
-                    if '"' in "".join(values):  # some value is a string
-                        values = [value[1:-1] if value[0] == '"' else value for value in values]
-                    column += values
-                next(islice(it, stop - at, stop - at), None)  # it had read up to the first entry's kind
-                run += entries
-                if len(tokens) - stop < width:  # no room for another entry: the run may go on in the next chunk
-                    resume = base + stop
-                else:
-                    judge(run)
-                    run = 0
-                return
-            if not run:
-                judge(0)
-                read += 1
-        fields = _read_block(rest, "node/edge", {})
+    def read_entry(tokens: Iterator[str]) -> None:
+        fields = _read_block(tokens, "node/edge", {})
         for key, column in items:
             column.append(fields.get(key))
-        if run:  # the entry follows a run that reached the end of its chunk
-            if current[2] != base:  # and crosses the cut, so the run goes on after it
-                tokens, it, base = current
-                run, resume = run + 1, base + len(tokens) - operator.length_hint(it)
-            else:
-                judge(run)
-                run = 0
-                read += 1
 
     return read_entry
 
@@ -282,25 +142,22 @@ def _read_graph(text: str) -> tuple[list[str | None], ...]:
     columns: each node's id, label and value, then each edge's source and
     target, None where an entry has no such key. The text is read one chunk
     of tokens at a time (see _tokenize_gml), and no chunk is kept."""
-    current: list = []  # the chunk being read, its list iterator, and the offset of its first token
 
     def graph_chunks() -> Iterator[Iterator[str]]:
         """Iterators over the chunks from the graph block's '[' on, each
-        made current before it is read and let go once it is read."""
-        base, last, start = 0, None, None  # the offset of the chunk, the token before it, where '[' is
+        let go once it is read."""
+        last, start = None, None  # the token before the chunk, where '[' is
         for tokens in _tokenize_gml(text):
             if start is None:
                 pairs = enumerate(zip(chain((last,), tokens), tokens))
                 start = next((i for i, pair in pairs if pair == ("graph", "[")), None)
                 if start is None:
-                    base, last = base + len(tokens), tokens[-1] if tokens else last
+                    last = tokens[-1] if tokens else last
                     continue
-                tokens, base = tokens[start:], base + start
-            current[:] = tokens, iter(tokens), base
-            base += len(tokens)
+                tokens = tokens[start:]
+            chunk = iter(tokens)
             del tokens
-            yield current[1]
-            current.clear()
+            yield chunk
         if start is None:
             raise GmlParseError("no 'graph [' block found")
 
@@ -310,8 +167,8 @@ def _read_graph(text: str) -> tuple[list[str | None], ...]:
     sources: list[str | None] = []
     targets: list[str | None] = []
     readers = {
-        "node": _entry_reader(current, {"id": ids, "label": labels, "value": values}),
-        "edge": _entry_reader(current, {"source": sources, "target": targets}),
+        "node": _entry_reader({"id": ids, "label": labels, "value": values}),
+        "edge": _entry_reader({"source": sources, "target": targets}),
     }
     _read_block(chain.from_iterable(graph_chunks()), "graph", readers)
     return ids, labels, values, sources, targets

@@ -428,77 +428,6 @@ def test_load_gml_reads_a_long_run_in_linear_time(text):
     assert truth is None
 
 
-def _counting(monkeypatch, name):
-    """The argument tuples of every later call of gml_module.name."""
-    calls = []
-    real = getattr(gml_module, name)
-    monkeypatch.setattr(gml_module, name, lambda *args: calls.append(args) or real(*args))
-    return calls
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda i: f"node [ id {i} graphics [ x 1 y 2 ] ]",
-        lambda i: f"node [ id {i} ]" if i % 2 else f'node [ label "n{i}" id {i} ]',
-        lambda i: f"node [ id {i} ]" if (i * 7919) % 5 < 2 else f'node [ id {i} label "n{i}" ]',
-    ],
-    ids=["no-entry-plain", "runs-of-1", "runs-of-1-to-4"],
-)
-def test_load_gml_checks_for_runs_at_a_doubling_count(monkeypatch, entry):
-    # a check for a run costs about what _read_block takes for a few
-    # entries, so entries outside long runs must not each pay for one
-    checks = _counting(monkeypatch, "_run_end")
-    n = 1024
-    g, _ = load_gml("graph [ " + " ".join(map(entry, range(n))) + " ]")
-    assert g.node_count == n
-    assert 1 < len(checks) <= n.bit_length()
-
-
-@pytest.mark.parametrize("prefix", [0, 1, 10, 100, 300])
-def test_load_gml_finds_a_run_after_entries_outside_runs(monkeypatch, prefix):
-    # the run after `prefix` entries with a nested block is found within as
-    # many entries again, so _read_block reads fewer than 2 * prefix + 1
-    # entries, and a run from the first entry takes one check
-    checks = _counting(monkeypatch, "_run_end")
-    blocks = _counting(monkeypatch, "_read_block")
-    n = 1024
-    entries = (f"node [ id {i} graphics [ ] ]" if i < prefix else f"node [ id {i} ]" for i in range(n))
-    g, _ = load_gml("graph [ " + " ".join(entries) + " ]")
-    assert g.nodes == [str(i) for i in range(n)]
-    assert len(blocks) - 1 <= 2 * prefix  # the graph block is one
-    assert len(checks) <= (2 * prefix).bit_length() + 1
-    if not prefix:
-        assert len(checks) == 1 and len(blocks) == 1
-
-
-def test_load_gml_finds_runs_broken_by_odd_entries(monkeypatch):
-    # one node in 100 carries a key the others lack; each run of 99 after
-    # it is found again, so _read_block reads about one entry per break,
-    # not every entry after the first break
-    blocks = _counting(monkeypatch, "_read_block")
-    n = 3000
-    entries = (f"node [ id {i} value 1 ]" if i % 100 == 99 else f"node [ id {i} ]" for i in range(n))
-    g, _ = load_gml("graph [ " + " ".join(entries) + " ]")
-    assert g.nodes == [str(i) for i in range(n)]
-    assert len(blocks) - 1 <= 2 * (n // 100)  # the graph block is one
-
-
-def test_load_gml_judges_a_run_across_chunk_cuts_as_one(monkeypatch):
-    # after `prefix` entries with a nested block, a run of entries that
-    # span lines, cut every 1,000 characters, many cuts inside an entry:
-    # the run is found once its pieces together outgrow the count, and then
-    # _read_block reads only the entry across each cut
-    monkeypatch.setattr(gml_module, "GML_CHUNK_CHARS", 1000)
-    blocks = _counting(monkeypatch, "_read_block")
-    prefix, n = 300, 3000
-    entries = (f"node [ id {i} graphics [ ] ]\n" if i < prefix else f"node [\n  id {i}\n]\n" for i in range(n))
-    text = "graph [\n" + "".join(entries) + "]\n"
-    g, _ = load_gml(text)
-    assert g.nodes == [str(i) for i in range(n)]
-    assert len(blocks) - 1 <= 2 * prefix + len(text) // 1000
-
-
 def test_load_gml_holds_one_chunk_of_tokens_at_a_time(monkeypatch):
     # the reader gets its tokens in lists, each from one chunk of text and
     # one line more, so it never holds the token list of the whole text

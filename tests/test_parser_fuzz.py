@@ -171,8 +171,8 @@ def gml_runs(draw):
     node's id, an edge's two ends and more) in its own order, and each value
     is written plain or quoted. At most one entry, drawn at random, carries
     one of RUN_FAULTS, which ends its run there or makes the text fail.
-    Runs of several lengths in turn put the reader's checks for a run at
-    the start, in the middle and at the end of a run."""
+    So runs of several lengths follow one another, and the fault may fall
+    at the start, in the middle or at the end of a run."""
     n, m = draw(st.integers(2, 40)), draw(st.integers(2, 40))
 
     def runs_of(count, extras, keys):
@@ -311,6 +311,17 @@ LONG_RUNS = ("graph [\n" + "".join(f'  node [ id {i} label "n {i}" ]\n' for i in
              + "".join(f"  edge [ source {i} target {(i * 7) % 2500} ]\n" for i in range(2500)) + "]\n")
 
 
+# About 1,000 node entries each: like-shaped entries after 300 entries
+# with a nested block; one odd node per 100 among like-shaped ones; and
+# entries that span lines after 100 with a nested block.
+GRAPHICS_PREFIX = "graph [ " + " ".join(
+    f"node [ id {i} graphics [ x 1 y 2 ] ]" if i < 300 else f"node [ id {i} ]" for i in range(1000)) + " ]"
+ODD_ENTRIES = "graph [ " + " ".join(
+    f"node [ id {i} value 1 ]" if i % 100 == 99 else f"node [ id {i} ]" for i in range(1000)) + " ]"
+MULTI_LINE = "graph [\n" + "".join(
+    f"node [ id {i} graphics [ ] ]\n" if i < 100 else f"node [\n  id {i}\n]\n" for i in range(1000)) + "]\n"
+
+
 def load_gml_inputs(test):
     """Run test on random GML texts of every kind and on the examples: each
     a text that load_gml must read as its reference does."""
@@ -340,6 +351,9 @@ def load_gml_inputs(test):
         + 'node [ id 2 label "b ] ]\n',
         # runs that cross a cut
         LONG_RUNS,
+        GRAPHICS_PREFIX,
+        ODD_ENTRIES,
+        MULTI_LINE,
     ]
     for text in examples:
         test = hypothesis.example(text)(test)
