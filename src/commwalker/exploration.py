@@ -21,11 +21,13 @@ state, which costs a fraction of building a generator
 Co-visit weights are one int64 array indexed by edge id. A report adds 1 to
 every pair of distinct nodes in it, but only the pairs that are edges are
 stored: the walk, the edge sweep and the output read nothing else. The
-graph tells which pairs are edges, and their slots, by pair key u * n + v,
-whatever table it holds: the kernel's tabu reads Graph.slots_of, and a
-generation's pair counts are one Graph.slot_counts. During the run the
-counts live in the slot masses 1 + weight, both slots of an edge alike,
-kept from one generation to the next and read back per edge id at the end.
+kernel returns a slot of every pair of a report, or 2m for no edge: a
+step's pick is the slot of the pair it walks, and each other pair is
+looked up once by pair key u * n + v (Graph.slots_of, which the tabu also
+reads); a generation's pair counts are one bincount over those slots.
+During the run the counts live in the slot masses 1 + weight, both slots
+of an edge alike, kept from one generation to the next and read back per
+edge id at the end.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def _csr_walks(
     starts: np.ndarray,
     memory_size: int,
     uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The walks of every agent of a generation, all taking step s together;
     the test suite pins them to a scalar reference that walks the same rows
     one agent at a time.
@@ -295,6 +297,12 @@ def _csr_walks(
     k % len(uniforms); the mask marks the first visit of each node in each
     column. A uniform is spent only on steps with more than one candidate;
     a forced step's only candidate is found for any u.
+
+    Row j(j - 1) / 2 + i of slots (np.tril_indices(memory_size, -1)
+    order) holds each agent's slot of the edge memory[i]-memory[j], i < j,
+    read from either end, or 2m for no edge: node j's older pairs, from
+    the tabu lookup of the step leaving it (one Graph.slots_of call after
+    the last step for the last node), then the pick that reached it.
 
     mass holds the slot masses (_slot_masses). They are summed once into a
     prefix over all slots, and each node's row start in it, row mass and
@@ -328,6 +336,9 @@ def _csr_walks(
     memory = np.empty((memory_size, agents), dtype=np.int64)
     memory[0] = starts
     first = np.ones((memory_size, agents), dtype=bool)
+    # the rows of slots, stacked after the walk: an array allocated before
+    # it was paged in afresh every generation on the components benchmark
+    slots = []
     # lane j's d-th uniform is draws[j * per_lane + d]; agent k starts at
     # lane k % lanes and advances by one on each step that spends a uniform
     draws, per_lane = uniforms.ravel(), uniforms.shape[1]
@@ -342,6 +353,7 @@ def _csr_walks(
             tabu_rows = ()
             spends = degree > 1
         elif step == 2:
+            slots.append(pick)  # node 1 has no older pair
             # the only tabu is the twin of the slot just taken; it blocks
             # the step exactly at a leaf, where it is dropped (weighs 0)
             free = np.greater(degree, 1, out=first[2])
@@ -357,6 +369,7 @@ def _csr_walks(
             # nodes equal to it find no slot, 2m). They cover the row
             # exactly when the step revisits a node.
             older = g.slots_of((current * n + memory[: step - 2]).ravel())
+            slots += [*older.reshape(step - 2, agents), pick]
             twin = twins[pick]
             if step == 3:
                 # the only older node is the start, which has no slot
@@ -403,7 +416,9 @@ def _csr_walks(
         # the pick is the first slot whose mass through it reaches the target
         pick = _search_in_order(through, target)
         memory[step] = neighbors[pick]
-    return memory, first
+    older = g.slots_of((memory[-1] * n + memory[:-2]).ravel())
+    slots += [*older.reshape(memory_size - 2, agents), pick]
+    return memory, first, np.array(slots)
 
 
 def _sort_columns(a: np.ndarray) -> None:
@@ -445,7 +460,7 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
     grouped = np.argsort(labels, kind="stable")  # each component's nodes in id order
     n, m = g.node_count, g.edge_count
     agents, memory_size = cfg.agent_count, cfg.memory_size
-    left, right = np.triu_indices(memory_size, 1)
+    right, left = np.tril_indices(memory_size, -1)  # the row order of the kernel's slots
     mass = _slot_masses(g, np.zeros(m, dtype=np.int64))
     hits = np.zeros(n, dtype=np.int64)
     streams = _generation_streams(cfg.seed)
@@ -462,12 +477,12 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
                 members = grouped[np.isin(labels[grouped], running)]
             at_member = select_start_nodes(hits[members], cfg, generation, segments)
             lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)
-            memory, first = _csr_walks(g, mass, members[at_member], memory_size, lanes)
+            memory, first, slots = _csr_walks(g, mass, members[at_member], memory_size, lanes)
             # every pair of distinct memory nodes, each once per agent (first
             # visits only); the pairs that are edges add 1 to both slots of
             # their edge
             keep = first[left] & first[right]
-            counts = g.slot_counts((memory[left] * n + memory[right])[keep])
+            counts = np.bincount(slots[keep], minlength=2 * m + 1)[:-1]
             mass[:-1] += counts
             mass[:-1] += counts[g.twins]
             hits += np.bincount(memory.ravel(), minlength=n)

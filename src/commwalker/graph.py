@@ -13,8 +13,8 @@ a caller reads it (to_edge_list does). Which pairs of nodes are edges,
 and at which slot, is looked up by pair key u * n + v in the one pair
 table built there: a dense table of all n * n keys, read with one gather,
 when it has at most DENSE_PAIR_CELLS entries, and otherwise the sorted
-table of the 2m slot keys, searched; Graph.slots_of and
-Graph.slot_counts read whichever the graph has. The connected components
+table of the 2m slot keys, searched; Graph.slots_of, the one lookup,
+reads whichever the graph has. The connected components
 are found once per graph, on first use of Graph.components, and every
 phase of detection reads that one partition.
 """
@@ -60,8 +60,8 @@ class Graph:
     slot_by_key the slot of each; the two end in a sentinel, n * n (above
     every key) and 2m (no slot), so a search for any pair key lands on an
     entry, and a pair that is no edge finds a key other than its own.
-    slots_of and slot_counts look pair keys up in whichever table the
-    graph has, so no other module knows which. ends() reads the lower and
+    slots_of looks pair keys up in whichever table the graph has, so no
+    other module knows which. ends() reads the lower and
     upper end of every edge off the rows, as int64 arrays indexed by edge
     id. The arrays are read-only. The values filled after construction
     are components and edges (the list of (u, v) tuples that ends() gives),
@@ -126,23 +126,6 @@ class Graph:
             return self.slot_of_key[keys]
         at = _search_in_order(self.sorted_keys, keys)  # the sentinel ends every search
         return np.where(self.sorted_keys[at] == keys, self.slot_by_key[at], len(self.neighbors))
-
-    def slot_counts(self, keys: np.ndarray) -> np.ndarray:
-        """How many of the 1-D pair keys name each slot, as 2m counts; keys
-        that are no edge count nowhere. The dense table is one gather and one
-        bincount; on the sorted one keys is sorted in place (a copy costs a
-        fresh array per call) and searched once per distinct key."""
-        if self.slot_of_key is not None:
-            return np.bincount(self.slot_of_key[keys], minlength=len(self.neighbors) + 1)[:-1]
-        keys.sort()
-        bound = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, and the end
-        np.not_equal(keys[1:], keys[:-1], out=bound[1:-1])
-        runs = bound.nonzero()[0]
-        unique = keys[runs[:-1]]
-        at = self.sorted_keys.searchsorted(unique)
-        counts = np.zeros(len(self.neighbors) + 1, dtype=np.int64)  # keys that are no edge count at -1, 2m
-        counts[np.where(self.sorted_keys[at] == unique, self.slot_by_key[at], -1)] = np.diff(runs)
-        return counts[:-1]
 
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":

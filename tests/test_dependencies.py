@@ -179,8 +179,8 @@ def test_every_module_level_import_is_used():
 
 def test_exploration_reads_pairs_only_through_the_graph():
     # which pair table a graph has is graph.py's choice: the walk asks
-    # Graph.slots_of and Graph.slot_counts, whatever the table, and no
-    # other module names either table
+    # Graph.slots_of, whatever the table, and no other module names either
+    # table
     named = {
         path.name: re.findall(r"\b(?:slot_of_key|sorted_keys|slot_by_key)\b", path.read_text())
         for path in (ROOT / "src" / "commwalker").glob("*.py")

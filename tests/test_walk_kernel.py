@@ -71,12 +71,24 @@ def test_csr_walks_match_run_walk(case):
     agents = len(starts)
     uniforms = _walk_uniforms(_philox(seed, generation), agents, memory_size - 1)
     mass = _slot_masses(g, w)
+    edge_of = {  # (u, v) -> the id of edge u-v, read off the CSR rows
+        (u, int(g.neighbors[s])): int(g.edge_ids[s])
+        for u in range(g.node_count)
+        for s in range(g.indptr[u], g.indptr[u + 1])
+    }
+    right, left = np.tril_indices(memory_size, -1)
     for walked in both_pair_tables(g):
-        memory, first = _csr_walks(walked, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
+        memory, first, slots = _csr_walks(walked, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
         for k, start in enumerate(starts):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
             assert memory[:, k].tolist() == expected
             assert first[:, k].tolist() == [node not in expected[:i] for i, node in enumerate(expected)]
+            # pair (i, j), i < j, at row j(j - 1) / 2 + i: a slot of edge
+            # memory[i]-memory[j], or 2m when they are no edge
+            for row, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+                assert row == j * (j - 1) // 2 + i
+                slot, edge = slots[row, k], edge_of.get((expected[i], expected[j]))
+                assert (slot == len(g.neighbors)) if edge is None else (g.edge_ids[slot] == edge)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
@@ -91,9 +103,9 @@ def test_csr_walks_read_lane_k_mod_lanes(case, copies):
     mass = _slot_masses(g, w)
     all_starts = np.random.default_rng(seed).permutation(np.repeat(starts, copies))
     for walked in both_pair_tables(g):
-        memory, first = _csr_walks(walked, mass, all_starts, memory_size, uniforms)
+        memory, first, slots = _csr_walks(walked, mass, all_starts, memory_size, uniforms)
         tiled = _csr_walks(walked, mass, all_starts, memory_size, np.tile(uniforms, (copies, 1)))
-        assert np.array_equal(memory, tiled[0]) and np.array_equal(first, tiled[1])
+        assert all(map(np.array_equal, (memory, first, slots), tiled))
         for k, start in enumerate(all_starts.tolist()):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k % lanes]))
             assert memory[:, k].tolist() == expected
@@ -137,8 +149,8 @@ def test_csr_walks_match_run_walk_with_gaps_in_the_tabu(memory_size):
         _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
         for walked in both_pair_tables(g)
     )
-    memory, first = dense
-    assert np.array_equal(memory, by_search[0]) and np.array_equal(first, by_search[1])
+    memory, first, _ = dense
+    assert all(map(np.array_equal, dense, by_search))
     gapped = 0
     for k, start in enumerate(starts.tolist()):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
@@ -170,8 +182,10 @@ def count_merges(monkeypatch) -> list:
 )
 def test_csr_walks_match_run_walk_in_large_batches(monkeypatch, shape, agents, memory_size):
     # At least 3x as many agents as slots, so the pick takes the merge form
-    # of _search_in_order, and from step 3 on (memory 4 and up) so do the
-    # tabu lookups in the sorted pair-key table (Graph.slots_of).
+    # of _search_in_order, and so do the pair lookups in the sorted pair-key
+    # table (Graph.slots_of): the tabu's of steps 3 to memory_size - 1, and
+    # the one of the last node's older pairs after the last step, which
+    # has none to look up at memory 2.
     g = {
         "karate": lambda: karate()[0],
         "star": lambda: pairs_graph(9, [(0, v) for v in range(1, 9)]),
@@ -189,9 +203,9 @@ def test_csr_walks_match_run_walk_in_large_batches(monkeypatch, shape, agents, m
         walks.append(_csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms))
         # the pick searches the 2m-slot prefix, slots_of the 2m + 1 sorted keys
         assert merged.count(len(g.neighbors)) == memory_size - 1  # every pick
-        assert merged.count(len(g.neighbors) + 1) == (walked.sorted_keys is not None) * max(0, memory_size - 3)
-    (memory, first), by_search = walks
-    assert np.array_equal(memory, by_search[0]) and np.array_equal(first, by_search[1])
+        assert merged.count(len(g.neighbors) + 1) == (walked.sorted_keys is not None) * max(0, memory_size - 2)
+    (memory, first, _), by_search = walks
+    assert all(map(np.array_equal, walks[0], by_search))
     for k, start in enumerate(starts.tolist()):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
         assert memory[:, k].tolist() == expected
@@ -223,7 +237,7 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
                 starts.append(start)
                 rows.append([first_u, second_u])
     assert sum(u > 0 for row in rows for u in row) > 100
-    memory, first = _csr_walks(g, _slot_masses(g, w), np.array(starts, dtype=np.int64), 3, np.array(rows))
+    memory, first, _ = _csr_walks(g, _slot_masses(g, w), np.array(starts, dtype=np.int64), 3, np.array(rows))
     for k, (start, row) in enumerate(zip(starts, rows)):
         expected = run_walk(g, w, start, 3, replay(row))
         assert memory[:, k].tolist() == expected
@@ -247,7 +261,7 @@ def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
     total = 5
     last = [j / total for j in range(total)] + [(j + 0.5) / total for j in range(total)]
     rows = np.array([[0.0, 0.0, u] for u in last])
-    memory, first = _csr_walks(g, _slot_masses(g, w), np.full(len(rows), x), 6, rows)
+    memory, first, _ = _csr_walks(g, _slot_masses(g, w), np.full(len(rows), x), 6, rows)
     picks = set()
     for k, row in enumerate(rows):
         expected = run_walk(g, w, x, 6, replay(row))
@@ -280,7 +294,7 @@ def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
     rows = [list(row) for row in product(grid, repeat=3)]
     starts = np.repeat(np.arange(g.node_count), len(rows))
     uniforms = np.array(rows * g.node_count)[:, : memory_size - 1]
-    memory, first = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
+    memory, first, _ = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
     for k, start in enumerate(starts.tolist()):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
         assert memory[:, k].tolist() == expected
@@ -341,7 +355,7 @@ def test_csr_walks_first_three_steps_match_run_walk(g, kinds, memory_size):
     uniforms = np.array(rows * g.node_count)
     met = set()
     for walked in both_pair_tables(g):
-        memory, first = _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
+        memory, first, _ = _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
         for k, start in enumerate(starts.tolist()):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
             assert memory[:, k].tolist() == expected
@@ -364,6 +378,26 @@ def test_default_walks_never_sort_tabu_columns(monkeypatch):
     assert explore(g, cfg).generations_run > 10
     with pytest.raises(AssertionError, match="_sort_columns called"):
         explore(g, ExplorationConfig.for_size(g.node_count, g.edge_count, seed=3, memory_size=5))
+
+
+@pytest.mark.parametrize("memory_size", [2, 3, 4, 6])
+def test_explore_looks_each_pair_up_once(monkeypatch, memory_size):
+    # A step's pick is the slot of the pair it walks, so of a report's
+    # M(M - 1) / 2 pairs only the (M - 1)(M - 2) / 2 that are not
+    # consecutive reach Graph.slots_of, each once: the tabu's lookups and
+    # the last node's after the last step. One generation on karate.
+    looked_up = []
+    slots_of = graph.Graph.slots_of
+
+    def counting(self, keys):
+        looked_up.append(len(keys))
+        return slots_of(self, keys)
+
+    monkeypatch.setattr(graph.Graph, "slots_of", counting)
+    g, _ = karate()
+    cfg = ExplorationConfig.for_size(g.node_count, g.edge_count, memory_size=memory_size, max_generations=1)
+    assert explore(g, cfg).generations_run == 1
+    assert sum(looked_up) == cfg.agent_count * (memory_size - 1) * (memory_size - 2) // 2
 
 
 def test_merge_form_runs_only_for_large_batches(monkeypatch):
