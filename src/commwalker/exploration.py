@@ -25,9 +25,13 @@ kernel returns a slot of every pair of a report, or 2m for no edge: a
 step's pick is the slot of the pair it walks, and each other pair is
 looked up once by pair key u * n + v (Graph.slots_of, which the tabu also
 reads); a generation's pair counts are one bincount over those slots.
-During the run the counts live in the slot masses 1 + weight, both slots
-of an edge alike, kept from one generation to the next and read back per
-edge id at the end.
+The kernel writes a generation's memory, first visits and pair slots into
+arrays its caller owns (_walk_arrays), which explore() allocates only when
+the running set of components changes: a run holds one generation's
+arrays, reused from generation to generation, never two. During the run
+the counts live in the slot masses 1 + weight, both slots of an edge
+alike, kept from one generation to the next and read back per edge id at
+the end.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from .graph import Graph, _search_in_order
 # Weights are indexed by edge id.
 EdgeWeights = np.ndarray
 
-# Per-generation arrays grow with agents x memory^2 (the pairs of every
-# report); configs above this many cells are rejected before allocating,
-# and explore() batches only as many components as fit in this budget.
+# One generation's arrays grow with agents x memory^2 (the pair slots of
+# every report); explore() allocates them once per running set and the
+# kernel rewrites them each generation. Configs above this many cells are
+# rejected before allocating, and explore() batches only as many
+# components as fit in this budget.
 MAX_GENERATION_CELLS = 1 << 24
 
 # After generation 0, ceil(HUB_SHARE * agents) of a component's agents start
@@ -191,7 +197,8 @@ def _walk_uniforms(philox: np.random.Philox, agent_count: int, draws: int) -> np
     bit-generator streams stable, not Generator methods.
     """
     words = philox.random_raw(agent_count * draws)
-    return (words.reshape(agent_count, draws) >> 11) * _UNIT
+    words >>= 11
+    return words.reshape(agent_count, draws) * _UNIT
 
 
 def _start_order_words(seed: int, count: int) -> np.ndarray:
@@ -278,16 +285,33 @@ def _slot_masses(g: Graph, edge_weights: EdgeWeights) -> np.ndarray:
     return mass
 
 
+def _walk_arrays(memory_size: int, agents: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays _csr_walks writes one generation of agents into, left
+    unfilled: memory and first, (memory_size, agents), and slots,
+    (memory_size * (memory_size - 1) / 2, agents)."""
+    return (
+        np.empty((memory_size, agents), dtype=np.int64),
+        np.empty((memory_size, agents), dtype=bool),
+        np.empty((memory_size * (memory_size - 1) // 2, agents), dtype=np.int64),
+    )
+
+
 def _csr_walks(
     g: Graph,
     mass: np.ndarray,
     starts: np.ndarray,
-    memory_size: int,
     uniforms: np.ndarray,
+    walks: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The walks of every agent of a generation, all taking step s together;
     the test suite pins them to a scalar reference that walks the same rows
     one agent at a time.
+
+    walks = (memory, first, slots) are the caller's arrays (_walk_arrays),
+    which set the memory size and the agent count (memory.shape) and are
+    returned. Every cell of the three is written on every call, whatever
+    they held, so one set serves generation after generation; the kernel
+    allocates none of them.
 
     Column k of the (memory_size, agents) memory is agent k's walk from
     starts[k]: every node already in its memory is tabu (the tabu is
@@ -302,7 +326,8 @@ def _csr_walks(
     order) holds each agent's slot of the edge memory[i]-memory[j], i < j,
     read from either end, or 2m for no edge: node j's older pairs, from
     the tabu lookup of the step leaving it (one Graph.slots_of call after
-    the last step for the last node), then the pick that reached it.
+    the last step for the last node), then the pick that reached it. Each
+    row is written as soon as it is found.
 
     mass holds the slot masses (_slot_masses). They are summed once into a
     prefix over all slots, and each node's row start in it, row mass and
@@ -332,13 +357,11 @@ def _csr_walks(
     row_target = row_start[:-1] + 1  # the target of r = 0 in each node's row
     row_mass = row_start[1:] - row_start[:-1]
     row_degree = indptr[1:] - indptr[:-1]
-    agents, lanes = len(starts), len(uniforms)
-    memory = np.empty((memory_size, agents), dtype=np.int64)
+    memory, first, slots = walks
+    memory_size, agents = memory.shape
+    lanes = len(uniforms)
     memory[0] = starts
-    first = np.ones((memory_size, agents), dtype=bool)
-    # the rows of slots, stacked after the walk: an array allocated before
-    # it was paged in afresh every generation on the components benchmark
-    slots = []
+    first[:2] = True  # later rows are written by the step that reaches them
     # lane j's d-th uniform is draws[j * per_lane + d]; agent k starts at
     # lane k % lanes and advances by one on each step that spends a uniform
     draws, per_lane = uniforms.ravel(), uniforms.shape[1]
@@ -353,7 +376,7 @@ def _csr_walks(
             tabu_rows = ()
             spends = degree > 1
         elif step == 2:
-            slots.append(pick)  # node 1 has no older pair
+            slots[0] = pick  # node 1 has no older pair
             # the only tabu is the twin of the slot just taken; it blocks
             # the step exactly at a leaf, where it is dropped (weighs 0)
             free = np.greater(degree, 1, out=first[2])
@@ -369,7 +392,9 @@ def _csr_walks(
             # nodes equal to it find no slot, 2m). They cover the row
             # exactly when the step revisits a node.
             older = g.slots_of((current * n + memory[: step - 2]).ravel())
-            slots += [*older.reshape(step - 2, agents), pick]
+            row = (step - 1) * (step - 2) // 2  # the first row of node step - 1
+            slots[row : row + step - 2] = older.reshape(step - 2, agents)
+            slots[row + step - 2] = pick
             twin = twins[pick]
             if step == 3:
                 # the only older node is the start, which has no slot
@@ -416,9 +441,11 @@ def _csr_walks(
         # the pick is the first slot whose mass through it reaches the target
         pick = _search_in_order(through, target)
         memory[step] = neighbors[pick]
+    # the last node's rows are the last memory_size - 1
     older = g.slots_of((memory[-1] * n + memory[:-2]).ravel())
-    slots += [*older.reshape(memory_size - 2, agents), pick]
-    return memory, first, np.array(slots)
+    slots[1 - memory_size : -1] = older.reshape(memory_size - 2, agents)
+    slots[-1] = pick
+    return walks
 
 
 def _sort_columns(a: np.ndarray) -> None:
@@ -475,9 +502,10 @@ def explore(g: Graph, cfg: ExplorationConfig) -> ExplorationResult:
             if segments is None:  # the running set changed
                 segments = _Segments.of_sizes(sizes[running], cfg)
                 members = grouped[np.isin(labels[grouped], running)]
+                walks = _walk_arrays(memory_size, agents * len(running))
             at_member = select_start_nodes(hits[members], cfg, generation, segments)
             lanes = _walk_uniforms(streams(generation), agents, memory_size - 1)
-            memory, first, slots = _csr_walks(g, mass, members[at_member], memory_size, lanes)
+            memory, first, slots = _csr_walks(g, mass, members[at_member], lanes, walks)
             # every pair of distinct memory nodes, each once per agent (first
             # visits only); the pairs that are edges add 1 to both slots of
             # their edge

@@ -194,9 +194,10 @@ def test_components_run_in_groups_within_the_cell_budget(monkeypatch, per_group)
     sizes = []
     kernel = exploration._csr_walks
 
-    def recording_kernel(graph, weights, starts, memory_size, uniforms):
-        sizes.append(len(starts) * memory_size**2)
-        return kernel(graph, weights, starts, memory_size, uniforms)
+    def recording_kernel(graph, weights, starts, uniforms, walks):
+        memory_size, agents = walks[0].shape
+        sizes.append(agents * memory_size**2)
+        return kernel(graph, weights, starts, uniforms, walks)
 
     monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
     result = explore(g, cfg)
@@ -223,11 +224,11 @@ def test_slot_masses_stay_equal_on_both_slots_of_an_edge(monkeypatch):
     masses = []
     kernel = exploration._csr_walks
 
-    def recording_kernel(graph, mass, starts, memory_size, uniforms):
+    def recording_kernel(graph, mass, starts, uniforms, walks):
         masses.append(mass)
         assert np.array_equal(mass[:-1], mass[graph.twins])
         assert mass[-1] == 0
-        return kernel(graph, mass, starts, memory_size, uniforms)
+        return kernel(graph, mass, starts, uniforms, walks)
 
     monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
     result = explore(g, cfg)
@@ -238,6 +239,50 @@ def test_slot_masses_stay_equal_on_both_slots_of_an_edge(monkeypatch):
     assert np.array_equal(mass[:-1], 1 + result.weights[g.edge_ids])
     assert mass[-1] == 0
     assert result.weights.min() > 0
+
+
+def test_walk_arrays_allocated_once_per_running_set(monkeypatch):
+    # explore() allocates the kernel's arrays (_walk_arrays) only when the
+    # running set changes, and every generation of a set walks into the
+    # same arrays. The parts stop at different generations, so the run
+    # goes through several sets, each smaller than the one before.
+    g = pairs_graph(
+        24,
+        [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+         (12, 13), (12, 14), (12, 15), (13, 14), (13, 15), (14, 15), (16, 17), (16, 18),
+         (16, 19), (16, 20), (21, 22)],
+    )  # node 23 isolated; 6 components with edges
+    cfg = ExplorationConfig(agent_count=6, memory_size=3, seed=5)
+    expected = explore(g, cfg)
+    allocated, walked = [], []
+    arrays, kernel = exploration._walk_arrays, exploration._csr_walks
+
+    def counting_arrays(memory_size, agents):
+        allocated.append(arrays(memory_size, agents))
+        return allocated[-1]
+
+    def recording_kernel(graph, mass, starts, uniforms, walks):
+        walked.append(walks)
+        return kernel(graph, mass, starts, uniforms, walks)
+
+    monkeypatch.setattr(exploration, "_walk_arrays", counting_arrays)
+    monkeypatch.setattr(exploration, "_csr_walks", recording_kernel)
+    result = explore(g, cfg)
+    assert result.weights.tolist() == expected.weights.tolist()
+    assert result.hits == expected.hits
+    assert result.component_generations == expected.component_generations
+    assert result.component_cap_hit == expected.component_cap_hit
+    # running[t]: the number of components that run generation t (those
+    # that stop after it); it falls each time the running set changes
+    stops = [gens for gens in result.component_generations if gens]
+    running = [sum(t < stop for stop in stops) for t in range(max(stops))]
+    sets = sorted(set(running), reverse=True)
+    assert len(sets) >= 3  # the parts stop apart
+    assert len(allocated) == len(sets)
+    assert [walks[0].shape for walks in allocated] == [(cfg.memory_size, cfg.agent_count * count) for count in sets]
+    assert len(walked) == len(running)  # one kernel call per generation
+    for count, walks in zip(running, walked):
+        assert all(a is b for a, b in zip(walks, allocated[sets.index(count)]))
 
 
 def reference_start_nodes(hits, cfg, generation, order_words):

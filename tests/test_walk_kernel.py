@@ -20,6 +20,7 @@ from commwalker.exploration import (
     _search_in_order,
     _slot_masses,
     _sort_columns,
+    _walk_arrays,
     _walk_uniforms,
 )
 
@@ -78,7 +79,9 @@ def test_csr_walks_match_run_walk(case):
     }
     right, left = np.tril_indices(memory_size, -1)
     for walked in both_pair_tables(g):
-        memory, first, slots = _csr_walks(walked, mass, np.array(starts, dtype=np.int64), memory_size, uniforms)
+        memory, first, slots = _csr_walks(
+            walked, mass, np.array(starts, dtype=np.int64), uniforms, _walk_arrays(memory_size, agents)
+        )
         for k, start in enumerate(starts):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
             assert memory[:, k].tolist() == expected
@@ -103,12 +106,55 @@ def test_csr_walks_read_lane_k_mod_lanes(case, copies):
     mass = _slot_masses(g, w)
     all_starts = np.random.default_rng(seed).permutation(np.repeat(starts, copies))
     for walked in both_pair_tables(g):
-        memory, first, slots = _csr_walks(walked, mass, all_starts, memory_size, uniforms)
-        tiled = _csr_walks(walked, mass, all_starts, memory_size, np.tile(uniforms, (copies, 1)))
+        agents = len(all_starts)
+        memory, first, slots = _csr_walks(walked, mass, all_starts, uniforms, _walk_arrays(memory_size, agents))
+        tiled = _csr_walks(
+            walked, mass, all_starts, np.tile(uniforms, (copies, 1)), _walk_arrays(memory_size, agents)
+        )
         assert all(map(np.array_equal, (memory, first, slots), tiled))
         for k, start in enumerate(all_starts.tolist()):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k % lanes]))
             assert memory[:, k].tolist() == expected
+
+
+def poisoned(memory_size, agents):
+    """_walk_arrays(memory_size, agents) filled with values no walk writes:
+    memory -1, first False, slots -7."""
+    memory, first, slots = walks = _walk_arrays(memory_size, agents)
+    memory.fill(-1)
+    first.fill(False)
+    slots.fill(-7)
+    return walks
+
+
+@pytest.mark.parametrize("memory_size", range(2, 13))
+def test_csr_walks_write_every_cell_of_stale_arrays(memory_size):
+    # The kernel writes every cell of the caller's arrays, so arrays that
+    # hold poison, and then the walks of another generation, give what
+    # fresh ones give. Leaves and degree-2 nodes block and revisit, so
+    # every closed-form step and the general tabu path write their rows;
+    # the agents outnumber the uniform rows.
+    g = pairs_graph(
+        10,
+        [(0, 1), (0, 2), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7), (7, 0), (7, 8), (2, 9)],
+    )
+    rng = np.random.default_rng(memory_size)
+    w = rng.integers(0, 6, size=g.edge_count)
+    agents, lanes = 4 * g.node_count, 7
+    generations = [  # (starts, uniforms) of two generations
+        (rng.integers(0, g.node_count, size=agents), rng.random((lanes, memory_size - 1)))
+        for _ in range(2)
+    ]
+    for walked in both_pair_tables(g):
+        mass = _slot_masses(walked, w)
+        walks = poisoned(memory_size, agents)
+        for starts, uniforms in generations:
+            fresh = _csr_walks(walked, mass, starts, uniforms, _walk_arrays(memory_size, agents))
+            reused = _csr_walks(walked, mass, starts, uniforms, walks)
+            assert all(a is b for a, b in zip(reused, walks))
+            assert all(map(np.array_equal, reused, fresh))
+            assert (reused[2] >= 0).all()
+        assert memory_size == 2 or not walks[1].all()  # some step was blocked and revisited
 
 
 def _gapped_tabu_steps(g, walk):
@@ -146,7 +192,7 @@ def test_csr_walks_match_run_walk_with_gaps_in_the_tabu(memory_size):
     starts = np.repeat(np.arange(g.node_count), 300)
     uniforms = rng.random((len(starts), memory_size - 1))
     dense, by_search = (
-        _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
+        _csr_walks(walked, _slot_masses(g, w), starts, uniforms, _walk_arrays(memory_size, len(starts)))
         for walked in both_pair_tables(g)
     )
     memory, first, _ = dense
@@ -200,7 +246,9 @@ def test_csr_walks_match_run_walk_in_large_batches(monkeypatch, shape, agents, m
     walks = []
     for walked in both_pair_tables(g):
         merged.clear()
-        walks.append(_csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms))
+        walks.append(
+            _csr_walks(walked, _slot_masses(g, w), starts, uniforms, _walk_arrays(memory_size, agents))
+        )
         # the pick searches the 2m-slot prefix, slots_of the 2m + 1 sorted keys
         assert merged.count(len(g.neighbors)) == memory_size - 1  # every pick
         assert merged.count(len(g.neighbors) + 1) == (walked.sorted_keys is not None) * max(0, memory_size - 2)
@@ -237,7 +285,9 @@ def test_csr_walks_match_run_walk_where_u_times_t_is_an_integer():
                 starts.append(start)
                 rows.append([first_u, second_u])
     assert sum(u > 0 for row in rows for u in row) > 100
-    memory, first, _ = _csr_walks(g, _slot_masses(g, w), np.array(starts, dtype=np.int64), 3, np.array(rows))
+    memory, first, _ = _csr_walks(
+        g, _slot_masses(g, w), np.array(starts, dtype=np.int64), np.array(rows), _walk_arrays(3, len(starts))
+    )
     for k, (start, row) in enumerate(zip(starts, rows)):
         expected = run_walk(g, w, start, 3, replay(row))
         assert memory[:, k].tolist() == expected
@@ -261,7 +311,7 @@ def test_csr_walks_skip_tabu_slots_at_the_pick_boundary():
     total = 5
     last = [j / total for j in range(total)] + [(j + 0.5) / total for j in range(total)]
     rows = np.array([[0.0, 0.0, u] for u in last])
-    memory, first, _ = _csr_walks(g, _slot_masses(g, w), np.full(len(rows), x), 6, rows)
+    memory, first, _ = _csr_walks(g, _slot_masses(g, w), np.full(len(rows), x), rows, _walk_arrays(6, len(rows)))
     picks = set()
     for k, row in enumerate(rows):
         expected = run_walk(g, w, x, 6, replay(row))
@@ -294,7 +344,7 @@ def test_csr_walks_first_two_steps_match_run_walk(g, memory_size):
     rows = [list(row) for row in product(grid, repeat=3)]
     starts = np.repeat(np.arange(g.node_count), len(rows))
     uniforms = np.array(rows * g.node_count)[:, : memory_size - 1]
-    memory, first, _ = _csr_walks(g, _slot_masses(g, w), starts, memory_size, uniforms)
+    memory, first, _ = _csr_walks(g, _slot_masses(g, w), starts, uniforms, _walk_arrays(memory_size, len(starts)))
     for k, start in enumerate(starts.tolist()):
         expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
         assert memory[:, k].tolist() == expected
@@ -355,7 +405,9 @@ def test_csr_walks_first_three_steps_match_run_walk(g, kinds, memory_size):
     uniforms = np.array(rows * g.node_count)
     met = set()
     for walked in both_pair_tables(g):
-        memory, first, _ = _csr_walks(walked, _slot_masses(g, w), starts, memory_size, uniforms)
+        memory, first, _ = _csr_walks(
+            walked, _slot_masses(g, w), starts, uniforms, _walk_arrays(memory_size, len(starts))
+        )
         for k, start in enumerate(starts.tolist()):
             expected = run_walk(g, w, start, memory_size, replay(uniforms[k]))
             assert memory[:, k].tolist() == expected
