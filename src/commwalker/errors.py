@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader of
+integer parameters, which raises ConfigInvalidError.
 
 The two branches matter for the CLI: InputError maps to exit status 1
 (bad data), ConfigError to exit status 2 (bad parameters).
 """
+
+import operator
 
 
 class CommWalkerError(Exception):
@@ -59,3 +62,12 @@ class PartitionMismatchError(CommWalkerError):
 
 class ConfigInvalidError(ConfigError):
     """A parameter value violates its documented constraints."""
+
+
+def _integer(name: str, value: object) -> int:
+    """value read through operator.index; a value that is no integer
+    raises ConfigInvalidError naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None

@@ -23,8 +23,9 @@ every pair of distinct nodes in it, but only the pairs that are edges are
 stored: the walk, the edge sweep and the output read nothing else. The
 kernel returns a slot of every pair of a report, or 2m for no edge: a
 step's pick is the slot of the pair it walks, and each other pair is
-looked up once by pair key u * n + v (Graph.slots_of, which the tabu also
-reads); a generation's pair counts are one bincount over those slots.
+looked up once by its two nodes (Graph.slots_of, which the tabu also
+reads, and which alone knows how a pair is keyed); a generation's pair
+counts are one bincount over those slots.
 The kernel writes a generation's memory, first visits and pair slots into
 arrays its caller owns (_walk_arrays), which explore() allocates only when
 the running set of components changes: a run holds one generation's
@@ -37,13 +38,12 @@ the end.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, _integer
 from .graph import Graph, _search_in_order
 
 # Weights are indexed by edge id.
@@ -85,11 +85,7 @@ class ExplorationConfig:
 
     def __post_init__(self) -> None:
         for name in ("agent_count", "memory_size", "max_generations", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.agent_count < 2:
             raise ConfigInvalidError(f"agent_count must be >= 2, got {self.agent_count}")
         if self.memory_size < 2:
@@ -326,7 +322,9 @@ def _csr_walks(
     order) holds each agent's slot of the edge memory[i]-memory[j], i < j,
     read from either end, or 2m for no edge: node j's older pairs, from
     the tabu lookup of the step leaving it (one Graph.slots_of call after
-    the last step for the last node), then the pick that reached it. Each
+    the last step for the last node), then the pick that reached it. The
+    kernel hands Graph.slots_of a node row and the older memory rows, and
+    writes the rows it returns as they are; it builds no pair key. Each
     row is written as soon as it is found.
 
     mass holds the slot masses (_slot_masses). They are summed once into a
@@ -348,7 +346,7 @@ def _csr_walks(
     sorted down each column (_sort_columns), an older node seen twice
     dropped.
     """
-    indptr, neighbors, twins, n = g.indptr, g.neighbors, g.twins, g.node_count
+    indptr, neighbors, twins = g.indptr, g.neighbors, g.twins
     no_slot = len(neighbors)  # sorts after every slot and weighs nothing
     before = np.zeros(no_slot + 1, dtype=np.int64)  # mass of all slots before each slot
     mass[:-1].cumsum(out=before[1:])
@@ -387,13 +385,13 @@ def _csr_walks(
             spends = degree > 2
         else:
             # tabu: the twin of the slot just taken, and the slots of older
-            # memory nodes, one Graph.slots_of call whatever pair table the
-            # graph holds (the current node is never its own neighbor, so
-            # nodes equal to it find no slot, 2m). They cover the row
-            # exactly when the step revisits a node.
-            older = g.slots_of((current * n + memory[: step - 2]).ravel())
+            # memory nodes, one Graph.slots_of call, one row per older node,
+            # whatever pair table the graph holds (the current node is never
+            # its own neighbor, so nodes equal to it find no slot, 2m). They
+            # cover the row exactly when the step revisits a node.
             row = (step - 1) * (step - 2) // 2  # the first row of node step - 1
-            slots[row : row + step - 2] = older.reshape(step - 2, agents)
+            older = g.slots_of(current, memory[: step - 2])
+            slots[row : row + step - 2] = older
             slots[row + step - 2] = pick
             twin = twins[pick]
             if step == 3:
@@ -404,6 +402,7 @@ def _csr_walks(
                 # with one minimum and one maximum. They block the step
                 # exactly when they cover the row, and are then dropped
                 # (weigh 0).
+                older = older[0]  # the start's row, the only one
                 candidates = degree - 1 - (older < no_slot)
                 free = np.not_equal(candidates, 0, out=first[3])
                 low, high = np.minimum(twin, older), np.maximum(twin, older)
@@ -413,7 +412,7 @@ def _csr_walks(
                 tabu_rows = ((low, low_mass), (high, high_mass))
                 spends = np.where(free, candidates, degree) > 1
             else:
-                tabu = np.concatenate((twin, older)).reshape(step - 1, agents)
+                tabu = np.concatenate((twin[None], older))
                 _sort_columns(tabu)
                 tabu[1:][tabu[1:] == tabu[:-1]] = no_slot  # a node seen twice
                 candidates = degree - (tabu < no_slot).sum(axis=0)
@@ -442,8 +441,7 @@ def _csr_walks(
         pick = _search_in_order(through, target)
         memory[step] = neighbors[pick]
     # the last node's rows are the last memory_size - 1
-    older = g.slots_of((memory[-1] * n + memory[:-2]).ravel())
-    slots[1 - memory_size : -1] = older.reshape(memory_size - 2, agents)
+    slots[1 - memory_size : -1] = g.slots_of(memory[-1], memory[:-2])
     slots[-1] = pick
     return walks
 

@@ -18,13 +18,15 @@ before any token is read. No quantifier nests, so long runs cost linear
 time. The text between is cut at a newline every GML_CHUNK_CHARS
 characters, and str.split() cuts one chunk at a time into tokens,
 brackets spaced out, so a reader holds a chunk of tokens, not all of
-them. The graph block is read by _read_block from one iterator over the
-chunks; at a node or edge key it hands that iterator to the kind's
-_entry_reader, which reads the entry with _read_block too, so an entry
-that a cut runs through reads as any other. A node entry is kept as its
-id, label and value; an edge entry only as its source and target ids, in
-flat lists, since a graph has many more edges. The graph is built
-through Graph._of_simple_pairs, as every reader's is.
+them. The chunks are read as one stream of tokens, in which the first
+`graph` followed by `[` starts the graph block, whichever chunks the two
+lie in. _read_block reads the block from that stream; at a node or edge
+key it hands the stream to the kind's _entry_reader, which reads the
+entry with _read_block too, so an entry that a cut runs through reads as
+any other. A node entry is kept as its id, label and value; an edge
+entry only as its source and target ids, in flat lists, since a graph
+has many more edges. The graph is built through Graph._of_simple_pairs,
+as every reader's is.
 
 graph.load_gml, the public entry point, imports this module on its first
 call, so a run that reads no GML text never compiles or loads it.
@@ -33,7 +35,7 @@ call, so a run that reads no GML text never compiles or loads it.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Callable, Iterator
 
 import numpy as np
@@ -140,27 +142,12 @@ def _entry_reader(columns: dict[str, list[str | None]]) -> Callable[[Iterator[st
 def _read_graph(text: str) -> tuple[list[str | None], ...]:
     """The node and the edge entries of the first graph block of text, as
     columns: each node's id, label and value, then each edge's source and
-    target, None where an entry has no such key. The text is read one chunk
-    of tokens at a time (see _tokenize_gml), and no chunk is kept."""
-
-    def graph_chunks() -> Iterator[Iterator[str]]:
-        """Iterators over the chunks from the graph block's '[' on, each
-        let go once it is read."""
-        last, start = None, None  # the token before the chunk, where '[' is
-        for tokens in _tokenize_gml(text):
-            if start is None:
-                pairs = enumerate(zip(chain((last,), tokens), tokens))
-                start = next((i for i, pair in pairs if pair == ("graph", "[")), None)
-                if start is None:
-                    last = tokens[-1] if tokens else last
-                    continue
-                tokens = tokens[start:]
-            chunk = iter(tokens)
-            del tokens
-            yield chunk
-        if start is None:
-            raise GmlParseError("no 'graph [' block found")
-
+    target, None where an entry has no such key. The text is read as one
+    stream of tokens, one chunk at a time (see _tokenize_gml), and no
+    chunk is kept."""
+    tokens = chain.from_iterable(_tokenize_gml(text))
+    if ("graph", "[") not in pairwise(tokens):  # reads the stream up to the block's '['
+        raise GmlParseError("no 'graph [' block found")
     ids: list[str | None] = []
     labels: list[str | None] = []
     values: list[str | None] = []
@@ -170,7 +157,7 @@ def _read_graph(text: str) -> tuple[list[str | None], ...]:
         "node": _entry_reader({"id": ids, "label": labels, "value": values}),
         "edge": _entry_reader({"source": sources, "target": targets}),
     }
-    _read_block(chain.from_iterable(graph_chunks()), "graph", readers)
+    _read_block(chain(("[",), tokens), "graph", readers)
     return ids, labels, values, sources, targets
 
 

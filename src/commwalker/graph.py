@@ -13,10 +13,12 @@ a caller reads it (to_edge_list does). Which pairs of nodes are edges,
 and at which slot, is looked up by pair key u * n + v in the one pair
 table built there: a dense table of all n * n keys, read with one gather,
 when it has at most DENSE_PAIR_CELLS entries, and otherwise the sorted
-table of the 2m slot keys, searched; Graph.slots_of, the one lookup,
-reads whichever the graph has. The connected components
-are found once per graph, on first use of Graph.components, and every
-phase of detection reads that one partition.
+table of the 2m slot keys, searched. Graph.slots_of, the one lookup,
+takes each pair as its two nodes, builds the key and reads whichever
+table the graph has, so no other module knows how a pair is keyed or
+stored. The connected components are found once per graph, on first use
+of Graph.components, and every phase of detection reads that one
+partition.
 """
 
 from __future__ import annotations
@@ -60,15 +62,15 @@ class Graph:
     slot_by_key the slot of each; the two end in a sentinel, n * n (above
     every key) and 2m (no slot), so a search for any pair key lands on an
     entry, and a pair that is no edge finds a key other than its own.
-    slots_of looks pair keys up in whichever table the graph has, so no
-    other module knows which. ends() reads the lower and
-    upper end of every edge off the rows, as int64 arrays indexed by edge
-    id. The arrays are read-only. The values filled after construction
-    are components and edges (the list of (u, v) tuples that ends() gives),
-    each on first read; both are pure functions of the arrays, so two
-    concurrent first reads at worst compute one twice and store equal
-    values, and a graph is safe to share across any number of concurrent
-    readers.
+    slots_of takes pairs as two node arrays, keys them and looks them up
+    in whichever table the graph has, so no other module knows the key or
+    the table. ends() reads the lower and upper end of every edge off the
+    rows, as int64 arrays indexed by edge id. The arrays are read-only.
+    The values filled after construction are components and edges (the
+    list of (u, v) tuples that ends() gives), each on first read; both are
+    pure functions of the arrays, so two concurrent first reads at worst
+    compute one twice and store equal values, and a graph is safe to share
+    across any number of concurrent readers.
     """
 
     nodes: list[str]
@@ -118,14 +120,17 @@ class Graph:
         directly, past the frozen dataclass's __setattr__)."""
         return connected_components(self)
 
-    def slots_of(self, keys: np.ndarray) -> np.ndarray:
-        """The slot of each pair key u * n + v in the 1-D keys, that of v in
-        u's row, or 2m when u and v are no edge: one gather from the dense
-        pair table, or one search in the sorted one."""
+    def slots_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The slot of v in u's row for each pair of the int64 node arrays u
+        and v broadcast together, in their broadcast shape, or 2m where u
+        and v are no edge: the pair key u * n + v is looked up with one
+        gather from the dense pair table, or one search in the sorted one."""
+        keys = u * self.node_count + v
         if self.slot_of_key is not None:
             return self.slot_of_key[keys]
-        at = _search_in_order(self.sorted_keys, keys)  # the sentinel ends every search
-        return np.where(self.sorted_keys[at] == keys, self.slot_by_key[at], len(self.neighbors))
+        flat = keys.ravel()
+        at = _search_in_order(self.sorted_keys, flat)  # the sentinel ends every search
+        return np.where(self.sorted_keys[at] == flat, self.slot_by_key[at], len(self.neighbors)).reshape(keys.shape)
 
     @classmethod
     def from_edges(cls, names: list[str], edge_pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import numbers
-import operator
 import random
 
 import numpy as np
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, _integer
 from .graph import Graph, Partition
 
 
@@ -29,13 +28,9 @@ def planted_partition(
     disconnected or contain isolated nodes; callers that need
     connectivity should draw another seed.
     """
-    ints = {"block_count": block_count, "block_size": block_size, "seed": seed}
-    for name, value in ints.items():
-        try:
-            ints[name] = operator.index(value)
-        except TypeError:
-            raise ConfigInvalidError(f"{name} must be an integer, got {value!r}") from None
-    block_count, block_size, seed = ints.values()
+    block_count = _integer("block_count", block_count)
+    block_size = _integer("block_size", block_size)
+    seed = _integer("seed", seed)
     if block_count < 1 or block_size < 1:
         raise ConfigInvalidError("block_count and block_size must be >= 1")
     if seed < 0:  # random.Random seeds from abs(seed): -7 would draw seed 7's graph

@@ -8,7 +8,7 @@ exports exists, every error type it declares is raised by it, every
 function, class and method it defines is named somewhere else in src/ or
 exported (Graph.from_edges, the public constructor, counts as exported),
 every module-level import is used (or, in __init__.py, exported), and
-only graph.py knows how pairs are stored."""
+only graph.py knows how pairs are keyed and stored."""
 
 import ast
 import os
@@ -188,3 +188,9 @@ def test_exploration_reads_pairs_only_through_the_graph():
     }
     assert "exploration.py" in named
     assert {name: found for name, found in named.items() if found} == {}
+    # and how a pair is keyed: the walk kernel hands slots_of nodes, so it
+    # never reads the node count a key u * n + v needs
+    tree = ast.parse((ROOT / "src" / "commwalker" / "exploration.py").read_text())
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_csr_walks")
+    read = [node.lineno for node in ast.walk(kernel) if isinstance(node, ast.Attribute) and node.attr == "node_count"]
+    assert read == []

@@ -220,7 +220,8 @@ def ring_with_chords(n: int) -> Graph:
 )
 def test_slot_lookups_match_the_csr_rows(build, dense):
     # slots_of against a dict of (u, v) -> slot read from the CSR rows,
-    # for keys that are edges, keys that are not and repeats
+    # for pairs that are edges, pairs that are not and repeats, and for a
+    # row of nodes against rows of them, as the walk kernel asks
     g = build()
     n, no_slot = g.node_count, 2 * g.edge_count
     assert (g.slot_of_key is not None) == dense
@@ -232,8 +233,17 @@ def test_slot_lookups_match_the_csr_rows(build, dense):
     rng.shuffle(keys)
     expected = [slot.get(divmod(k, n), no_slot) for k in keys.tolist()]
     assert no_slot in expected and len(set(expected)) < len(keys)
-    assert g.slots_of(keys).tolist() == expected
-    assert g.slots_of(keys[:0]).tolist() == []
+    assert g.slots_of(*np.divmod(keys, n)).tolist() == expected
+    assert g.slots_of(*np.divmod(keys[:0], n)).tolist() == []
+    # an (A,) array of u against a (k, A) array of v: a neighbor of each u,
+    # random nodes and u itself
+    u = rng.integers(0, n, 50)
+    v = np.stack((g.neighbors[g.indptr[u]], rng.integers(0, n, 50), u))
+    found = g.slots_of(u, v)
+    assert found.shape == v.shape
+    expected = [[slot.get((a, b), no_slot) for a, b in zip(u.tolist(), row)] for row in v.tolist()]
+    assert found.tolist() == expected
+    assert no_slot not in expected[0] and expected[2] == [no_slot] * 50
 
 
 def test_edge_list_round_trip():
